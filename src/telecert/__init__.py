@@ -36,6 +36,7 @@ from .simulator import (
     TrialTally,
     exact_exceedance,
     lln_sweep,
+    min_passes,
     pass_count_distribution,
     run_experiment,
     run_trial,
@@ -88,6 +89,7 @@ __all__ = [
     "hoeffding_log10_bound",
     "lln_sweep",
     "load_ensemble",
+    "min_passes",
     "mu_of",
     "pass_count_distribution",
     "qubit_mubs",

@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="at least 1; has no effect")
     _add_output_options(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="comma-separated run counts")
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="at least 1; has no effect")
     _add_output_options(p)
     p.set_defaults(func=cmd_lln)
 

@@ -138,6 +138,26 @@ def born_matrix(ensemble: Ensemble, povm: Povm) -> np.ndarray:
     return b.real
 
 
+def verification_table(ensemble: Ensemble, povm: Povm) -> np.ndarray:
+    """Joint law of one run's outcome and verification result.
+
+    ``T[i, k, 1] = B[i, k] * |<psi_i|psi_k>|^2`` is the probability that
+    state i gives outcome k and the resent state k then passes verification;
+    ``T[i, k, 0]`` that it gives k and fails.  Born probabilities are clipped
+    at 0 and overlaps to [0, 1], with the diagonal pinned to 1: resending
+    the correct state always passes.
+    """
+    b = np.clip(born_matrix(ensemble, povm), 0.0, None)
+    o = np.clip(ensemble.overlap_matrix(), 0.0, 1.0)
+    np.fill_diagonal(o, 1.0)
+    return np.stack([b * (1.0 - o), b * o], axis=-1)
+
+
+def pass_probabilities(ensemble: Ensemble, povm: Povm) -> np.ndarray:
+    """Per-state probability ``q_i = sum_k T[i, k, 1]`` that one run passes."""
+    return np.minimum(verification_table(ensemble, povm)[:, :, 1].sum(axis=1), 1.0)
+
+
 def error_probability(ensemble: Ensemble, povm: Povm) -> float:
     """Probability that the measurement misidentifies the prepared state."""
     b = born_matrix(ensemble, povm)

@@ -1,15 +1,14 @@
 """Dense complex linear algebra for small Hilbert-space dimensions.
 
 Vectors are 1-D complex numpy arrays, operators are square 2-D complex
-numpy arrays.  The Hermitian eigensolver is a cyclic Jacobi iteration
-written out explicitly: for the dimensions this package cares about
-(2 and 3, extensible to any small d) it is exact to roundoff, fully
-deterministic, and easy to audit against the closed 2x2 formulas.
+numpy arrays.  Hermitian eigenproblems go to LAPACK through
+``numpy.linalg.eigh`` after an explicit Hermiticity check; for the small
+dimensions this package cares about (2 and 3, any small d) the result is
+exact to roundoff and is cross-checked against the closed 2x2 formulas in
+the tests.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -59,56 +58,15 @@ def _assert_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Zero a[p, q] by a unitary similarity, accumulating the rotation in v."""
-    g = a[p, q]
-    mag = abs(g)
-    phase = g / mag
-    theta = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
+def eigh(h) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix via ``numpy.linalg.eigh``.
 
-    ap = a[:, p].copy()
-    aq = a[:, q].copy()
-    a[:, p] = c * ap - s * np.conj(phase) * aq
-    a[:, q] = s * phase * ap + c * aq
-    rp = a[p, :].copy()
-    rq = a[q, :].copy()
-    a[p, :] = c * rp - s * phase * rq
-    a[q, :] = s * np.conj(phase) * rp + c * rq
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = c * vp - s * np.conj(phase) * vq
-    v[:, q] = s * phase * vp + c * vq
-
-
-def eigh(h, tol: float = 1e-14, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
-
+    The input is first checked and symmetrized by ``_assert_hermitian``.
     Returns ``(w, v)`` with eigenvalues ``w`` in ascending order and a
     unitary ``v`` whose columns are the matching eigenvectors, so that
     ``h == v @ diag(w) @ v.conj().T`` up to roundoff.
     """
-    a = _assert_hermitian(h)
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(a))))
-    skip = tol * scale / max(1, n * n)
-    for _ in range(max_sweeps):
-        off = np.abs(a - np.diag(np.diag(a)))
-        if float(off.max(initial=0.0)) <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) > skip:
-                    _jacobi_rotate(a, v, p, q)
-    w = np.diag(a).real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    return np.linalg.eigh(_assert_hermitian(h))
 
 
 def inv_sqrt(h, null_tol: float = NULL_TOL) -> np.ndarray:

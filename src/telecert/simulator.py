@@ -5,36 +5,54 @@ scenario's POVM, resends the identified state, and verifies it against the
 original with a projective check.  A trial is N such runs; its fidelity is
 the fraction of runs that pass verification.
 
-Randomness is counter based: the uniform consumed by (trial, run, stage)
-sits at a fixed position in a Philox stream keyed by (seed, n_runs) and a
-block counter, so any number of worker threads produces bit-identical
-results.  An exact dynamic-programming oracle over the pass-count
-distribution covers small N without sampling.
+Runs are never sampled one by one.  With the outcome marginalized out, a
+run on state i passes with probability q_i, so each trial draws only its
+pass count per state, Binomial(prepared_i, q_i).  The outcome tallies,
+summed over trials, are drawn once per experiment: the outcomes of state
+i's passing runs are multinomial in its summed pass count, and likewise for
+its failures.  This is the same joint law as sampling every run.
+
+Randomness is counter based: each fixed-size block of trials draws from a
+Philox stream keyed by (seed, n_runs) at the block's counter offset, so
+results depend only on the configuration.  An exact dynamic-programming
+oracle over the pass-count distribution covers small N without sampling.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .discrimination import born_matrix
+from .discrimination import pass_probabilities, verification_table
 from .errors import BudgetExceededError, PreconditionError
 from .scenarios import Scenario
 from .stats import classical_fidelity
 
 _U64 = (1 << 64) - 1
 
-#: Trials per sampling block; fixed so results never depend on worker count.
+#: Trials per sampling block; keeps memory bounded in the trial count.
 _MAX_BLOCK_TRIALS = 32_768
-
-#: Upper bound on uniforms drawn per block (keeps block memory modest).
-_BLOCK_VALUE_BUDGET = 4_000_000
 
 #: Elementary-operation budget for the exact pass-count oracle.
 _EXACT_OPS_BUDGET = 20_000_000
+
+
+def _check_schedule(scenario: Scenario, n_runs: int, uniform_priors: bool = True):
+    """Require a positive multiple of a runs and, if asked, uniform priors."""
+    a = scenario.ensemble.size
+    if n_runs < 1 or n_runs % a != 0:
+        raise PreconditionError(
+            f"n_runs must be a positive multiple of the ensemble size {a}, "
+            f"got {n_runs}"
+        )
+    if uniform_priors and not scenario.ensemble.has_uniform_priors(tol=1e-9):
+        raise PreconditionError(
+            "the fixed preparation schedule requires uniform priors; "
+            "multinomial preparation admits non-uniform ones"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,23 +73,13 @@ class SimConfig:
     multinomial_preparation: bool = False
 
     def __post_init__(self):
-        a = self.scenario.ensemble.size
         if self.n_runs < 1:
             raise ValueError(f"n_runs must be positive, got {self.n_runs}")
-        if self.n_runs % a != 0:
-            raise PreconditionError(
-                f"n_runs must be a multiple of the ensemble size {a}, "
-                f"got {self.n_runs}"
-            )
+        _check_schedule(self.scenario, self.n_runs, not self.multinomial_preparation)
         if self.n_trials < 1:
             raise ValueError(f"n_trials must be positive, got {self.n_trials}")
         if not 0 <= self.seed <= _U64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if not self.multinomial_preparation and not self.scenario.ensemble.has_uniform_priors(tol=1e-9):
-            raise PreconditionError(
-                "the fixed preparation schedule requires uniform priors; "
-                "enable multinomial_preparation for non-uniform ensembles"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,76 +143,43 @@ def stream(seed: int, subkey: int = 0, block: int = 0) -> np.random.Generator:
     Blocks are separated by 2**128 counter steps, so streams with different
     block indices never overlap.
     """
-    bits = np.random.Philox(
-        key=[seed & _U64, subkey & _U64], counter=[0, 0, block & _U64, 0]
-    )
+    # uint64 arrays: a plain list holding a value >= 2**63 becomes float64,
+    # which would merge neighbouring keys.
+    key = np.array([seed & _U64, subkey & _U64], dtype=np.uint64)
+    counter = np.array([0, 0, block & _U64, 0], dtype=np.uint64)
+    bits = np.random.Philox(key=key, counter=counter)
     return np.random.Generator(bits)
 
 
-def _protocol_tables(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative outcome probabilities and verification pass probabilities.
+def _draw_trials(rng, n_trials: int, n_runs: int, q: np.ndarray, priors=None):
+    """Prepared and passing counts per (trial, state).
 
-    Row i of the first table is the cumulative Born distribution of outcomes
-    for prepared state i, with the final entry pinned to 1.  Entry (i, k) of
-    the second is the probability that resent state k passes verification
-    against state i; the diagonal is pinned to 1 because resending the
-    correct state always passes.
+    Without ``priors`` every state is prepared ``n_runs / a`` times (the
+    fixed schedule), with them Multinomial(n_runs, priors) times.  State
+    i's passes are Binomial(prepared_i, q_i).
     """
-    born = born_matrix(scenario.ensemble, scenario.povm)
-    born = np.clip(born, 0.0, None)
-    cum = np.cumsum(born, axis=1)
-    cum[:, -1] = 1.0
-    pass_prob = np.clip(scenario.ensemble.overlap_matrix(), 0.0, 1.0)
-    np.fill_diagonal(pass_prob, 1.0)
-    return cum, pass_prob
-
-
-def _consume_block(
-    uniforms: np.ndarray,
-    born_cum: np.ndarray,
-    pass_prob: np.ndarray,
-    prior_cum: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Turn a (trials, runs, stages) uniform block into passes and tallies."""
-    a = born_cum.shape[0]
-    n_block, n_runs = uniforms.shape[0], uniforms.shape[1]
-    passes = np.zeros(n_block, dtype=np.int64)
-    prepared = np.zeros(a, dtype=np.int64)
-    outcomes = np.zeros((a, a), dtype=np.int64)
-    passed_counts = np.zeros((a, a), dtype=np.int64)
-
-    if prior_cum is None:
-        # Fixed schedule: state i occupies runs [i*n, (i+1)*n) of every trial.
-        per_state = n_runs // a
-        for i in range(a):
-            sl = slice(i * per_state, (i + 1) * per_state)
-            u_out = uniforms[:, sl, 0]
-            u_ver = uniforms[:, sl, 1]
-            k = np.searchsorted(born_cum[i], u_out.ravel(), side="right")
-            np.minimum(k, a - 1, out=k)
-            k = k.reshape(u_out.shape)
-            ok = u_ver < pass_prob[i, k]
-            passes += ok.sum(axis=1)
-            prepared[i] += n_block * per_state
-            outcomes[i] += np.bincount(k.ravel(), minlength=a)
-            passed_counts[i] += np.bincount(k[ok], minlength=a)
+    if priors is None:
+        prepared = np.full((n_trials, q.size), n_runs // q.size, dtype=np.int64)
     else:
-        state = np.searchsorted(prior_cum, uniforms[:, :, 0].ravel(), side="right")
-        np.minimum(state, a - 1, out=state)
-        state = state.reshape(n_block, n_runs)
-        ok_all = np.zeros((n_block, n_runs), dtype=bool)
-        for i in range(a):
-            mask = state == i
-            u_out = uniforms[:, :, 1][mask]
-            k = np.searchsorted(born_cum[i], u_out, side="right")
-            np.minimum(k, a - 1, out=k)
-            ok = uniforms[:, :, 2][mask] < pass_prob[i, k]
-            ok_all[mask] = ok
-            prepared[i] += int(mask.sum())
-            outcomes[i] += np.bincount(k, minlength=a)
-            passed_counts[i] += np.bincount(k[ok], minlength=a)
-        passes += ok_all.sum(axis=1)
-    return passes, prepared, outcomes, passed_counts
+        prepared = rng.multinomial(n_runs, priors, size=n_trials)
+    return prepared, rng.binomial(prepared, q)
+
+
+def _split_outcomes(rng, scenario: Scenario, prepared: np.ndarray, passed: np.ndarray):
+    """Outcome and passing counts per (state, outcome) from per-state totals.
+
+    State i's passing runs fall on outcome k in proportion to T[i, k, 1] of
+    the verification table and its failing runs in proportion to T[i, k, 0].
+    A sum of independent multinomials with one probability vector is
+    multinomial in the summed count, so one draw per state covers any
+    number of trials.
+    """
+    table = verification_table(scenario.ensemble, scenario.povm)
+    total = table.sum(axis=1, keepdims=True)
+    split = np.divide(table, total, out=np.zeros_like(table), where=total > 0)
+    pass_counts = rng.multinomial(passed, split[:, :, 1])
+    failing = rng.multinomial(prepared - passed, split[:, :, 0])
+    return pass_counts + failing, pass_counts
 
 
 def run_trial(
@@ -216,103 +191,75 @@ def run_trial(
     state).  The same stream state always yields the same tally and
     fidelity.
     """
-    a = scenario.ensemble.size
-    if n_runs < 1 or n_runs % a != 0:
-        raise PreconditionError(
-            f"n_runs must be a positive multiple of the ensemble size {a}, "
-            f"got {n_runs}"
-        )
-    if not scenario.ensemble.has_uniform_priors(tol=1e-9):
-        raise PreconditionError(
-            "the fixed preparation schedule requires uniform priors"
-        )
-    born_cum, pass_prob = _protocol_tables(scenario)
-    uniforms = rng.random((1, n_runs, 2))
-    passes, prepared, outcomes, passed = _consume_block(
-        uniforms, born_cum, pass_prob, None
-    )
-    tally = TrialTally(prepared, outcomes, passed)
-    return tally, float(passes[0]) / n_runs
+    _check_schedule(scenario, n_runs)
+    q = run_pass_probabilities(scenario)
+    prepared, passed = (x[0] for x in _draw_trials(rng, 1, n_runs, q))
+    outcomes, pass_counts = _split_outcomes(rng, scenario, prepared, passed)
+    return TrialTally(prepared, outcomes, pass_counts), float(passed.sum()) / n_runs
 
 
-def _block_layout(cfg: SimConfig) -> tuple[int, int, int]:
-    stages = 3 if cfg.multinomial_preparation else 2
-    block_trials = max(
-        1, min(_MAX_BLOCK_TRIALS, _BLOCK_VALUE_BUDGET // (stages * cfg.n_runs))
-    )
-    n_blocks = -(-cfg.n_trials // block_trials)
-    return stages, block_trials, n_blocks
+def _simulate(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Passes per trial, and per-state prepared and passing counts summed."""
+    q = run_pass_probabilities(cfg.scenario)
+    priors = cfg.scenario.ensemble.priors if cfg.multinomial_preparation else None
+    passes = []
+    prepared = np.zeros(q.size, dtype=np.int64)
+    passed = np.zeros(q.size, dtype=np.int64)
+    for block, lo in enumerate(range(0, cfg.n_trials, _MAX_BLOCK_TRIALS)):
+        rng = stream(cfg.seed, subkey=cfg.n_runs, block=block)
+        n = min(_MAX_BLOCK_TRIALS, cfg.n_trials - lo)
+        block_prepared, block_passed = _draw_trials(rng, n, cfg.n_runs, q, priors)
+        passes.append(block_passed.sum(axis=1))
+        prepared += block_prepared.sum(axis=0)
+        passed += block_passed.sum(axis=0)
+    return np.concatenate(passes), prepared, passed
 
 
-def _simulate_passes(cfg: SimConfig, workers: int):
-    """Pass counts per trial plus aggregated tallies, block by block."""
-    born_cum, pass_prob = _protocol_tables(cfg.scenario)
-    prior_cum = None
-    if cfg.multinomial_preparation:
-        prior_cum = np.cumsum(cfg.scenario.ensemble.priors)
-        prior_cum[-1] = 1.0
-    stages, block_trials, n_blocks = _block_layout(cfg)
+def min_passes(threshold: float, n_runs: int) -> int:
+    """Smallest pass count s with ``s / n_runs >= threshold`` in float arithmetic.
 
-    def one_block(b: int):
-        lo = b * block_trials
-        hi = min(cfg.n_trials, lo + block_trials)
-        g = stream(cfg.seed, subkey=cfg.n_runs, block=b)
-        uniforms = g.random((hi - lo, cfg.n_runs, stages))
-        return _consume_block(uniforms, born_cum, pass_prob, prior_cum)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_block, range(n_blocks)))
-    else:
-        results = [one_block(b) for b in range(n_blocks)]
-
-    passes = np.concatenate([r[0] for r in results])
-    a = cfg.scenario.ensemble.size
-    prepared = np.zeros(a, dtype=np.int64)
-    outcomes = np.zeros((a, a), dtype=np.int64)
-    passed = np.zeros((a, a), dtype=np.int64)
-    for r in results:
-        prepared += r[1]
-        outcomes += r[2]
-        passed += r[3]
-    return passes, prepared, outcomes, passed
+    This is the one definition of a trial reaching ``threshold``, shared by
+    the Monte Carlo and the exact oracle.  Returns ``n_runs + 1`` when no
+    count reaches it; a non-finite threshold raises ``ValueError``.
+    """
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold!r}")
+    return bisect.bisect_left(range(n_runs + 1), threshold, key=lambda s: s / n_runs)
 
 
 def run_experiment(cfg: SimConfig, threshold: float, workers: int = 1) -> SimReport:
     """Run ``cfg.n_trials`` independent trials and count threshold exceedances.
 
-    Output is fully determined by ``cfg`` and ``threshold``; the worker
-    count only changes how blocks are scheduled.
+    Output is fully determined by ``cfg`` and ``threshold``.  ``workers``
+    must be at least 1 and changes nothing: sampling runs on one thread.
     """
-    passes, prepared, outcomes, passed = _simulate_passes(cfg, workers)
+    s_min = min_passes(threshold, cfg.n_runs)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    passes, prepared, passed = _simulate(cfg)
+    # Trial blocks never reach the last block, so the split has its own stream.
+    split_rng = stream(cfg.seed, subkey=cfg.n_runs, block=_U64)
+    outcomes, pass_counts = _split_outcomes(split_rng, cfg.scenario, prepared, passed)
     fidelities = passes / cfg.n_runs
     fidelities.setflags(write=False)
     return SimReport(
         fidelities=fidelities,
         mean_fidelity=float(fidelities.mean()),
-        exceedance_count=int(np.count_nonzero(fidelities >= threshold)),
+        exceedance_count=int(np.count_nonzero(passes >= s_min)),
         threshold=float(threshold),
         n_runs=cfg.n_runs,
         n_trials=cfg.n_trials,
         seed=cfg.seed,
         prepared_counts=prepared,
         outcome_counts=outcomes,
-        pass_counts=passed,
+        pass_counts=pass_counts,
         pass_count_histogram=np.bincount(passes, minlength=cfg.n_runs + 1),
     )
 
 
 def run_pass_probabilities(scenario: Scenario) -> np.ndarray:
-    """Per-state probability that a single run passes verification.
-
-    ``q_i = sum_k B[i, k] * pass_prob[i, k]`` with the diagonal pass
-    probability pinned to 1; a run is a Bernoulli(q_i) event once the
-    intermediate outcome is marginalized out.
-    """
-    born_cum, pass_prob = _protocol_tables(scenario)
-    born = np.diff(born_cum, axis=1, prepend=0.0)
-    q = (born * pass_prob).sum(axis=1)
-    return np.clip(q, 0.0, 1.0)
+    """Per-state probability ``q_i`` that a single run passes verification."""
+    return pass_probabilities(scenario.ensemble, scenario.povm)
 
 
 def pass_count_distribution(scenario: Scenario, n_runs: int) -> np.ndarray:
@@ -322,14 +269,7 @@ def pass_count_distribution(scenario: Scenario, n_runs: int) -> np.ndarray:
     Cost grows quadratically with ``n_runs``; beyond the work budget a
     ``BudgetExceededError`` points the caller at the Monte Carlo path.
     """
-    a = scenario.ensemble.size
-    if n_runs < 1 or n_runs % a != 0:
-        raise PreconditionError(
-            f"n_runs must be a positive multiple of the ensemble size {a}, "
-            f"got {n_runs}"
-        )
-    if not scenario.ensemble.has_uniform_priors(tol=1e-9):
-        raise PreconditionError("the exact oracle requires uniform priors")
+    _check_schedule(scenario, n_runs)
     if n_runs * (n_runs + 1) > _EXACT_OPS_BUDGET:
         raise BudgetExceededError(
             f"exact enumeration at n_runs={n_runs} exceeds the work budget; "
@@ -338,9 +278,8 @@ def pass_count_distribution(scenario: Scenario, n_runs: int) -> np.ndarray:
     q = run_pass_probabilities(scenario)
     dist = np.zeros(n_runs + 1)
     dist[0] = 1.0
-    per_state = n_runs // a
-    for i in range(a):
-        qi = float(q[i])
+    per_state = n_runs // q.size
+    for qi in q.tolist():
         for _ in range(per_state):
             dist[1:] = dist[1:] * (1.0 - qi) + dist[:-1] * qi
             dist[0] *= 1.0 - qi
@@ -349,13 +288,8 @@ def pass_count_distribution(scenario: Scenario, n_runs: int) -> np.ndarray:
 
 def exact_exceedance(scenario: Scenario, n_runs: int, threshold: float) -> float:
     """Exact probability that a trial's fidelity reaches ``threshold``."""
-    dist = pass_count_distribution(scenario, n_runs)
-    s_min = math.ceil(threshold * n_runs - 1e-9)
-    if s_min <= 0:
-        return 1.0
-    if s_min > n_runs:
-        return 0.0
-    return float(dist[s_min:].sum())
+    s_min = min_passes(threshold, n_runs)
+    return float(pass_count_distribution(scenario, n_runs)[s_min:].sum())
 
 
 def lln_sweep(
@@ -369,16 +303,18 @@ def lln_sweep(
 
     Every N in ``n_values`` must be a multiple of the ensemble size.  The
     RMS column shrinks like 1/sqrt(N), which a log-log fit over a geometric
-    ladder exposes as a slope near -1/2.
+    ladder exposes as a slope near -1/2.  ``workers`` must be at least 1
+    and changes nothing: sampling runs on one thread.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     f_th = classical_fidelity(scenario.ensemble, scenario.povm)
     rows = []
     for n_runs in n_values:
         cfg = SimConfig(
             scenario=scenario, n_runs=int(n_runs), n_trials=n_trials, seed=seed
         )
-        passes, _, _, _ = _simulate_passes(cfg, workers)
-        fidelities = passes / cfg.n_runs
+        fidelities = _simulate(cfg)[0] / cfg.n_runs
         dev = fidelities - f_th
         rows.append(
             LlnRow(

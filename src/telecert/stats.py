@@ -12,9 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .discrimination import Povm, born_matrix
+from .discrimination import Povm, pass_probabilities
 from .ensembles import Ensemble
 from .errors import PreconditionError
 
@@ -27,12 +25,11 @@ def classical_fidelity(ensemble: Ensemble, povm: Povm) -> float:
     The prepared state is measured with ``povm``; outcome ``l`` makes the
     receiver resend state ``l``, which then passes verification against the
     original state ``i`` with probability ``|<psi_i|psi_l>|^2``.  The
-    returned value is the prior-weighted pass probability for the supplied
-    measurement (no optimization over measurements is performed).
+    returned value is the prior-weighted pass probability ``priors @ q``
+    for the supplied measurement (no optimization over measurements is
+    performed).
     """
-    b = born_matrix(ensemble, povm)
-    o = ensemble.overlap_matrix()
-    return float(np.einsum("i,ik,ik->", ensemble.priors, b, o))
+    return float(ensemble.priors @ pass_probabilities(ensemble, povm))
 
 
 def mu_of(f_th_cla: float, a: int) -> float:

@@ -405,6 +405,21 @@ class TestLln:
         assert "multiple" in err
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["simulate", "--scenario", "trine", "--n", "12", "--threshold", "nan"], 2),
+            (["simulate", "--scenario", "trine", "--n", "12", "--workers", "0"], 2),
+            (["lln", "--scenario", "trine", "--n", "12", "--workers", "-3"], 2),
+        ],
+    )
+    def test_rejected_before_any_output(self, capsys, argv, code):
+        got, out, _ = run_cli(capsys, argv + ["--trials", "100"])
+        assert got == code
+        assert out == ""
+
+
 class TestEnsembleValidate:
     def _write(self, tmp_path, doc):
         path = tmp_path / "ensemble.json"

@@ -11,6 +11,7 @@ from telecert.simulator import (
     SimConfig,
     exact_exceedance,
     lln_sweep,
+    min_passes,
     pass_count_distribution,
     rms_loglog_slope,
     run_experiment,
@@ -198,6 +199,40 @@ class TestRunExperiment:
         # orthonormal ensemble still always passes
         assert np.all(report.fidelities == 1.0)
 
+    def test_multinomial_passes_are_binomial_in_fidelity(self):
+        # each run draws its state from the priors and then passes with
+        # probability q_i, so a trial's pass count is Binomial(N, priors @ q)
+        ens = ensembles.Ensemble(ensembles.trine().states, np.array([0.5, 0.3, 0.2]))
+        scenario = custom_scenario(ens, target_fidelity=1.0)
+        f = stats.classical_fidelity(ens, scenario.povm)
+        n_runs, n_trials, threshold = 12, 40000, 0.9
+        cfg = SimConfig(
+            scenario=scenario,
+            n_runs=n_runs,
+            n_trials=n_trials,
+            seed=8,
+            multinomial_preparation=True,
+        )
+        report = run_experiment(cfg, threshold=threshold)
+        se = math.sqrt(f * (1 - f) / n_runs / n_trials)
+        assert abs(report.mean_fidelity - f) < 5 * se
+        tail = sum(
+            math.comb(n_runs, s) * f**s * (1 - f) ** (n_runs - s)
+            for s in range(n_runs + 1)
+            if s / n_runs >= threshold
+        )
+        se = math.sqrt(tail * (1 - tail) / n_trials)
+        assert abs(report.exceedance_frequency - tail) < 5 * se
+
+    def test_histogram_matches_exact_distribution(self):
+        scenario = builtin_scenarios()["qutrit-mubs"]
+        n_runs, n_trials = 24, 50000
+        cfg = SimConfig(scenario=scenario, n_runs=n_runs, n_trials=n_trials, seed=10)
+        hist = run_experiment(cfg, threshold=0.751).pass_count_histogram
+        dist = pass_count_distribution(scenario, n_runs)
+        se = np.sqrt(n_trials * dist * (1 - dist))
+        assert np.all(np.abs(hist - n_trials * dist) <= 5 * se)
+
 
 class TestExactOracle:
     def test_orthonormal_scenario_certain(self):
@@ -253,6 +288,32 @@ class TestExactOracle:
         report = run_experiment(cfg, threshold=0.865)
         se = math.sqrt(exact * (1 - exact) / n_trials)
         assert abs(report.exceedance_frequency - exact) < 4 * se
+
+    @pytest.mark.parametrize(
+        "n_runs,threshold",
+        [
+            (12, np.nextafter(11 / 12, 1)),
+            (12, np.nextafter(11 / 12, -1)),
+            (12, np.nextafter(9 / 12, 1)),
+            (30, np.nextafter(26 / 30, 1)),
+            (30, 0.1 * 3),
+        ],
+    )
+    def test_adversarial_thresholds_share_the_monte_carlo_cut(self, n_runs, threshold):
+        # the cut is the smallest pass count whose fidelity reaches the
+        # threshold in float arithmetic, exactly as the Monte Carlo compares
+        scenario = builtin_scenarios()["trine"]
+        cut = next((s for s in range(n_runs + 1) if s / n_runs >= threshold), n_runs + 1)
+        assert min_passes(threshold, n_runs) == cut
+        dist = pass_count_distribution(scenario, n_runs)
+        exact = exact_exceedance(scenario, n_runs, threshold)
+        assert exact == pytest.approx(dist[cut:].sum(), abs=1e-15)
+        cfg = SimConfig(scenario=scenario, n_runs=n_runs, n_trials=20000, seed=14)
+        report = run_experiment(cfg, threshold)
+        assert report.exceedance_count == report.pass_count_histogram[cut:].sum()
+        assert report.exceedance_count == np.count_nonzero(report.fidelities >= threshold)
+        se = math.sqrt(exact * (1 - exact) / cfg.n_trials)
+        assert abs(report.exceedance_frequency - exact) <= 5 * se
 
     def test_never_exceeds_log_bound(self):
         # light version of the soundness sweep; acceptance covers all N
@@ -321,3 +382,5 @@ class TestStreams:
         base = stream(1, 1, 0).random(8)
         assert not np.allclose(base, stream(2, 1, 0).random(8))
         assert not np.allclose(base, stream(1, 2, 0).random(8))
+        # seeds at or above 2**63 must not collapse onto one key
+        assert not np.allclose(stream(2**63 + 1).random(8), stream(2**63 + 2).random(8))
