@@ -2,7 +2,7 @@
 
 Verbs: ``scenarios``, ``bounds``, ``simulate``, ``hypothesis``, ``lln``,
 and ``ensemble validate``.  Each prints a human table to stdout; with
-``--out`` the result is also written as a structured document in the
+``--out`` the result is first written as a structured document in the
 format chosen by ``--format``.  Exit codes: 0 success, 2 validation
 failure, 3 precondition failure, 4 I/O failure.
 """
@@ -59,32 +59,31 @@ def _get_scenario(name: str):
     return scenarios[name]
 
 
-def _render_document(args, manifest, headers, rows, payload) -> str | None:
-    if args.format == "records":
-        return reporting.records_document(manifest, payload)
-    if args.format == "csv":
-        return reporting.csv_document(manifest, headers, rows)
-    return None
+def _emit(args, manifest, headers, rows, payload, text=None) -> None:
+    """Write the structured document if asked, then print the result.
 
-
-def _emit(args, manifest, headers, rows, payload) -> None:
-    """Print the result and optionally write the structured document.
-
-    Without ``--out`` the chosen format goes to stdout (a table by
-    default).  With ``--out`` stdout keeps the human table and the file
-    receives the structured document.
+    ``text`` is the human rendering, a table of ``rows`` by default.
+    Without ``--out`` stdout receives the chosen format (``text`` for the
+    table format).  With ``--out`` the file receives the structured
+    document before anything is printed, so a failed write leaves stdout
+    empty, and stdout then receives ``text``.
     """
-    document = _render_document(args, manifest, headers, rows, payload)
-    if args.out is None:
-        sys.stdout.write(
-            document if document is not None else reporting.format_table(headers, rows)
-        )
-        return
-    sys.stdout.write(reporting.format_table(headers, rows))
-    if document is None:
+    if text is None:
+        text = reporting.format_table(headers, rows)
+    if args.format == "records":
+        document = reporting.records_document(manifest, payload)
+    elif args.format == "csv":
+        document = reporting.csv_document(manifest, headers, rows)
+    elif args.out is None:
+        document = text
+    else:
         document = reporting.table_document(manifest, headers, rows)
+    if args.out is None:
+        sys.stdout.write(document)
+        return
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(document)
+    sys.stdout.write(text)
 
 
 def cmd_scenarios(args) -> int:
@@ -227,17 +226,7 @@ def cmd_simulate(args) -> int:
     }
     headers = [k for k, _ in pairs]
     rows = [[v for _, v in pairs]]
-    document = _render_document(args, manifest, headers, rows, payload)
-    if args.out is None:
-        sys.stdout.write(
-            document if document is not None else reporting.format_pairs(pairs)
-        )
-        return EXIT_OK
-    sys.stdout.write(reporting.format_pairs(pairs))
-    if document is None:
-        document = reporting.table_document(manifest, headers, rows)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(document)
+    _emit(args, manifest, headers, rows, payload, reporting.format_pairs(pairs))
     return EXIT_OK
 
 
@@ -299,23 +288,16 @@ def cmd_ensemble_validate(args) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
         text = fh.read()
     ensemble = load_ensemble(text)
-    headers = ["field", "value"]
-    rows = [
-        ["valid", True],
-        ["name", ensemble.name],
-        ["a", ensemble.size],
-        ["d", ensemble.dim],
-        ["uniform_priors", ensemble.has_uniform_priors(tol=1e-9)],
-    ]
-    manifest = reporting.make_manifest("ensemble validate", {"file": args.file})
     payload = {
         "valid": True,
         "name": ensemble.name,
         "a": ensemble.size,
         "d": ensemble.dim,
-        "uniform_priors": ensemble.has_uniform_priors(tol=1e-9),
+        "uniform_priors": ensemble.has_uniform_priors(),
     }
-    _emit(args, manifest, headers, rows, payload)
+    rows = [list(item) for item in payload.items()]
+    manifest = reporting.make_manifest("ensemble validate", {"file": args.file})
+    _emit(args, manifest, ["field", "value"], rows, payload)
     return EXIT_OK
 
 

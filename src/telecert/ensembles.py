@@ -24,6 +24,9 @@ NORM_TOL = 1e-10
 #: ... and its priors summing to one this tightly.
 PRIOR_TOL = 1e-12
 
+#: Largest deviation of any prior from 1/a that still counts as uniform.
+UNIFORM_PRIOR_TOL = 1e-9
+
 #: Looser tolerance applied to user documents before renormalization.
 LOAD_TOL = 1e-6
 
@@ -78,8 +81,9 @@ class Ensemble:
         """Hilbert-space dimension ``d``."""
         return self.states.shape[1]
 
-    def has_uniform_priors(self, tol: float = PRIOR_TOL) -> bool:
-        return bool(np.max(np.abs(self.priors - 1.0 / self.size)) <= tol)
+    def has_uniform_priors(self) -> bool:
+        """Whether every prior is within ``UNIFORM_PRIOR_TOL`` of ``1/a``."""
+        return bool(np.max(np.abs(self.priors - 1.0 / self.size)) <= UNIFORM_PRIOR_TOL)
 
     def overlap_matrix(self) -> np.ndarray:
         """Pairwise squared overlaps ``O[i, k] = |<psi_i|psi_k>|^2``."""

@@ -14,13 +14,15 @@ its failures.  This is the same joint law as sampling every run.
 
 Randomness is counter based: each fixed-size block of trials draws from a
 Philox stream keyed by (seed, n_runs) at the block's counter offset, so
-results depend only on the configuration.  An exact dynamic-programming
-oracle over the pass-count distribution covers small N without sampling.
+results depend only on the configuration.  An exact oracle builds the
+pass-count distribution from the same per-state Binomial law by
+convolution, covering small N without sampling.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,7 +50,7 @@ def _check_schedule(scenario: Scenario, n_runs: int, uniform_priors: bool = True
             f"n_runs must be a positive multiple of the ensemble size {a}, "
             f"got {n_runs}"
         )
-    if uniform_priors and not scenario.ensemble.has_uniform_priors(tol=1e-9):
+    if uniform_priors and not scenario.ensemble.has_uniform_priors():
         raise PreconditionError(
             "the fixed preparation schedule requires uniform priors; "
             "multinomial preparation admits non-uniform ones"
@@ -265,9 +267,14 @@ def run_pass_probabilities(scenario: Scenario) -> np.ndarray:
 def pass_count_distribution(scenario: Scenario, n_runs: int) -> np.ndarray:
     """Exact distribution of the number of passing runs in a trial.
 
-    Convolves one Bernoulli(q_i) factor per run under the fixed schedule.
-    Cost grows quadratically with ``n_runs``; beyond the work budget a
-    ``BudgetExceededError`` points the caller at the Monte Carlo path.
+    Under the fixed schedule the pass count is a sum of independent
+    Binomial(n_runs / a, q_i), the law the sampler draws.  One round (one
+    run per state) has the pass-count law of ``a`` Bernoulli(q_i) factors;
+    the trial's law is its (n_runs / a)-th convolution power, formed by
+    repeated squaring.  Every term is nonnegative, so each entry keeps full
+    relative precision until it underflows.  Cost grows quadratically with
+    ``n_runs``; beyond the work budget a ``BudgetExceededError`` points the
+    caller at the Monte Carlo path.
     """
     _check_schedule(scenario, n_runs)
     if n_runs * (n_runs + 1) > _EXACT_OPS_BUDGET:
@@ -276,20 +283,22 @@ def pass_count_distribution(scenario: Scenario, n_runs: int) -> np.ndarray:
             "use the Monte Carlo simulator instead"
         )
     q = run_pass_probabilities(scenario)
-    dist = np.zeros(n_runs + 1)
-    dist[0] = 1.0
-    per_state = n_runs // q.size
-    for qi in q.tolist():
-        for _ in range(per_state):
-            dist[1:] = dist[1:] * (1.0 - qi) + dist[:-1] * qi
-            dist[0] *= 1.0 - qi
-    return dist
+    power = functools.reduce(np.convolve, ([1.0 - qi, qi] for qi in q))
+    dist = np.ones(1)
+    rounds = n_runs // q.size
+    while True:
+        if rounds & 1:
+            dist = np.convolve(dist, power)
+        rounds >>= 1
+        if not rounds:
+            return dist
+        power = np.convolve(power, power)
 
 
 def exact_exceedance(scenario: Scenario, n_runs: int, threshold: float) -> float:
-    """Exact probability that a trial's fidelity reaches ``threshold``."""
+    """Exact probability that a trial reaches ``threshold`` (rounding clamped to 1)."""
     s_min = min_passes(threshold, n_runs)
-    return float(pass_count_distribution(scenario, n_runs)[s_min:].sum())
+    return min(1.0, float(pass_count_distribution(scenario, n_runs)[s_min:].sum()))
 
 
 def lln_sweep(

@@ -45,6 +45,8 @@ def t_of(f_target: float, f_th_cla: float, a: int) -> float:
     """Per-variable exceedance offset needed to reach ``f_target``."""
     if a < 2:
         raise ValueError(f"a must be at least 2, got {a}")
+    if not math.isfinite(f_target):
+        raise ValueError(f"target fidelity must be finite, got {f_target!r}")
     if f_target <= f_th_cla:
         raise PreconditionError(
             f"target fidelity {f_target!r} does not exceed the classical "
@@ -118,15 +120,12 @@ class BoundReport:
 def hoeffding_log10_bound(inp: BoundInput) -> float:
     """log10 of the exceedance bound for variables confined to [-1, 0].
 
-    Evaluates ``(a-1) * N * log10[((mu+1)/(mu+1+t))^(mu+1+t)
-    * ((mu+t)/mu)^(mu+t)]`` entirely in log space.  Both ``mu`` and
-    ``mu + t`` are negative, so the second ratio is positive.  The result is
-    finite and nonpositive for every valid input.
+    Shifting the ``(a-1) * N`` variables by one maps them onto the unit
+    interval with mean ``mu + 1`` and the same offset ``t``, so this is
+    ``hoeffding_generic`` on the shifted variables.  The result is finite
+    and nonpositive for every valid input.
     """
-    mu, t = inp.mu, inp.t
-    term_upper = (mu + 1.0 + t) * math.log((mu + 1.0) / (mu + 1.0 + t))
-    term_lower = (mu + t) * math.log((mu + t) / mu)
-    return (inp.a - 1) * inp.n_runs * (term_upper + term_lower) / _LN10
+    return hoeffding_generic(inp.mu + 1.0, inp.t, (inp.a - 1) * inp.n_runs)
 
 
 def hoeffding_generic(mu_prime: float, t_prime: float, m: int) -> float:
@@ -134,8 +133,7 @@ def hoeffding_generic(mu_prime: float, t_prime: float, m: int) -> float:
 
     ``mu_prime`` is the normalized mean in (0, 1) and ``t_prime`` the
     normalized offset with ``0 < t_prime < 1 - mu_prime``; ``m`` is the
-    number of independent variables.  The specialized bound above equals
-    ``hoeffding_generic(mu + 1, t, (a - 1) * n_runs)`` exactly.
+    number of independent variables.
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
@@ -183,7 +181,7 @@ def scenario_bound_report(scenario, n_runs: int, f_target: float | None = None):
     so non-uniform priors are rejected.
     """
     ensemble = scenario.ensemble
-    if not ensemble.has_uniform_priors(tol=1e-9):
+    if not ensemble.has_uniform_priors():
         raise PreconditionError(
             "the finite-run exceedance bound requires uniform priors"
         )
@@ -214,8 +212,8 @@ class HypothesisConfig:
     n_runs: int
 
     def __post_init__(self):
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
+        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
         if self.n_runs < 1:
             raise ValueError(f"n_runs must be positive, got {self.n_runs}")
         if not self.f_cla <= self.f_crit <= self.f_qm:

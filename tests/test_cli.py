@@ -405,17 +405,27 @@ class TestLln:
         assert "multiple" in err
 
 
+SIMULATE = ["simulate", "--scenario", "trine", "--n", "12", "--trials", "100"]
+LLN = ["lln", "--scenario", "trine", "--n", "12", "--trials", "100"]
+BOUNDS = ["bounds", "--scenario", "trine", "--n", "12"]
+HYPOTHESIS = ["hypothesis", "--f-qm", "0.9", "--f-cla", "0.7", "--f-crit", "0.8"]
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "argv,code",
         [
-            (["simulate", "--scenario", "trine", "--n", "12", "--threshold", "nan"], 2),
-            (["simulate", "--scenario", "trine", "--n", "12", "--workers", "0"], 2),
-            (["lln", "--scenario", "trine", "--n", "12", "--workers", "-3"], 2),
+            (SIMULATE + ["--threshold", "nan"], 2),
+            (SIMULATE + ["--workers", "0"], 2),
+            (LLN + ["--workers", "-3"], 2),
+            (BOUNDS + ["--target", "nan"], 2),
+            (BOUNDS + ["--target", "inf"], 2),
+            (HYPOTHESIS + ["--sigma", "nan", "--n", "12"], 2),
+            (SIMULATE + ["--out", "/nonexistent-dir/x.json"], 4),
         ],
     )
     def test_rejected_before_any_output(self, capsys, argv, code):
-        got, out, _ = run_cli(capsys, argv + ["--trials", "100"])
+        got, out, _ = run_cli(capsys, argv)
         assert got == code
         assert out == ""
 

@@ -1,8 +1,10 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from telecert import ensembles, stats
 from telecert.errors import BudgetExceededError, PreconditionError
@@ -24,6 +26,18 @@ from telecert.simulator import (
 def orthonormal_scenario():
     basis = ensembles.Ensemble(np.eye(2, dtype=complex), np.array([0.5, 0.5]))
     return custom_scenario(basis, target_fidelity=1.0, name="basis")
+
+
+def per_run_recursion(scenario, n_runs):
+    """Pass-count distribution built one Bernoulli run at a time."""
+    q = run_pass_probabilities(scenario)
+    dist = np.zeros(n_runs + 1)
+    dist[0] = 1.0
+    for qi in q.tolist():
+        for _ in range(n_runs // q.size):
+            dist[1:] = dist[1:] * (1.0 - qi) + dist[:-1] * qi
+            dist[0] *= 1.0 - qi
+    return dist
 
 
 def two_stage_enumeration_oracle(scenario, n_runs, threshold):
@@ -254,6 +268,31 @@ class TestExactOracle:
         want = two_stage_enumeration_oracle(scenario, n_runs, threshold)
         assert got == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("name", list(builtin_scenarios()))
+    def test_matches_per_run_recursion(self, name):
+        scenario = builtin_scenarios()[name]
+        a = scenario.ensemble.size
+        for n_runs in (a, 7 * a, 600 // a * a, 4400 // a * a):
+            got = pass_count_distribution(scenario, n_runs)
+            want = per_run_recursion(scenario, n_runs)
+            assert got.shape == want.shape
+            # deeper entries carry subnormal rounding residue in the recursion
+            keep = want >= 1e-290
+            assert_allclose(got[keep], want[keep], rtol=1e-12, atol=0)
+
+    def test_extreme_counts_are_products(self):
+        n_runs = 600
+        for scenario in builtin_scenarios().values():
+            q = run_pass_probabilities(scenario)
+            per_state = n_runs // q.size
+            dist = pass_count_distribution(scenario, n_runs)
+            for got, want in (
+                (dist[0], math.prod((1.0 - qi) ** per_state for qi in q)),
+                (dist[-1], math.prod(qi**per_state for qi in q)),
+            ):
+                if want >= sys.float_info.min:
+                    assert got == pytest.approx(want, rel=1e-12, abs=0)
+
     def test_distribution_normalizes(self):
         for scenario in builtin_scenarios().values():
             n_runs = 2 * scenario.ensemble.size
@@ -274,6 +313,11 @@ class TestExactOracle:
         scenario = builtin_scenarios()["trine"]
         assert exact_exceedance(scenario, 6, 0.0) == pytest.approx(1.0, abs=1e-12)
         assert exact_exceedance(scenario, 6, 1.0 + 1e-6) == 0.0
+        # the full tail is a probability even where rounding lifts the sum above 1
+        for scenario in builtin_scenarios().values():
+            a = scenario.ensemble.size
+            for n_runs in range(a, 40 * a + 1, a):
+                assert exact_exceedance(scenario, n_runs, 0.0) <= 1.0
 
     def test_budget_guard(self):
         scenario = builtin_scenarios()["trine"]
@@ -316,14 +360,22 @@ class TestExactOracle:
         assert abs(report.exceedance_frequency - exact) <= 5 * se
 
     def test_never_exceeds_log_bound(self):
-        # light version of the soundness sweep; acceptance covers all N
-        for name in ("trine", "helstrom"):
-            scenario = builtin_scenarios()[name]
+        # every built-in over a geometric ladder up to the work budget, at its
+        # default target and at seeded targets between its classical fidelity and 1
+        rng = np.random.default_rng(31)
+        for name, scenario in builtin_scenarios().items():
             a = scenario.ensemble.size
-            for n_runs in (a, 3 * a, 6 * a):
-                exact = exact_exceedance(scenario, n_runs, scenario.target_fidelity)
-                report = stats.scenario_bound_report(scenario, n_runs)
-                assert exact <= 10.0**report.log10_bound + 1e-15
+            f = stats.classical_fidelity(scenario.ensemble, scenario.povm)
+            for m in np.unique(np.geomspace(1, 4400 // a, 12).astype(int)):
+                n_runs = int(m) * a
+                targets = rng.uniform(f, 1.0, size=4).tolist()
+                for target in [scenario.target_fidelity] + targets:
+                    exact = exact_exceedance(scenario, n_runs, target)
+                    report = stats.scenario_bound_report(scenario, n_runs, target)
+                    if exact > 0.0:
+                        assert math.log10(exact) <= report.log10_bound + 1e-9, (
+                            f"{name} N={n_runs} target={target!r}"
+                        )
 
 
 class TestLlnSweep:
