@@ -17,7 +17,7 @@ from . import reporting, simulator, stats
 from ._version import __version__
 from .ensembles import load_ensemble
 from .errors import PreconditionError, ValidationError
-from .scenarios import builtin_scenarios
+from .scenarios import BUILTIN_CONSTRUCTORS, builtin_scenarios
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -51,12 +51,11 @@ def _parse_n_list(raw: str) -> list[int]:
 
 
 def _get_scenario(name: str):
-    scenarios = builtin_scenarios()
-    if name not in scenarios:
+    if name not in BUILTIN_CONSTRUCTORS:
         raise ValidationError(
-            f"unknown scenario {name!r}; choose from {', '.join(scenarios)}"
+            f"unknown scenario {name!r}; choose from {', '.join(BUILTIN_CONSTRUCTORS)}"
         )
-    return scenarios[name]
+    return BUILTIN_CONSTRUCTORS[name]()
 
 
 def _emit(args, manifest, headers, rows, payload, text=None) -> None:

@@ -42,8 +42,6 @@ class Povm:
             )
         d = elements.shape[1]
         for k, el in enumerate(elements):
-            if not linalg.is_hermitian(el):
-                raise ValueError(f"element {k} is not Hermitian")
             w, _ = linalg.eigh(el)
             if float(w[0]) < PSD_TOL:
                 raise ValueError(
@@ -79,7 +77,7 @@ def _check_match(ensemble: Ensemble, povm: Povm) -> None:
         )
 
 
-def square_root_povm(ensemble: Ensemble, null_tol: float = linalg.NULL_TOL) -> Povm:
+def square_root_povm(ensemble: Ensemble) -> Povm:
     """Square-root measurement for ``ensemble``.
 
     Element ``k`` is ``p_k * r |psi_k><psi_k| r`` where ``r`` is the
@@ -90,7 +88,7 @@ def square_root_povm(ensemble: Ensemble, null_tol: float = linalg.NULL_TOL) -> P
     ensemble states have no weight there, so no outcome probability changes.
     """
     rho = ensemble.average_state()
-    r = linalg.inv_sqrt(rho, null_tol=null_tol)
+    r = linalg.inv_sqrt(rho)
     support = r @ rho @ r  # projector onto the support of rho
     for i, psi in enumerate(ensemble.states):
         residual = float(np.linalg.norm(support @ psi - psi))

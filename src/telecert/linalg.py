@@ -21,38 +21,18 @@ HERMITIAN_TOL = 1e-12
 NULL_TOL = 1e-10
 
 
-def inner_product(u, v) -> complex:
-    """Inner product with conjugation on the first argument."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if u.ndim != 1 or v.ndim != 1:
-        raise ValueError("inner_product expects 1-D vectors")
-    if u.shape != v.shape:
-        raise ValueError(
-            f"dimension mismatch: {u.shape[0]} vs {v.shape[0]}"
-        )
-    return complex(np.vdot(u, v))
-
-
 def projector(v) -> np.ndarray:
     """Rank-1 projector onto the (assumed normalized) vector ``v``."""
     v = np.asarray(v, dtype=complex)
     return np.outer(v, v.conj())
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
-
-
-def _assert_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def _assert_hermitian(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > tol:
+    if dev > HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     # Symmetrize so downstream arithmetic sees an exactly Hermitian operand.
     return (m + m.conj().T) / 2.0

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .discrimination import Povm, helstrom_povm, square_root_povm
+from .discrimination import Povm, _check_match, helstrom_povm, square_root_povm
 from .ensembles import (
     Ensemble,
     four_asymmetric,
@@ -41,10 +41,7 @@ class Scenario:
             raise ValueError(
                 f"target fidelity must lie in (0, 1], got {self.target_fidelity!r}"
             )
-        if self.povm.dim != self.ensemble.dim:
-            raise ValueError("povm and ensemble dimensions differ")
-        if self.povm.n_outcomes != self.ensemble.size:
-            raise ValueError("povm outcome count and ensemble size differ")
+        _check_match(self.ensemble, self.povm)
 
 
 def trine_scenario() -> Scenario:
@@ -96,13 +93,16 @@ def custom_scenario(
     return Scenario(name, ensemble, povm, "custom", target_fidelity)
 
 
+#: Constructors of the five built-in scenarios, keyed by scenario name.
+BUILTIN_CONSTRUCTORS = {
+    "trine": trine_scenario,
+    "four-asymmetric": four_asymmetric_scenario,
+    "qubit-mubs": qubit_mubs_scenario,
+    "qutrit-mubs": qutrit_mubs_scenario,
+    "helstrom": helstrom_scenario,
+}
+
+
 def builtin_scenarios() -> dict[str, Scenario]:
     """The five built-in certification scenarios, keyed by name."""
-    scenarios = [
-        trine_scenario(),
-        four_asymmetric_scenario(),
-        qubit_mubs_scenario(),
-        qutrit_mubs_scenario(),
-        helstrom_scenario(),
-    ]
-    return {s.name: s for s in scenarios}
+    return {name: build() for name, build in BUILTIN_CONSTRUCTORS.items()}

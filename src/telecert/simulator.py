@@ -194,7 +194,7 @@ def run_trial(
     fidelity.
     """
     _check_schedule(scenario, n_runs)
-    q = run_pass_probabilities(scenario)
+    q = pass_probabilities(scenario.ensemble, scenario.povm)
     prepared, passed = (x[0] for x in _draw_trials(rng, 1, n_runs, q))
     outcomes, pass_counts = _split_outcomes(rng, scenario, prepared, passed)
     return TrialTally(prepared, outcomes, pass_counts), float(passed.sum()) / n_runs
@@ -202,7 +202,7 @@ def run_trial(
 
 def _simulate(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Passes per trial, and per-state prepared and passing counts summed."""
-    q = run_pass_probabilities(cfg.scenario)
+    q = pass_probabilities(cfg.scenario.ensemble, cfg.scenario.povm)
     priors = cfg.scenario.ensemble.priors if cfg.multinomial_preparation else None
     passes = []
     prepared = np.zeros(q.size, dtype=np.int64)
@@ -222,8 +222,11 @@ def min_passes(threshold: float, n_runs: int) -> int:
 
     This is the one definition of a trial reaching ``threshold``, shared by
     the Monte Carlo and the exact oracle.  Returns ``n_runs + 1`` when no
-    count reaches it; a non-finite threshold raises ``ValueError``.
+    count reaches it; a non-finite threshold or ``n_runs < 1`` raises
+    ``ValueError``.
     """
+    if n_runs < 1:
+        raise ValueError(f"n_runs must be positive, got {n_runs}")
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold!r}")
     return bisect.bisect_left(range(n_runs + 1), threshold, key=lambda s: s / n_runs)
@@ -259,11 +262,6 @@ def run_experiment(cfg: SimConfig, threshold: float, workers: int = 1) -> SimRep
     )
 
 
-def run_pass_probabilities(scenario: Scenario) -> np.ndarray:
-    """Per-state probability ``q_i`` that a single run passes verification."""
-    return pass_probabilities(scenario.ensemble, scenario.povm)
-
-
 def pass_count_distribution(scenario: Scenario, n_runs: int) -> np.ndarray:
     """Exact distribution of the number of passing runs in a trial.
 
@@ -282,7 +280,7 @@ def pass_count_distribution(scenario: Scenario, n_runs: int) -> np.ndarray:
             f"exact enumeration at n_runs={n_runs} exceeds the work budget; "
             "use the Monte Carlo simulator instead"
         )
-    q = run_pass_probabilities(scenario)
+    q = pass_probabilities(scenario.ensemble, scenario.povm)
     power = functools.reduce(np.convolve, ([1.0 - qi, qi] for qi in q))
     dist = np.ones(1)
     rounds = n_runs // q.size
@@ -297,8 +295,8 @@ def pass_count_distribution(scenario: Scenario, n_runs: int) -> np.ndarray:
 
 def exact_exceedance(scenario: Scenario, n_runs: int, threshold: float) -> float:
     """Exact probability that a trial reaches ``threshold`` (rounding clamped to 1)."""
-    s_min = min_passes(threshold, n_runs)
-    return min(1.0, float(pass_count_distribution(scenario, n_runs)[s_min:].sum()))
+    dist = pass_count_distribution(scenario, n_runs)
+    return min(1.0, float(dist[min_passes(threshold, n_runs):].sum()))
 
 
 def lln_sweep(

@@ -5,6 +5,9 @@ strategy without shared entanglement reaches a given fidelity in N runs.
 Bound magnitudes span dozens of orders of magnitude across interesting N,
 so every bound is computed and reported in base-10 log space; the linear
 value is provided as a convenience and is allowed to underflow to zero.
+The tail is evaluated once, in the complement rates e = -(mu + t) and
+e0 = -mu with ``log1p``, so the bound is finite on exactly the domain
+0 < t < -mu that ``BoundInput`` admits.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ class BoundInput:
                 f"exceedance offset t must be positive, got {self.t!r}; "
                 "for t <= 0 the bound is trivially 1"
             )
-        if self.t >= -self.mu:
+        if not self.t < -self.mu:
             raise PreconditionError(
                 f"t={self.t!r} is outside the bound's validity range "
                 f"0 < t < {-self.mu!r}; the implied target fidelity reaches "
@@ -117,15 +120,26 @@ class BoundReport:
     bound: float
 
 
+def _log10_tail(e: float, e0: float, m: int) -> float:
+    """log10 of exp(-m * KL) in the complement rates ``0 < e <= e0 < 1``.
+
+    ``e0`` is the complement of the variables' normalized mean and ``e``
+    that of the reached mean; the exponent is
+    ``m * [e ln(e0/e) + (1 - e) (log1p(-e0) - log1p(-e))]``.
+    """
+    minus_kl = e * math.log(e0 / e) + (1.0 - e) * (math.log1p(-e0) - math.log1p(-e))
+    return m * minus_kl / _LN10
+
+
 def hoeffding_log10_bound(inp: BoundInput) -> float:
     """log10 of the exceedance bound for variables confined to [-1, 0].
 
-    Shifting the ``(a-1) * N`` variables by one maps them onto the unit
-    interval with mean ``mu + 1`` and the same offset ``t``, so this is
-    ``hoeffding_generic`` on the shifted variables.  The result is finite
-    and nonpositive for every valid input.
+    The ``(a-1) * N`` variables have mean ``mu`` and the exceedance offset
+    is ``t``, so the complement rates are ``e = -(mu + t)`` and ``e0 = -mu``.
+    ``BoundInput`` admits exactly ``0 < t < -mu``, where ``0 < e <= e0 < 1``
+    and the result is finite and nonpositive.
     """
-    return hoeffding_generic(inp.mu + 1.0, inp.t, (inp.a - 1) * inp.n_runs)
+    return _log10_tail(-(inp.mu + inp.t), -inp.mu, (inp.a - 1) * inp.n_runs)
 
 
 def hoeffding_generic(mu_prime: float, t_prime: float, m: int) -> float:
@@ -133,26 +147,25 @@ def hoeffding_generic(mu_prime: float, t_prime: float, m: int) -> float:
 
     ``mu_prime`` is the normalized mean in (0, 1) and ``t_prime`` the
     normalized offset with ``0 < t_prime < 1 - mu_prime``; ``m`` is the
-    number of independent variables.
+    number of independent variables.  The tail is evaluated in the
+    complement rates ``1 - mu_prime - t_prime`` and ``1 - mu_prime``, so a
+    mean too small for ``1 - mu_prime`` to fall below 1 is refused.
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
-    if not 0.0 < mu_prime < 1.0:
+    e0 = 1.0 - mu_prime
+    if not 0.0 < e0 < 1.0:
         raise PreconditionError(
-            f"normalized mean must lie in (0, 1), got {mu_prime!r}"
+            f"normalized mean {mu_prime!r} must lie in (0, 1) and leave "
+            "1 - mu' below 1 in floating point"
         )
-    if not 0.0 < t_prime < 1.0 - mu_prime:
+    if not 0.0 < t_prime < e0:
         raise PreconditionError(
-            f"t'={t_prime!r} is outside the validity range "
-            f"0 < t' < {1.0 - mu_prime!r}"
+            f"t'={t_prime!r} is outside the validity range 0 < t' < {e0!r}"
         )
     if m == 0:
         return 0.0
-    term_low = (mu_prime + t_prime) * math.log(mu_prime / (mu_prime + t_prime))
-    term_high = (1.0 - mu_prime - t_prime) * math.log(
-        (1.0 - mu_prime) / (1.0 - mu_prime - t_prime)
-    )
-    return m * (term_low + term_high) / _LN10
+    return _log10_tail(e0 - t_prime, e0, m)
 
 
 def bound_report(
@@ -212,6 +225,10 @@ class HypothesisConfig:
     n_runs: int
 
     def __post_init__(self):
+        for name in ("f_qm", "f_cla", "f_crit"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
         if self.n_runs < 1:

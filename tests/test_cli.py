@@ -87,6 +87,14 @@ class TestBounds:
             assert row["n_runs"] == n_runs
             assert log10_close(row["log10_bound"], golden)
 
+    def test_target_one_ulp_below_unity(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            ["bounds", "--scenario", "trine", "--target", "0.9999999999999999", "--n", "10"],
+        )
+        assert code == 0
+        assert "inf" not in out and "nan" not in out
+
     def test_empty_n_list(self, capsys):
         code, out, _ = run_cli(capsys, ["bounds", "--scenario", "trine", "--n", ""])
         assert code == 0
@@ -421,6 +429,8 @@ class TestExitCodes:
             (BOUNDS + ["--target", "nan"], 2),
             (BOUNDS + ["--target", "inf"], 2),
             (HYPOTHESIS + ["--sigma", "nan", "--n", "12"], 2),
+            (["hypothesis", "--f-qm", "inf", "--f-cla", "0.7", "--f-crit", "0.8",
+              "--sigma", "0.3", "--n", "10"], 2),
             (SIMULATE + ["--out", "/nonexistent-dir/x.json"], 4),
         ],
     )

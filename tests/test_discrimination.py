@@ -12,7 +12,7 @@ from telecert.discrimination import (
     square_root_povm,
 )
 from telecert.errors import PreconditionError
-from telecert.scenarios import builtin_scenarios
+from telecert.scenarios import builtin_scenarios, custom_scenario
 
 
 def random_ensemble(rng, a, d):
@@ -143,6 +143,11 @@ class TestErrorProbability:
         qutrit_povm = square_root_povm(ensembles.qutrit_mubs())
         with pytest.raises(ValueError, match="dimension mismatch"):
             error_probability(ens, qutrit_povm)
+        # a scenario states the same match rule through discrimination
+        with pytest.raises(ValueError, match="outcome count"):
+            custom_scenario(ens, 0.9, povm=helstrom_povm(math.pi / 2))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            custom_scenario(ens, 0.9, povm=qutrit_povm)
 
 
 class TestPovmType:

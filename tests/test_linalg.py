@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from telecert import linalg
-from telecert.ensembles import four_asymmetric, qubit_mubs, trine
+from telecert.ensembles import four_asymmetric
 from telecert.errors import PreconditionError
 
 
@@ -23,51 +23,6 @@ def eig2x2_oracle(h):
 def random_hermitian(rng, d):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return (g + g.conj().T) / 2.0
-
-
-class TestInnerProduct:
-    def test_orthonormal_basis(self):
-        e0 = np.array([1, 0], complex)
-        assert linalg.inner_product(e0, e0) == 1.0
-
-    def test_trine_pair_overlap(self):
-        # hand evaluation: <0|(|0> - sqrt(3)|1>)/2 = 1/2
-        states = trine().states
-        ip = linalg.inner_product(states[0], states[1])
-        assert_allclose(ip, 0.5, atol=1e-15)
-        assert_allclose(abs(ip) ** 2, 0.25, atol=1e-15)
-
-    def test_qubit_mub_cross_basis_overlap(self):
-        states = qubit_mubs().states
-        # bases are {0,1}, {2,3}, {4,5}; any cross-basis pair has |ip|^2 = 1/2
-        for i in (0, 1):
-            for k in (2, 3, 4, 5):
-                ip = linalg.inner_product(states[i], states[k])
-                assert_allclose(abs(ip) ** 2, 0.5, atol=1e-12)
-
-    def test_conjugate_symmetry(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            d = rng.integers(2, 5)
-            u = rng.normal(size=d) + 1j * rng.normal(size=d)
-            v = rng.normal(size=d) + 1j * rng.normal(size=d)
-            assert_allclose(
-                linalg.inner_product(u, v),
-                np.conj(linalg.inner_product(v, u)),
-                atol=1e-12,
-            )
-
-    def test_self_inner_product_nonnegative(self):
-        rng = np.random.default_rng(12)
-        for _ in range(50):
-            u = rng.normal(size=3) + 1j * rng.normal(size=3)
-            val = linalg.inner_product(u, u)
-            assert abs(val.imag) < 1e-12
-            assert val.real >= 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            linalg.inner_product(np.ones(2), np.ones(3))
 
 
 class TestEigh:

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from telecert import ensembles, stats
+from telecert.discrimination import pass_probabilities
 from telecert.errors import BudgetExceededError, PreconditionError
 from telecert.scenarios import builtin_scenarios, custom_scenario
 from telecert.simulator import (
@@ -17,7 +18,6 @@ from telecert.simulator import (
     pass_count_distribution,
     rms_loglog_slope,
     run_experiment,
-    run_pass_probabilities,
     run_trial,
     stream,
 )
@@ -30,7 +30,7 @@ def orthonormal_scenario():
 
 def per_run_recursion(scenario, n_runs):
     """Pass-count distribution built one Bernoulli run at a time."""
-    q = run_pass_probabilities(scenario)
+    q = pass_probabilities(scenario.ensemble, scenario.povm)
     dist = np.zeros(n_runs + 1)
     dist[0] = 1.0
     for qi in q.tolist():
@@ -283,7 +283,7 @@ class TestExactOracle:
     def test_extreme_counts_are_products(self):
         n_runs = 600
         for scenario in builtin_scenarios().values():
-            q = run_pass_probabilities(scenario)
+            q = pass_probabilities(scenario.ensemble, scenario.povm)
             per_state = n_runs // q.size
             dist = pass_count_distribution(scenario, n_runs)
             for got, want in (
@@ -318,6 +318,14 @@ class TestExactOracle:
             a = scenario.ensemble.size
             for n_runs in range(a, 40 * a + 1, a):
                 assert exact_exceedance(scenario, n_runs, 0.0) <= 1.0
+
+    @pytest.mark.parametrize("n_runs", [0, -3])
+    def test_nonpositive_runs_rejected(self, n_runs):
+        with pytest.raises(ValueError, match="n_runs must be positive"):
+            min_passes(0.5, n_runs)
+        # the schedule is checked before the cut, as in pass_count_distribution
+        with pytest.raises(PreconditionError, match="positive multiple"):
+            exact_exceedance(builtin_scenarios()["trine"], n_runs, 0.8)
 
     def test_budget_guard(self):
         scenario = builtin_scenarios()["trine"]
@@ -396,7 +404,7 @@ class TestLlnSweep:
         n_trials = 20000
         rows = lln_sweep(scenario, [30, 60], n_trials=n_trials, seed=3)
         for row in rows:
-            q = run_pass_probabilities(scenario)
+            q = pass_probabilities(scenario.ensemble, scenario.povm)
             var = float(np.mean(q * (1 - q))) / row.n_runs
             se = math.sqrt(var / n_trials)
             assert abs(row.mean_fidelity - 0.75) < 4 * se
@@ -405,7 +413,7 @@ class TestLlnSweep:
         scenario = builtin_scenarios()["four-asymmetric"]
         n_trials = 50000
         rows = lln_sweep(scenario, [40], n_trials=n_trials, seed=4)
-        q = run_pass_probabilities(scenario)
+        q = pass_probabilities(scenario.ensemble, scenario.povm)
         predicted = math.sqrt(float(np.mean(q * (1 - q))) / 40.0)
         assert rows[0].rms_deviation == pytest.approx(predicted, rel=0.05)
 

@@ -175,6 +175,30 @@ class TestHoeffdingBound:
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
             assert got <= 0.0
 
+    def test_log_uniform_offsets_match_oracle(self):
+        # t log-uniform over six decades below its ceiling -mu: small and
+        # near-ceiling offsets are where rounding in the tail's terms shows
+        rng = np.random.default_rng(21)
+        for _ in range(2000):
+            a = int(rng.integers(2, 13))
+            mu = float(rng.uniform(-1.0 / (a - 1), -1e-4))
+            t = float(-mu * 10.0 ** rng.uniform(-6.0, 0.0))
+            if not t < -mu:
+                continue
+            n = int(rng.integers(1, 5000))
+            got = hoeffding_log10_bound(BoundInput(mu=mu, t=t, a=a, n_runs=n))
+            want = mp_log10_bound(mu, t, a, n)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(builtin_scenarios()))
+    def test_targets_ulps_below_unity(self, name, k):
+        # every t < -mu that BoundInput admits gives a finite bound
+        report = scenario_bound_report(builtin_scenarios()[name], 10, 1.0 - k * 2.0**-53)
+        assert math.isfinite(report.log10_bound)
+        want = mp_log10_bound(report.mu, report.t, report.a, 10)
+        assert report.log10_bound == pytest.approx(want, rel=1e-12, abs=1e-12)
+
     def test_vanishing_t_limit(self):
         report_small = hoeffding_log10_bound(
             BoundInput(mu=-0.125, t=1e-9, a=3, n_runs=100)
@@ -244,6 +268,9 @@ class TestHoeffdingGeneric:
             hoeffding_generic(0.5, 0.0, 10)
         with pytest.raises(PreconditionError):
             hoeffding_generic(1.0, 0.1, 10)
+        # 1 - mu' rounds to 1, where the complement-rate tail is undefined
+        with pytest.raises(PreconditionError, match="below 1"):
+            hoeffding_generic(1e-20, 0.5, 10)
         with pytest.raises(ValueError):
             hoeffding_generic(0.5, 0.1, -1)
 
@@ -300,3 +327,7 @@ class TestHypothesisErrors:
             HypothesisConfig(f_qm=0.8, f_cla=0.7, f_crit=0.75, sigma=0.0, n_runs=10)
         with pytest.raises(ValueError, match="n_runs"):
             HypothesisConfig(f_qm=0.8, f_cla=0.7, f_crit=0.75, sigma=0.3, n_runs=0)
+        for means in ((math.inf, 0.7, 0.8), (0.9, math.nan, 0.8), (0.9, 0.7, -math.inf)):
+            f_qm, f_cla, f_crit = means
+            with pytest.raises(ValueError, match="must be finite"):
+                HypothesisConfig(f_qm=f_qm, f_cla=f_cla, f_crit=f_crit, sigma=0.3, n_runs=10)
