@@ -47,6 +47,8 @@ def _parse_n_list(raw: str) -> list[int]:
             values.append(int(item))
         except ValueError as exc:
             raise ValidationError(f"--n entries must be integers, got {item!r}") from exc
+    if not values:
+        raise ValidationError(f"--n needs at least one run count, got {raw!r}")
     return values
 
 
@@ -65,7 +67,9 @@ def _emit(args, manifest, headers, rows, payload, text=None) -> None:
     Without ``--out`` stdout receives the chosen format (``text`` for the
     table format).  With ``--out`` the file receives the structured
     document before anything is printed, so a failed write leaves stdout
-    empty, and stdout then receives ``text``.
+    empty, and stdout then receives ``text``.  The document is written to
+    a sibling file that is then renamed over the target, so a failed write
+    leaves an existing target untouched and no partial file behind.
     """
     if text is None:
         text = reporting.format_table(headers, rows)
@@ -80,8 +84,15 @@ def _emit(args, manifest, headers, rows, payload, text=None) -> None:
     if args.out is None:
         sys.stdout.write(document)
         return
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(document)
+    partial = f"{args.out}.{os.getpid()}.tmp"
+    fh = open(partial, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(document)
+        os.replace(partial, args.out)
+    except BaseException:
+        os.remove(partial)
+        raise
     sys.stdout.write(text)
 
 

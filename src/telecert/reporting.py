@@ -10,9 +10,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import platform
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
+import numpy as np
+
+from . import simulator
 from ._version import __version__
 
 FORMATS = ("table", "records", "csv")
@@ -20,11 +24,24 @@ FORMATS = ("table", "records", "csv")
 
 @dataclass(frozen=True)
 class RunManifest:
+    """What produced a document.
+
+    Seeded numbers depend on the sampler and on numpy's bit generator,
+    whose streams numpy does not promise to keep across versions (NEP 19),
+    so the manifest names both along with the Python and numpy versions
+    and the platform.
+    """
+
     command: str
     parameters: dict
     artifact_version: str
     seed: int | None
     timestamp: str
+    python: str
+    numpy: str
+    platform: str
+    bit_generator: str
+    sampler: str
 
 
 def make_manifest(command: str, parameters: dict, seed: int | None = None) -> RunManifest:
@@ -34,6 +51,11 @@ def make_manifest(command: str, parameters: dict, seed: int | None = None) -> Ru
         artifact_version=__version__,
         seed=seed,
         timestamp=datetime.now(timezone.utc).isoformat(),
+        python=platform.python_version(),
+        numpy=np.__version__,
+        platform=platform.platform(),
+        bit_generator=type(simulator.stream(0).bit_generator).__name__,
+        sampler=simulator.SAMPLER,
     )
 
 
@@ -76,6 +98,11 @@ def _manifest_comment_lines(manifest: RunManifest) -> list[str]:
         f"# artifact_version: {manifest.artifact_version}",
         f"# seed: {'' if manifest.seed is None else manifest.seed}",
         f"# timestamp: {manifest.timestamp}",
+        f"# python: {manifest.python}",
+        f"# numpy: {manifest.numpy}",
+        f"# platform: {manifest.platform}",
+        f"# bit_generator: {manifest.bit_generator}",
+        f"# sampler: {manifest.sampler}",
     ]
     for key, value in manifest.parameters.items():
         lines.append(f"# parameter {key}: {fmt(value)}")

@@ -6,11 +6,22 @@ original with a projective check.  A trial is N such runs; its fidelity is
 the fraction of runs that pass verification.
 
 Runs are never sampled one by one.  With the outcome marginalized out, a
-run on state i passes with probability q_i, so each trial draws only its
-pass count per state, Binomial(prepared_i, q_i).  The outcome tallies,
-summed over trials, are drawn once per experiment: the outcomes of state
-i's passing runs are multinomial in its summed pass count, and likewise for
-its failures.  This is the same joint law as sampling every run.
+run on state i passes with probability q_i, so under the fixed schedule
+each trial draws only its pass count per state, Binomial(N/a, q_i).  Under
+multinomial preparation every run passes with probability F = priors @ q,
+so a trial draws Binomial(N, F) passes, and the states of a block's passing
+and failing runs are drawn from their summed counts.  The outcome
+tallies, summed over trials, are drawn once per experiment: the outcomes of
+state i's passing runs are multinomial in its summed pass count, and
+likewise for its failures.  This is the same joint law as sampling every
+run.
+
+Every pass count comes from one kernel, ``_binomial``: it inverts a
+tabulated Binomial cdf with one uniform per draw (Devroye 1986, section
+III.2).  The table spans mp +/- sqrt(32 ln2 m) only; by Hoeffding's
+inequality each side beyond it holds less than 2**-64 of the mass, below
+the 2**-53 resolution of a uniform.  A table has O(sqrt(N/a)) entries,
+about 3e5 at N = 3e9.
 
 Randomness is counter based: each fixed-size block of trials draws from a
 Philox stream keyed by (seed, n_runs) at the block's counter offset, so
@@ -40,6 +51,14 @@ _MAX_BLOCK_TRIALS = 32_768
 
 #: Elementary-operation budget for the exact pass-count oracle.
 _EXACT_OPS_BUDGET = 20_000_000
+
+#: The pass-count sampler; seeded outputs depend on it as well as on the
+#: Philox stream, so every run manifest records it.
+SAMPLER = "binomial-cdf-inversion"
+
+#: Half-width of the cdf table in units of sqrt(m): Hoeffding's
+#: exp(-2 t**2 / m) is 2**-64 at t = sqrt(32 ln2 m).
+_WINDOW = math.sqrt(32.0 * math.log(2.0))
 
 
 def _check_schedule(scenario: Scenario, n_runs: int, uniform_priors: bool = True):
@@ -153,18 +172,54 @@ def stream(seed: int, subkey: int = 0, block: int = 0) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
+def _binomial(rng, m: int, p: float, size: int) -> np.ndarray:
+    """``size`` Binomial(m, p) draws, by inverting a tabulated cdf.
+
+    The pmf over mp +/- sqrt(32 ln2 m) is built by the ratio recurrence
+    (m - k + 1)/k * p/(1 - p), summed in log space; the mass it leaves out
+    is below 2**-64 on each side.  Each draw consumes one uniform.
+    """
+    if p <= 0.0 or p >= 1.0:
+        return np.full(size, m if p >= 1.0 else 0, dtype=np.int64)
+    half = _WINDOW * math.sqrt(m)
+    lo = max(0, math.floor(m * p - half))
+    hi = min(m, math.ceil(m * p + half))
+    k = np.arange(lo + 1, hi + 1)
+    steps = np.log((m - k + 1) / k) + (math.log(p) - math.log1p(-p))
+    log_pmf = np.concatenate(([0.0], np.cumsum(steps)))
+    cdf = np.cumsum(np.exp(log_pmf - log_pmf.max()))
+    cdf /= cdf[-1]
+    return lo + np.searchsorted(cdf, rng.random(size), side="right")
+
+
+def _conditional(weights: np.ndarray) -> np.ndarray:
+    """``weights`` normalized to sum 1; all zeros stay zeros (nothing to split)."""
+    total = weights.sum()
+    return weights / total if total > 0 else weights
+
+
 def _draw_trials(rng, n_trials: int, n_runs: int, q: np.ndarray, priors=None):
-    """Prepared and passing counts per (trial, state).
+    """Passes per trial, and per-state prepared and passing counts summed.
 
     Without ``priors`` every state is prepared ``n_runs / a`` times (the
-    fixed schedule), with them Multinomial(n_runs, priors) times.  State
-    i's passes are Binomial(prepared_i, q_i).
+    fixed schedule) and state i's passes are Binomial(n_runs / a, q_i).
+    With them each run's state is drawn from the priors, so every run
+    passes with probability F = priors @ q and a trial's passes are
+    Binomial(n_runs, F).  Given the passes summed over the trials, their
+    states are Multinomial(passes, priors * q / F) and the failures'
+    states Multinomial(failures, priors * (1 - q) / (1 - F)).
     """
     if priors is None:
-        prepared = np.full((n_trials, q.size), n_runs // q.size, dtype=np.int64)
-    else:
-        prepared = rng.multinomial(n_runs, priors, size=n_trials)
-    return prepared, rng.binomial(prepared, q)
+        per_state = n_runs // q.size
+        columns = [_binomial(rng, per_state, qi, n_trials) for qi in q.tolist()]
+        passed = np.array([column.sum() for column in columns], dtype=np.int64)
+        prepared = np.full(q.size, per_state * n_trials, dtype=np.int64)
+        return sum(columns), prepared, passed
+    passes = _binomial(rng, n_runs, float(priors @ q), n_trials)
+    total = int(passes.sum())
+    passed = rng.multinomial(total, _conditional(priors * q))
+    failed = rng.multinomial(n_runs * n_trials - total, _conditional(priors * (1.0 - q)))
+    return passes, passed + failed, passed
 
 
 def _split_outcomes(rng, scenario: Scenario, prepared: np.ndarray, passed: np.ndarray):
@@ -195,9 +250,9 @@ def run_trial(
     """
     _check_schedule(scenario, n_runs)
     q = pass_probabilities(scenario.ensemble, scenario.povm)
-    prepared, passed = (x[0] for x in _draw_trials(rng, 1, n_runs, q))
+    passes, prepared, passed = _draw_trials(rng, 1, n_runs, q)
     outcomes, pass_counts = _split_outcomes(rng, scenario, prepared, passed)
-    return TrialTally(prepared, outcomes, pass_counts), float(passed.sum()) / n_runs
+    return TrialTally(prepared, outcomes, pass_counts), int(passes[0]) / n_runs
 
 
 def _simulate(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -210,10 +265,10 @@ def _simulate(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for block, lo in enumerate(range(0, cfg.n_trials, _MAX_BLOCK_TRIALS)):
         rng = stream(cfg.seed, subkey=cfg.n_runs, block=block)
         n = min(_MAX_BLOCK_TRIALS, cfg.n_trials - lo)
-        block_prepared, block_passed = _draw_trials(rng, n, cfg.n_runs, q, priors)
-        passes.append(block_passed.sum(axis=1))
-        prepared += block_prepared.sum(axis=0)
-        passed += block_passed.sum(axis=0)
+        block_passes, block_prepared, block_passed = _draw_trials(rng, n, cfg.n_runs, q, priors)
+        passes.append(block_passes)
+        prepared += block_prepared
+        passed += block_passed
     return np.concatenate(passes), prepared, passed
 
 
@@ -308,19 +363,21 @@ def lln_sweep(
 ) -> list[LlnRow]:
     """Deviation of the trial fidelity from its infinite-N value per N.
 
-    Every N in ``n_values`` must be a multiple of the ensemble size.  The
+    Every N in ``n_values`` must be a multiple of the ensemble size; the
+    whole ladder is validated before any point is sampled.  The
     RMS column shrinks like 1/sqrt(N), which a log-log fit over a geometric
     ladder exposes as a slope near -1/2.  ``workers`` must be at least 1
     and changes nothing: sampling runs on one thread.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    configs = [
+        SimConfig(scenario=scenario, n_runs=int(n_runs), n_trials=n_trials, seed=seed)
+        for n_runs in n_values
+    ]
     f_th = classical_fidelity(scenario.ensemble, scenario.povm)
     rows = []
-    for n_runs in n_values:
-        cfg = SimConfig(
-            scenario=scenario, n_runs=int(n_runs), n_trials=n_trials, seed=seed
-        )
+    for cfg in configs:
         fidelities = _simulate(cfg)[0] / cfg.n_runs
         dev = fidelities - f_th
         rows.append(

@@ -1,9 +1,12 @@
 import json
+import os
+import platform
 
+import numpy as np
 import pytest
 
 from reference_values import GOLDEN_BOUNDS, log10_close
-from telecert import cli
+from telecert import cli, simulator
 
 
 def run_cli(capsys, argv):
@@ -94,11 +97,6 @@ class TestBounds:
         )
         assert code == 0
         assert "inf" not in out and "nan" not in out
-
-    def test_empty_n_list(self, capsys):
-        code, out, _ = run_cli(capsys, ["bounds", "--scenario", "trine", "--n", ""])
-        assert code == 0
-        assert "n_runs" in out  # header only
 
     def test_target_below_classical_fidelity(self, capsys):
         code, _, err = run_cli(
@@ -312,26 +310,6 @@ class TestHypothesis:
         assert alphas == sorted(alphas, reverse=True)
         assert rows[2]["alpha"] == pytest.approx(0.02762, abs=1e-4)
 
-    def test_empty_n_list(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            [
-                "hypothesis",
-                "--f-qm",
-                "0.9",
-                "--f-cla",
-                "0.7",
-                "--f-crit",
-                "0.8",
-                "--sigma",
-                "0.3",
-                "--n",
-                "",
-            ],
-        )
-        assert code == 0
-        assert "alpha" in out
-
     def test_invalid_critical_value(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -432,12 +410,57 @@ class TestExitCodes:
             (["hypothesis", "--f-qm", "inf", "--f-cla", "0.7", "--f-crit", "0.8",
               "--sigma", "0.3", "--n", "10"], 2),
             (SIMULATE + ["--out", "/nonexistent-dir/x.json"], 4),
+            (BOUNDS + ["--n", ""], 2),
+            (LLN + ["--n", ","], 2),
+            (HYPOTHESIS + ["--sigma", "0.3", "--n", ""], 2),
         ],
     )
     def test_rejected_before_any_output(self, capsys, argv, code):
         got, out, _ = run_cli(capsys, argv)
         assert got == code
         assert out == ""
+
+    def test_failed_replace_keeps_the_old_document(self, capsys, tmp_path, monkeypatch):
+        target = tmp_path / "sim.json"
+        target.write_text("old document\n")
+
+        def refuse(src, dst):
+            raise OSError("simulated rename failure")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        got, out, err = run_cli(capsys, SIMULATE + ["--format", "records", "--out", str(target)])
+        assert got == cli.EXIT_IO
+        assert out == ""
+        assert "simulated rename failure" in err
+        assert target.read_text() == "old document\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["sim.json"]
+
+
+class TestManifest:
+    def test_records_sampler_and_platform(self, capsys, tmp_path):
+        path = tmp_path / "sim.json"
+        assert run_cli(capsys, SIMULATE + ["--format", "records", "--out", str(path)])[0] == 0
+        manifest = load_records(path)["manifest"]
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+        assert manifest["platform"] == platform.platform()
+        assert manifest["bit_generator"] == "Philox"
+        assert manifest["sampler"] == simulator.SAMPLER
+        assert "workers" not in manifest
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_comment_lines(self, capsys, tmp_path, fmt):
+        path = tmp_path / f"bounds.{fmt}"
+        assert run_cli(capsys, BOUNDS + ["--format", fmt, "--out", str(path)])[0] == 0
+        comments = [ln for ln in path.read_text().splitlines() if ln.startswith("#")]
+        for line in (
+            f"# python: {platform.python_version()}",
+            f"# numpy: {np.__version__}",
+            f"# platform: {platform.platform()}",
+            "# bit_generator: Philox",
+            f"# sampler: {simulator.SAMPLER}",
+        ):
+            assert line in comments
 
 
 class TestEnsembleValidate:

@@ -1,12 +1,13 @@
 import itertools
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from telecert import ensembles, stats
+from telecert import ensembles, simulator, stats
 from telecert.discrimination import pass_probabilities
 from telecert.errors import BudgetExceededError, PreconditionError
 from telecert.scenarios import builtin_scenarios, custom_scenario
@@ -96,6 +97,52 @@ class TestConfigValidation:
             multinomial_preparation=True,
         )
         assert cfg.n_trials == 10
+
+
+def binomial_pmf(m, p):
+    """Binomial(m, p) pmf from lgamma, independent of the sampler's recurrence."""
+    k = np.arange(m + 1)
+    log_comb = np.array([math.lgamma(m + 1) - math.lgamma(j + 1) - math.lgamma(m - j + 1) for j in k])
+    return np.exp(log_comb + k * math.log(p) + (m - k) * math.log1p(-p))
+
+
+class TestBinomialKernel:
+    @pytest.mark.parametrize("m", [1, 7, 20, 200, 2000])
+    @pytest.mark.parametrize("p", [1e-3, 0.02, 0.3, 0.5, 0.75, 0.7499999999999999, 0.999])
+    def test_matches_exact_pmf(self, m, p):
+        size = 200_000
+        draws = simulator._binomial(stream(m, int(p * 1e6)), m, p, size)
+        assert draws.shape == (size,)
+        assert draws.min() >= 0 and draws.max() <= m
+        pmf = binomial_pmf(m, p)
+        counts = np.bincount(draws, minlength=m + 1)
+        expected = size * pmf
+        # every bin expecting more than 5 draws, then the pooled rest
+        big = expected > 5
+        se = np.sqrt(expected * (1 - pmf))
+        assert np.all(np.abs(counts[big] - expected[big]) <= 5 * se[big])
+        rest, rest_p = counts[~big].sum(), pmf[~big].sum()
+        assert abs(rest - size * rest_p) <= 5 * math.sqrt(size * rest_p * (1 - rest_p))
+
+    @pytest.mark.parametrize("m", [1, 7, 2000])
+    def test_certain_outcomes_are_constant(self, m):
+        rng = stream(0)
+        assert np.array_equal(simulator._binomial(rng, m, 0.0, 5), np.zeros(5))
+        assert np.array_equal(simulator._binomial(rng, m, 1.0, 5), np.full(5, m))
+
+    def test_memory_stays_bounded_at_huge_n(self):
+        # the cdf table spans O(sqrt(N / a)) entries, about 3e5 here
+        scenario = builtin_scenarios()["trine"]
+        n_runs, n_trials = 3_000_000_000, 2000
+        tracemalloc.start()
+        try:
+            (row,) = lln_sweep(scenario, [n_runs], n_trials, seed=17)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        se = math.sqrt(0.75 * 0.25 / n_runs / n_trials)
+        assert abs(row.mean_fidelity - 0.75) < 5 * se
 
 
 class TestRunTrial:
@@ -237,6 +284,27 @@ class TestRunExperiment:
         )
         se = math.sqrt(tail * (1 - tail) / n_trials)
         assert abs(report.exceedance_frequency - tail) < 5 * se
+
+    def test_multinomial_tallies_follow_priors_and_pass_probabilities(self):
+        ens = ensembles.Ensemble(ensembles.trine().states, np.array([0.5, 0.3, 0.2]))
+        scenario = custom_scenario(ens, target_fidelity=1.0)
+        q = pass_probabilities(ens, scenario.povm)
+        n_runs, n_trials = 30, 20000
+        cfg = SimConfig(
+            scenario=scenario,
+            n_runs=n_runs,
+            n_trials=n_trials,
+            seed=12,
+            multinomial_preparation=True,
+        )
+        report = run_experiment(cfg, threshold=0.9)
+        total = n_runs * n_trials
+        assert report.prepared_counts.sum() == total
+        freq = report.prepared_counts / total
+        assert np.all(np.abs(freq - ens.priors) <= 5 * np.sqrt(ens.priors * (1 - ens.priors) / total))
+        prepared = report.prepared_counts
+        rate = report.pass_counts.sum(axis=1) / prepared
+        assert np.all(np.abs(rate - q) <= 5 * np.sqrt(q * (1 - q) / prepared))
 
     def test_histogram_matches_exact_distribution(self):
         scenario = builtin_scenarios()["qutrit-mubs"]
@@ -427,6 +495,15 @@ class TestLlnSweep:
         scenario = builtin_scenarios()["trine"]
         with pytest.raises(PreconditionError, match="multiple"):
             lln_sweep(scenario, [30, 100], n_trials=500, seed=6)
+
+    def test_whole_ladder_checked_before_sampling(self, monkeypatch):
+        def refuse(cfg):
+            raise AssertionError(f"sampled N={cfg.n_runs} before the ladder was checked")
+
+        monkeypatch.setattr(simulator, "_simulate", refuse)
+        scenario = builtin_scenarios()["trine"]
+        with pytest.raises(PreconditionError, match="6001"):
+            lln_sweep(scenario, [6000, 6001], n_trials=300_000, seed=6)
 
 
 class TestStreams:
