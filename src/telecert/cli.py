@@ -225,7 +225,10 @@ def cmd_simulate(args) -> int:
             "mean_fidelity": report.mean_fidelity,
             "exceedance_count": report.exceedance_count,
             "exceedance_frequency": report.exceedance_frequency,
-            "pass_count_histogram": report.pass_count_histogram.tolist(),
+            "pass_count_histogram": {
+                "offset": report.pass_count_offset,
+                "counts": report.pass_count_histogram.tolist(),
+            },
             "prepared_counts": report.prepared_counts.tolist(),
             "outcome_counts": report.outcome_counts.tolist(),
             "pass_counts": report.pass_counts.tolist(),
@@ -284,6 +287,7 @@ def cmd_lln(args) -> int:
         "lln",
         {"scenario": scenario.name, "n": n_values, "trials": args.trials},
         seed=args.seed,
+        sampler=simulator.HISTOGRAM_SAMPLER,
     )
     payload = {
         "scenario": scenario.name,

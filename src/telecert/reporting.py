@@ -44,7 +44,13 @@ class RunManifest:
     sampler: str
 
 
-def make_manifest(command: str, parameters: dict, seed: int | None = None) -> RunManifest:
+def make_manifest(
+    command: str,
+    parameters: dict,
+    seed: int | None = None,
+    sampler: str = simulator.SAMPLER,
+) -> RunManifest:
+    """Manifest of one command; ``sampler`` names what drew its seeded numbers."""
     return RunManifest(
         command=command,
         parameters=parameters,
@@ -55,7 +61,7 @@ def make_manifest(command: str, parameters: dict, seed: int | None = None) -> Ru
         numpy=np.__version__,
         platform=platform.platform(),
         bit_generator=type(simulator.stream(0).bit_generator).__name__,
-        sampler=simulator.SAMPLER,
+        sampler=sampler,
     )
 
 

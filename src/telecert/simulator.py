@@ -16,12 +16,15 @@ state i's passing runs are multinomial in its summed pass count, and
 likewise for its failures.  This is the same joint law as sampling every
 run.
 
-Every pass count comes from one kernel, ``_binomial``: it inverts a
-tabulated Binomial cdf with one uniform per draw (Devroye 1986, section
-III.2).  The table spans mp +/- sqrt(32 ln2 m) only; by Hoeffding's
-inequality each side beyond it holds less than 2**-64 of the mass, below
-the 2**-53 resolution of a uniform.  A table has O(sqrt(N/a)) entries,
-about 3e5 at N = 3e9.
+Every per-state pass count comes from one table, ``_binomial_table``: the
+Binomial pmf over mp +/- sqrt(32 ln2 m) only; by Hoeffding's inequality
+each side beyond it holds less than 2**-64 of the mass, below the 2**-53
+resolution of a uniform.  A table has O(sqrt(N/a)) entries, about 3e5 at
+N = 3e9.  ``_binomial`` inverts its cdf with one uniform per draw
+(Devroye 1986, section III.2).  ``lln_sweep`` needs only the histogram of
+the trials' total pass counts: it convolves the a tables into the total's
+law with one FFT and draws the histogram as one multinomial, so a ladder
+point costs O(sqrt(N)) whatever the trial count.
 
 Randomness is counter based: each fixed-size block of trials draws from a
 Philox stream keyed by (seed, n_runs) at the block's counter offset, so
@@ -45,6 +48,7 @@ from .scenarios import Scenario
 from .stats import classical_fidelity
 
 _U64 = (1 << 64) - 1
+_I64 = (1 << 63) - 1
 
 #: Trials per sampling block; keeps memory bounded in the trial count.
 _MAX_BLOCK_TRIALS = 32_768
@@ -55,6 +59,10 @@ _EXACT_OPS_BUDGET = 20_000_000
 #: The pass-count sampler; seeded outputs depend on it as well as on the
 #: Philox stream, so every run manifest records it.
 SAMPLER = "binomial-cdf-inversion"
+
+#: The sampler of ``lln_sweep``: one multinomial histogram per point over
+#: the FFT-convolved law of the trial's pass count.
+HISTOGRAM_SAMPLER = "multinomial-histogram"
 
 #: Half-width of the cdf table in units of sqrt(m): Hoeffding's
 #: exp(-2 t**2 / m) is 2**-64 at t = sqrt(32 ln2 m).
@@ -97,8 +105,10 @@ class SimConfig:
         if self.n_runs < 1:
             raise ValueError(f"n_runs must be positive, got {self.n_runs}")
         _check_schedule(self.scenario, self.n_runs, not self.multinomial_preparation)
-        if self.n_trials < 1:
-            raise ValueError(f"n_trials must be positive, got {self.n_trials}")
+        if not 1 <= self.n_trials <= _I64:
+            raise ValueError(
+                f"n_trials must be between 1 and 2**63 - 1, got {self.n_trials}"
+            )
         if not 0 <= self.seed <= _U64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
@@ -129,7 +139,11 @@ class TrialTally:
 
 @dataclass(frozen=True, eq=False)
 class SimReport:
-    """Aggregate of an experiment; tally matrices are summed over trials."""
+    """Aggregate of an experiment; tally matrices are summed over trials.
+
+    ``pass_count_histogram[k]`` counts the trials with
+    ``pass_count_offset + k`` passes, over the observed range only.
+    """
 
     fidelities: np.ndarray
     mean_fidelity: float
@@ -141,6 +155,7 @@ class SimReport:
     prepared_counts: np.ndarray
     outcome_counts: np.ndarray
     pass_counts: np.ndarray
+    pass_count_offset: int
     pass_count_histogram: np.ndarray
 
     @property
@@ -172,24 +187,68 @@ def stream(seed: int, subkey: int = 0, block: int = 0) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
-def _binomial(rng, m: int, p: float, size: int) -> np.ndarray:
-    """``size`` Binomial(m, p) draws, by inverting a tabulated cdf.
+def _binomial_table(m: int, p: float) -> tuple[int, np.ndarray]:
+    """Window start and unnormalized weights of the Binomial(m, p) pmf.
 
-    The pmf over mp +/- sqrt(32 ln2 m) is built by the ratio recurrence
-    (m - k + 1)/k * p/(1 - p), summed in log space; the mass it leaves out
-    is below 2**-64 on each side.  Each draw consumes one uniform.
+    The window is mp +/- sqrt(32 ln2 m), clipped to [0, m]; the mass it
+    leaves out is below 2**-64 on each side.  The weights come from the
+    ratio recurrence (m - k + 1)/k * p/(1 - p), summed in log space, and
+    peak at 1.  A certain outcome (p = 0 or 1) is a one-entry table.
     """
     if p <= 0.0 or p >= 1.0:
-        return np.full(size, m if p >= 1.0 else 0, dtype=np.int64)
+        return (m if p >= 1.0 else 0), np.ones(1)
     half = _WINDOW * math.sqrt(m)
     lo = max(0, math.floor(m * p - half))
     hi = min(m, math.ceil(m * p + half))
     k = np.arange(lo + 1, hi + 1)
     steps = np.log((m - k + 1) / k) + (math.log(p) - math.log1p(-p))
     log_pmf = np.concatenate(([0.0], np.cumsum(steps)))
-    cdf = np.cumsum(np.exp(log_pmf - log_pmf.max()))
+    return lo, np.exp(log_pmf - log_pmf.max())
+
+
+def _binomial(rng, m: int, p: float, size: int) -> np.ndarray:
+    """``size`` Binomial(m, p) draws, each inverting the table's cdf with one uniform."""
+    lo, weights = _binomial_table(m, p)
+    if weights.size == 1:
+        # a certain outcome consumes no uniforms
+        return np.full(size, lo, dtype=np.int64)
+    cdf = np.cumsum(weights)
     cdf /= cdf[-1]
     return lo + np.searchsorted(cdf, rng.random(size), side="right")
+
+
+def _pass_count_law(q: np.ndarray, m: int) -> tuple[int, np.ndarray]:
+    """Window start and pmf of the sum of independent Binomial(m, q_i).
+
+    The a windowed tables are convolved in one FFT of power-of-two length;
+    rounding leaves entries off by about 1e-16 absolute, so negatives are
+    clipped to 0 and the result is renormalized.
+    """
+    tables = [_binomial_table(m, qi) for qi in q.tolist()]
+    size = sum(weights.size for _, weights in tables) - len(tables) + 1
+    n_fft = 1 << (size - 1).bit_length()
+    spectrum = np.ones(n_fft // 2 + 1, dtype=complex)
+    for _, weights in tables:
+        spectrum *= np.fft.rfft(weights / weights.sum(), n_fft)
+    pmf = np.clip(np.fft.irfft(spectrum, n_fft)[:size], 0.0, None)
+    return sum(lo for lo, _ in tables), pmf / pmf.sum()
+
+
+def _total_histogram(cfg: SimConfig) -> tuple[int, np.ndarray]:
+    """Histogram of the pass counts of ``cfg.n_trials`` fixed-schedule trials.
+
+    The counts of T iid draws from a discrete law are Multinomial(T, law),
+    so one multinomial over the law's window replaces T draws.  numpy draws
+    it as sequential conditional binomials; the window is passed in
+    ascending order of mass so the running remainder stays clear of
+    rounding residue.  Returns the window start and the counts over it.
+    """
+    q = pass_probabilities(cfg.scenario.ensemble, cfg.scenario.povm)
+    lo, pmf = _pass_count_law(q, cfg.n_runs // q.size)
+    order = np.argsort(pmf, kind="stable")
+    counts = np.empty(pmf.size, dtype=np.int64)
+    counts[order] = stream(cfg.seed, subkey=cfg.n_runs).multinomial(cfg.n_trials, pmf[order])
+    return lo, counts
 
 
 def _conditional(weights: np.ndarray) -> np.ndarray:
@@ -302,10 +361,14 @@ def run_experiment(cfg: SimConfig, threshold: float, workers: int = 1) -> SimRep
     outcomes, pass_counts = _split_outcomes(split_rng, cfg.scenario, prepared, passed)
     fidelities = passes / cfg.n_runs
     fidelities.setflags(write=False)
+    exceedance_count = int(np.count_nonzero(passes >= s_min))
+    offset = int(passes.min())
+    # in place: a shifted copy would add 8 bytes a trial to the peak
+    passes -= offset
     return SimReport(
         fidelities=fidelities,
         mean_fidelity=float(fidelities.mean()),
-        exceedance_count=int(np.count_nonzero(passes >= s_min)),
+        exceedance_count=exceedance_count,
         threshold=float(threshold),
         n_runs=cfg.n_runs,
         n_trials=cfg.n_trials,
@@ -313,7 +376,8 @@ def run_experiment(cfg: SimConfig, threshold: float, workers: int = 1) -> SimRep
         prepared_counts=prepared,
         outcome_counts=outcomes,
         pass_counts=pass_counts,
-        pass_count_histogram=np.bincount(passes, minlength=cfg.n_runs + 1),
+        pass_count_offset=offset,
+        pass_count_histogram=np.bincount(passes),
     )
 
 
@@ -364,7 +428,10 @@ def lln_sweep(
     """Deviation of the trial fidelity from its infinite-N value per N.
 
     Every N in ``n_values`` must be a multiple of the ensemble size; the
-    whole ladder is validated before any point is sampled.  The
+    whole ladder is validated before any point is sampled.  Each point
+    draws the histogram of its trials' pass counts as one multinomial over
+    the fixed-schedule law (``_total_histogram``) and reduces it, so its
+    cost and memory grow like sqrt(N), whatever ``n_trials`` is.  The
     RMS column shrinks like 1/sqrt(N), which a log-log fit over a geometric
     ladder exposes as a slope near -1/2.  ``workers`` must be at least 1
     and changes nothing: sampling runs on one thread.
@@ -378,14 +445,16 @@ def lln_sweep(
     f_th = classical_fidelity(scenario.ensemble, scenario.povm)
     rows = []
     for cfg in configs:
-        fidelities = _simulate(cfg)[0] / cfg.n_runs
+        lo, counts = _total_histogram(cfg)
+        weights = counts / cfg.n_trials
+        fidelities = (lo + np.arange(counts.size)) / cfg.n_runs
         dev = fidelities - f_th
         rows.append(
             LlnRow(
                 n_runs=cfg.n_runs,
-                mean_fidelity=float(fidelities.mean()),
-                mean_abs_deviation=float(np.abs(dev).mean()),
-                rms_deviation=float(np.sqrt(np.mean(dev * dev))),
+                mean_fidelity=float(weights @ fidelities),
+                mean_abs_deviation=float(weights @ np.abs(dev)),
+                rms_deviation=float(np.sqrt(weights @ (dev * dev))),
             )
         )
     return rows

@@ -252,8 +252,13 @@ class TestSimulate:
         assert doc["exact_exceedance"] <= bound
         assert doc["report"]["exceedance_frequency"] <= bound
         hist = doc["report"]["pass_count_histogram"]
-        assert len(hist) == 103
-        assert sum(hist) == 2000
+        counts = hist["counts"]
+        # the histogram spans exactly the observed pass counts, within 0..N
+        assert hist["offset"] >= 0 and hist["offset"] + len(counts) <= 103
+        assert counts[0] > 0 and counts[-1] > 0
+        assert sum(counts) == 2000
+        passes = sum((hist["offset"] + k) * c for k, c in enumerate(counts))
+        assert passes / (102 * 2000) == pytest.approx(doc["report"]["mean_fidelity"], rel=1e-12)
 
     def test_env_var_seed_default(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.SEED_ENV_VAR, "99")
@@ -413,6 +418,8 @@ class TestExitCodes:
             (BOUNDS + ["--n", ""], 2),
             (LLN + ["--n", ","], 2),
             (HYPOTHESIS + ["--sigma", "0.3", "--n", ""], 2),
+            (SIMULATE + ["--trials", "9223372036854775808"], 2),
+            (LLN + ["--trials", "9223372036854775808"], 2),
         ],
     )
     def test_rejected_before_any_output(self, capsys, argv, code):
@@ -461,6 +468,19 @@ class TestManifest:
             f"# sampler: {simulator.SAMPLER}",
         ):
             assert line in comments
+
+    def test_lln_records_name_the_histogram_sampler(self, capsys, tmp_path):
+        path = tmp_path / "lln.json"
+        assert run_cli(capsys, LLN + ["--format", "records", "--out", str(path)])[0] == 0
+        assert load_records(path)["manifest"]["sampler"] == simulator.HISTOGRAM_SAMPLER
+        assert simulator.HISTOGRAM_SAMPLER != simulator.SAMPLER
+
+    def test_lln_csv_names_the_histogram_sampler(self, capsys, tmp_path):
+        path = tmp_path / "lln.csv"
+        assert run_cli(capsys, LLN + ["--format", "csv", "--out", str(path)])[0] == 0
+        comments = [ln for ln in path.read_text().splitlines() if ln.startswith("#")]
+        assert f"# sampler: {simulator.HISTOGRAM_SAMPLER}" in comments
+        assert f"# sampler: {simulator.SAMPLER}" not in comments
 
 
 class TestEnsembleValidate:

@@ -83,6 +83,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="seed"):
             SimConfig(scenario=scenario, n_runs=12, n_trials=10, seed=1 << 64)
 
+    def test_trial_count_range(self):
+        scenario = builtin_scenarios()["trine"]
+        for n_trials in (0, 1 << 63):
+            with pytest.raises(ValueError, match="n_trials"):
+                SimConfig(scenario=scenario, n_runs=12, n_trials=n_trials, seed=0)
+        cfg = SimConfig(scenario=scenario, n_runs=12, n_trials=(1 << 63) - 1, seed=0)
+        assert cfg.n_trials == (1 << 63) - 1
+
     def test_non_uniform_priors_need_multinomial_mode(self):
         states = np.eye(2, dtype=complex)
         ens = ensembles.Ensemble(states, np.array([0.7, 0.3]))
@@ -185,7 +193,12 @@ class TestRunExperiment:
         assert report.fidelities.shape == (5000,)
         assert np.all((report.fidelities >= 0) & (report.fidelities <= 1))
         assert report.mean_fidelity == pytest.approx(report.fidelities.mean())
-        assert report.pass_count_histogram.sum() == 5000
+        hist = report.pass_count_histogram
+        assert hist.sum() == 5000
+        # the histogram counts every trial's passes over the observed range
+        passes = report.pass_count_offset + np.arange(hist.size)
+        assert hist[0] > 0 and hist[-1] > 0
+        assert np.array_equal(np.repeat(passes, hist), np.sort(np.rint(report.fidelities * 12)))
         assert report.prepared_counts.sum() == 5000 * 12
 
     def test_trivial_thresholds(self):
@@ -310,7 +323,10 @@ class TestRunExperiment:
         scenario = builtin_scenarios()["qutrit-mubs"]
         n_runs, n_trials = 24, 50000
         cfg = SimConfig(scenario=scenario, n_runs=n_runs, n_trials=n_trials, seed=10)
-        hist = run_experiment(cfg, threshold=0.751).pass_count_histogram
+        report = run_experiment(cfg, threshold=0.751)
+        hist = np.zeros(n_runs + 1, dtype=np.int64)
+        offset = report.pass_count_offset
+        hist[offset : offset + report.pass_count_histogram.size] = report.pass_count_histogram
         dist = pass_count_distribution(scenario, n_runs)
         se = np.sqrt(n_trials * dist * (1 - dist))
         assert np.all(np.abs(hist - n_trials * dist) <= 5 * se)
@@ -430,7 +446,8 @@ class TestExactOracle:
         assert exact == pytest.approx(dist[cut:].sum(), abs=1e-15)
         cfg = SimConfig(scenario=scenario, n_runs=n_runs, n_trials=20000, seed=14)
         report = run_experiment(cfg, threshold)
-        assert report.exceedance_count == report.pass_count_histogram[cut:].sum()
+        reached = report.pass_count_histogram[max(cut - report.pass_count_offset, 0) :]
+        assert report.exceedance_count == reached.sum()
         assert report.exceedance_count == np.count_nonzero(report.fidelities >= threshold)
         se = math.sqrt(exact * (1 - exact) / cfg.n_trials)
         assert abs(report.exceedance_frequency - exact) <= 5 * se
@@ -500,10 +517,78 @@ class TestLlnSweep:
         def refuse(cfg):
             raise AssertionError(f"sampled N={cfg.n_runs} before the ladder was checked")
 
-        monkeypatch.setattr(simulator, "_simulate", refuse)
+        monkeypatch.setattr(simulator, "_total_histogram", refuse)
         scenario = builtin_scenarios()["trine"]
         with pytest.raises(PreconditionError, match="6001"):
             lln_sweep(scenario, [6000, 6001], n_trials=300_000, seed=6)
+
+    def test_certain_passes_have_no_spread(self):
+        scenario = orthonormal_scenario()
+        f_th = stats.classical_fidelity(scenario.ensemble, scenario.povm)
+        (row,) = lln_sweep(scenario, [10], n_trials=1000, seed=7)
+        assert row.mean_fidelity == 1.0
+        assert row.mean_abs_deviation == row.rms_deviation == 1.0 - f_th
+
+    def test_memory_stays_bounded_in_the_trial_count(self):
+        scenario = builtin_scenarios()["trine"]
+        n_runs, n_trials = 60, 10**12
+        tracemalloc.start()
+        try:
+            (row,) = lln_sweep(scenario, [n_runs], n_trials, seed=19)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        se = math.sqrt(0.75 * 0.25 / n_runs / n_trials)
+        assert abs(row.mean_fidelity - 0.75) < 5 * se
+
+
+class TestPassCountLaw:
+    @pytest.mark.parametrize("name", list(builtin_scenarios()))
+    def test_matches_exact_distribution(self, name):
+        scenario = builtin_scenarios()[name]
+        a = scenario.ensemble.size
+        q = pass_probabilities(scenario.ensemble, scenario.povm)
+        for n_runs in (a, 7 * a, 600 // a * a, 4400 // a * a):
+            lo, pmf = simulator._pass_count_law(q, n_runs // a)
+            dist = pass_count_distribution(scenario, n_runs)
+            assert 0 <= lo and lo + pmf.size <= n_runs + 1
+            assert np.all(np.abs(pmf - dist[lo : lo + pmf.size]) <= 1e-14)
+            assert dist[:lo].sum() + dist[lo + pmf.size :].sum() <= 1e-14
+
+    @pytest.mark.parametrize(
+        "name,n_runs", [("trine", 60), ("qutrit-mubs", 36), ("four-asymmetric", 40)]
+    )
+    def test_histograms_fit_the_exact_law(self, name, n_runs):
+        # pooled chi-square over seeds; bins expecting fewer than 5 trials merged
+        scenario = builtin_scenarios()[name]
+        dist = pass_count_distribution(scenario, n_runs)
+        n_trials, chi2, dof = 100_000, 0.0, 0
+        for seed in range(20):
+            cfg = SimConfig(scenario=scenario, n_runs=n_runs, n_trials=n_trials, seed=seed)
+            lo, counts = simulator._total_histogram(cfg)
+            hist = np.zeros(n_runs + 1)
+            hist[lo : lo + counts.size] = counts
+            expected = n_trials * dist
+            big = expected >= 5
+            observed = np.append(hist[big], hist[~big].sum())
+            wanted = np.append(expected[big], expected[~big].sum())
+            chi2 += float(np.sum((observed - wanted) ** 2 / wanted))
+            dof += observed.size - 1
+        assert abs(chi2 - dof) / math.sqrt(2 * dof) < 5
+
+    @pytest.mark.parametrize("n_trials", [1, 1000, 10**15, 2**63 - 1])
+    @pytest.mark.parametrize("name", ["trine", "qutrit-mubs", "helstrom"])
+    def test_histograms_are_counts_of_every_trial(self, name, n_trials):
+        scenario = builtin_scenarios()[name]
+        a = scenario.ensemble.size
+        for n_runs in (a, 60 // a * a, 6000):
+            cfg = SimConfig(scenario=scenario, n_runs=n_runs, n_trials=n_trials, seed=5)
+            lo, counts = simulator._total_histogram(cfg)
+            assert counts.dtype == np.int64
+            assert np.all(counts >= 0)
+            assert int(counts.sum()) == n_trials
+            assert 0 <= lo and lo + counts.size <= n_runs + 1
 
 
 class TestStreams:
