@@ -27,10 +27,11 @@ EXIT_IO = 4
 SEED_ENV_VAR = "TELECERT_SEED"
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
+def _seed(args) -> int:
+    """``--seed`` if given, else the environment default, else 0."""
+    if args.seed is not None:
+        return args.seed
+    raw = os.environ.get(SEED_ENV_VAR, "0")
     try:
         return int(raw)
     except ValueError as exc:
@@ -149,6 +150,8 @@ def cmd_bounds(args) -> int:
 
 
 def _rounded_runs(n_runs: int, a: int) -> int:
+    if n_runs < 1:
+        raise ValidationError(f"n_runs must be positive, got {n_runs}")
     if n_runs % a == 0:
         return n_runs
     rounded = n_runs + (a - n_runs % a)
@@ -161,12 +164,13 @@ def _rounded_runs(n_runs: int, a: int) -> int:
 
 
 def cmd_simulate(args) -> int:
+    seed = _seed(args)
     scenario = _get_scenario(args.scenario)
     a = scenario.ensemble.size
     n_runs = _rounded_runs(args.n, a)
     threshold = scenario.target_fidelity if args.threshold is None else args.threshold
     cfg = simulator.SimConfig(
-        scenario=scenario, n_runs=n_runs, n_trials=args.trials, seed=args.seed
+        scenario=scenario, n_runs=n_runs, n_trials=args.trials, seed=seed
     )
     report = simulator.run_experiment(cfg, threshold, workers=args.workers)
 
@@ -214,7 +218,7 @@ def cmd_simulate(args) -> int:
             "trials": args.trials,
             "threshold": threshold,
         },
-        seed=args.seed,
+        seed=seed,
     )
     payload = {
         "report": {
@@ -272,10 +276,11 @@ def cmd_hypothesis(args) -> int:
 
 
 def cmd_lln(args) -> int:
+    seed = _seed(args)
     scenario = _get_scenario(args.scenario)
     n_values = _parse_n_list(args.n)
     rows_data = simulator.lln_sweep(
-        scenario, n_values, args.trials, args.seed, workers=args.workers
+        scenario, n_values, args.trials, seed, workers=args.workers
     )
     headers = ["n_runs", "mean_fidelity", "mean_abs_deviation", "rms_deviation"]
     rows = [
@@ -286,7 +291,7 @@ def cmd_lln(args) -> int:
     manifest = reporting.make_manifest(
         "lln",
         {"scenario": scenario.name, "n": n_values, "trials": args.trials},
-        seed=args.seed,
+        seed=seed,
         sampler=simulator.HISTOGRAM_SAMPLER,
     )
     payload = {
@@ -352,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="runs per trial")
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int, default=1, help="at least 1; has no effect")
     _add_output_options(p)
     p.set_defaults(func=cmd_simulate)
@@ -370,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--n", required=True, help="comma-separated run counts")
     p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int, default=1, help="at least 1; has no effect")
     _add_output_options(p)
     p.set_defaults(func=cmd_lln)

@@ -16,15 +16,13 @@ state i's passing runs are multinomial in its summed pass count, and
 likewise for its failures.  This is the same joint law as sampling every
 run.
 
-Every per-state pass count comes from one table, ``_binomial_table``: the
-Binomial pmf over mp +/- sqrt(32 ln2 m) only; by Hoeffding's inequality
-each side beyond it holds less than 2**-64 of the mass, below the 2**-53
-resolution of a uniform.  A table has O(sqrt(N/a)) entries, about 3e5 at
-N = 3e9.  ``_binomial`` inverts its cdf with one uniform per draw
-(Devroye 1986, section III.2).  ``lln_sweep`` needs only the histogram of
-the trials' total pass counts: it convolves the a tables into the total's
-law with one FFT and draws the histogram as one multinomial, so a ladder
-point costs O(sqrt(N)) whatever the trial count.
+Every per-state pass count comes from one windowed Binomial table,
+``_binomial_table``, whose cdf ``_binomial`` inverts with one uniform per
+draw.  Both samplers keep only histograms of the trials' pass counts:
+``run_experiment`` reduces each block of trials as it is drawn, and
+``lln_sweep`` draws a point's histogram as one multinomial over the law of
+a trial's total.  The README's Notes on numerics give the window, the
+costs and the error contracts.
 
 Randomness is counter based: each fixed-size block of trials draws from a
 Philox stream keyed by (seed, n_runs) at the block's counter offset, so
@@ -115,7 +113,7 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class TrialTally:
-    """Counting record of one trial.
+    """Counting record of one trial, as returned by ``run_trial``.
 
     ``prepared_counts[i]`` is how often state i was prepared,
     ``outcome_counts[i, k]`` how often measuring state i produced outcome k,
@@ -141,11 +139,11 @@ class TrialTally:
 class SimReport:
     """Aggregate of an experiment; tally matrices are summed over trials.
 
-    ``pass_count_histogram[k]`` counts the trials with
-    ``pass_count_offset + k`` passes, over the observed range only.
+    ``pass_count_histogram[k]`` counts the trials with ``pass_count_offset
+    + k`` passes over the observed range (both edge bins are nonempty); the
+    mean and the exceedance count are read off it, and no per-trial value is kept.
     """
 
-    fidelities: np.ndarray
     mean_fidelity: float
     exceedance_count: int
     threshold: float
@@ -191,9 +189,8 @@ def _binomial_table(m: int, p: float) -> tuple[int, np.ndarray]:
     """Window start and unnormalized weights of the Binomial(m, p) pmf.
 
     The window is mp +/- sqrt(32 ln2 m), clipped to [0, m]; the mass it
-    leaves out is below 2**-64 on each side.  The weights come from the
-    ratio recurrence (m - k + 1)/k * p/(1 - p), summed in log space, and
-    peak at 1.  A certain outcome (p = 0 or 1) is a one-entry table.
+    leaves out is below 2**-64 on each side.  The weights peak at 1.  A
+    certain outcome (p = 0 or 1) is a one-entry table.
     """
     if p <= 0.0 or p >= 1.0:
         return (m if p >= 1.0 else 0), np.ones(1)
@@ -238,10 +235,8 @@ def _total_histogram(cfg: SimConfig) -> tuple[int, np.ndarray]:
     """Histogram of the pass counts of ``cfg.n_trials`` fixed-schedule trials.
 
     The counts of T iid draws from a discrete law are Multinomial(T, law),
-    so one multinomial over the law's window replaces T draws.  numpy draws
-    it as sequential conditional binomials; the window is passed in
-    ascending order of mass so the running remainder stays clear of
-    rounding residue.  Returns the window start and the counts over it.
+    so one multinomial over the law's window, passed in ascending order of
+    mass, replaces T draws.  Returns the window start and the counts over it.
     """
     q = pass_probabilities(cfg.scenario.ensemble, cfg.scenario.povm)
     lo, pmf = _pass_count_law(q, cfg.n_runs // q.size)
@@ -305,7 +300,9 @@ def run_trial(
 
     Uses the fixed preparation schedule (exactly ``n_runs / a`` runs per
     state).  The same stream state always yields the same tally and
-    fidelity.
+    fidelity.  ``run_experiment`` derives its streams from a seed; this is
+    the public entry point for a caller that supplies its own stream, and
+    the benchmark's tracer wraps it by name, so the API keeps it.
     """
     _check_schedule(scenario, n_runs)
     q = pass_probabilities(scenario.ensemble, scenario.povm)
@@ -314,21 +311,9 @@ def run_trial(
     return TrialTally(prepared, outcomes, pass_counts), int(passes[0]) / n_runs
 
 
-def _simulate(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Passes per trial, and per-state prepared and passing counts summed."""
-    q = pass_probabilities(cfg.scenario.ensemble, cfg.scenario.povm)
-    priors = cfg.scenario.ensemble.priors if cfg.multinomial_preparation else None
-    passes = []
-    prepared = np.zeros(q.size, dtype=np.int64)
-    passed = np.zeros(q.size, dtype=np.int64)
-    for block, lo in enumerate(range(0, cfg.n_trials, _MAX_BLOCK_TRIALS)):
-        rng = stream(cfg.seed, subkey=cfg.n_runs, block=block)
-        n = min(_MAX_BLOCK_TRIALS, cfg.n_trials - lo)
-        block_passes, block_prepared, block_passed = _draw_trials(rng, n, cfg.n_runs, q, priors)
-        passes.append(block_passes)
-        prepared += block_prepared
-        passed += block_passed
-    return np.concatenate(passes), prepared, passed
+def _histogram_weights(lo: int, counts: np.ndarray, n_runs: int):
+    """Fidelity of each bin of a pass-count histogram from ``lo``, and its share of trials."""
+    return (lo + np.arange(counts.size)) / n_runs, counts / counts.sum()
 
 
 def min_passes(threshold: float, n_runs: int) -> int:
@@ -351,24 +336,36 @@ def run_experiment(cfg: SimConfig, threshold: float, workers: int = 1) -> SimRep
 
     Output is fully determined by ``cfg`` and ``threshold``.  ``workers``
     must be at least 1 and changes nothing: sampling runs on one thread.
+    Each block of trials is reduced to its pass-count histogram once drawn.
     """
     s_min = min_passes(threshold, cfg.n_runs)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    passes, prepared, passed = _simulate(cfg)
+    q = pass_probabilities(cfg.scenario.ensemble, cfg.scenario.povm)
+    priors = cfg.scenario.ensemble.priors if cfg.multinomial_preparation else None
+    prepared = np.zeros(q.size, dtype=np.int64)
+    passed = np.zeros(q.size, dtype=np.int64)
+    lo, counts = None, np.zeros(0, dtype=np.int64)
+    for block, first in enumerate(range(0, cfg.n_trials, _MAX_BLOCK_TRIALS)):
+        rng = stream(cfg.seed, subkey=cfg.n_runs, block=block)
+        n = min(_MAX_BLOCK_TRIALS, cfg.n_trials - first)
+        block_passes, block_prepared, block_passed = _draw_trials(rng, n, cfg.n_runs, q, priors)
+        prepared += block_prepared
+        passed += block_passed
+        # merge into the histogram so far; both span their observed range
+        start = int(block_passes.min())
+        lo = start if lo is None else lo
+        start = min(start, lo)
+        merged = np.bincount(block_passes - start, minlength=lo - start + counts.size)
+        merged[lo - start : lo - start + counts.size] += counts
+        lo, counts = start, merged
     # Trial blocks never reach the last block, so the split has its own stream.
     split_rng = stream(cfg.seed, subkey=cfg.n_runs, block=_U64)
     outcomes, pass_counts = _split_outcomes(split_rng, cfg.scenario, prepared, passed)
-    fidelities = passes / cfg.n_runs
-    fidelities.setflags(write=False)
-    exceedance_count = int(np.count_nonzero(passes >= s_min))
-    offset = int(passes.min())
-    # in place: a shifted copy would add 8 bytes a trial to the peak
-    passes -= offset
+    fidelities, weights = _histogram_weights(lo, counts, cfg.n_runs)
     return SimReport(
-        fidelities=fidelities,
-        mean_fidelity=float(fidelities.mean()),
-        exceedance_count=exceedance_count,
+        mean_fidelity=float(weights @ fidelities),
+        exceedance_count=int(counts[max(s_min - lo, 0) :].sum()),
         threshold=float(threshold),
         n_runs=cfg.n_runs,
         n_trials=cfg.n_trials,
@@ -376,8 +373,8 @@ def run_experiment(cfg: SimConfig, threshold: float, workers: int = 1) -> SimRep
         prepared_counts=prepared,
         outcome_counts=outcomes,
         pass_counts=pass_counts,
-        pass_count_offset=offset,
-        pass_count_histogram=np.bincount(passes),
+        pass_count_offset=lo,
+        pass_count_histogram=counts,
     )
 
 
@@ -388,10 +385,8 @@ def pass_count_distribution(scenario: Scenario, n_runs: int) -> np.ndarray:
     Binomial(n_runs / a, q_i), the law the sampler draws.  One round (one
     run per state) has the pass-count law of ``a`` Bernoulli(q_i) factors;
     the trial's law is its (n_runs / a)-th convolution power, formed by
-    repeated squaring.  Every term is nonnegative, so each entry keeps full
-    relative precision until it underflows.  Cost grows quadratically with
-    ``n_runs``; beyond the work budget a ``BudgetExceededError`` points the
-    caller at the Monte Carlo path.
+    repeated squaring.  Beyond the work budget a ``BudgetExceededError``
+    points the caller at the Monte Carlo path.
     """
     _check_schedule(scenario, n_runs)
     if n_runs * (n_runs + 1) > _EXACT_OPS_BUDGET:
@@ -445,9 +440,7 @@ def lln_sweep(
     f_th = classical_fidelity(scenario.ensemble, scenario.povm)
     rows = []
     for cfg in configs:
-        lo, counts = _total_histogram(cfg)
-        weights = counts / cfg.n_trials
-        fidelities = (lo + np.arange(counts.size)) / cfg.n_runs
+        fidelities, weights = _histogram_weights(*_total_histogram(cfg), cfg.n_runs)
         dev = fidelities - f_th
         rows.append(
             LlnRow(

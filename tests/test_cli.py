@@ -420,12 +420,20 @@ class TestExitCodes:
             (HYPOTHESIS + ["--sigma", "0.3", "--n", ""], 2),
             (SIMULATE + ["--trials", "9223372036854775808"], 2),
             (LLN + ["--trials", "9223372036854775808"], 2),
+            (["simulate", "--scenario", "trine", "--n", "0"], 2),
+            (["simulate", "--scenario", "trine", "--n", "-5"], 2),
         ],
     )
     def test_rejected_before_any_output(self, capsys, argv, code):
-        got, out, _ = run_cli(capsys, argv)
+        got, out, err = run_cli(capsys, argv)
         assert got == code
         assert out == ""
+        assert "rounded up" not in err
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_nonpositive_runs_named_as_given(self, capsys, n):
+        _, _, err = run_cli(capsys, ["simulate", "--scenario", "trine", "--n", n])
+        assert f"n_runs must be positive, got {n}" in err
 
     def test_failed_replace_keeps_the_old_document(self, capsys, tmp_path, monkeypatch):
         target = tmp_path / "sim.json"
@@ -441,6 +449,30 @@ class TestExitCodes:
         assert "simulated rename failure" in err
         assert target.read_text() == "old document\n"
         assert [p.name for p in tmp_path.iterdir()] == ["sim.json"]
+
+
+class TestSeedEnvironment:
+    """An invalid TELECERT_SEED matters only where it would be the seed."""
+
+    @pytest.fixture(autouse=True)
+    def bad_seed(self, monkeypatch):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["scenarios"], BOUNDS, HYPOTHESIS + ["--sigma", "0.3", "--n", "12"], SIMULATE + ["--seed", "5"]],
+    )
+    def test_unused_by_the_verb(self, capsys, argv):
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert out != ""
+
+    @pytest.mark.parametrize("argv", [SIMULATE, LLN])
+    def test_rejected_when_it_is_the_seed(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert "validation error: TELECERT_SEED must be an integer, got 'abc'" in err
 
 
 class TestManifest:

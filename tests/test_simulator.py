@@ -190,16 +190,57 @@ class TestRunExperiment:
         scenario = builtin_scenarios()["trine"]
         cfg = SimConfig(scenario=scenario, n_runs=12, n_trials=5000, seed=2)
         report = run_experiment(cfg, threshold=0.865)
-        assert report.fidelities.shape == (5000,)
-        assert np.all((report.fidelities >= 0) & (report.fidelities <= 1))
-        assert report.mean_fidelity == pytest.approx(report.fidelities.mean())
         hist = report.pass_count_histogram
         assert hist.sum() == 5000
-        # the histogram counts every trial's passes over the observed range
+        # the histogram spans the observed pass counts, within 0..N
         passes = report.pass_count_offset + np.arange(hist.size)
+        assert passes[0] >= 0 and passes[-1] <= 12
         assert hist[0] > 0 and hist[-1] > 0
-        assert np.array_equal(np.repeat(passes, hist), np.sort(np.rint(report.fidelities * 12)))
+        # the mean is the histogram's weighted mean, summed here in integers
+        total = int(passes @ hist)
+        assert report.mean_fidelity == pytest.approx(total / (12 * 5000), rel=1e-15)
         assert report.prepared_counts.sum() == 5000 * 12
+
+    @pytest.mark.parametrize("n_runs", [12, 600])
+    def test_histogram_counts_every_block(self, n_runs):
+        # 70000 trials span three blocks, the last one short; the report's
+        # histogram is the sum of the blocks' histograms of pass counts
+        scenario = builtin_scenarios()["trine"]
+        cfg = SimConfig(scenario=scenario, n_runs=n_runs, n_trials=70000, seed=15)
+        threshold = 0.8
+        report = run_experiment(cfg, threshold)
+        q = pass_probabilities(scenario.ensemble, scenario.povm)
+        blocks = [(0, 32768), (1, 32768), (2, 70000 - 2 * 32768)]
+        expected = np.zeros(n_runs + 1, dtype=np.int64)
+        exceeding = 0
+        for block, n in blocks:
+            rng = stream(15, subkey=n_runs, block=block)
+            passes, _, _ = simulator._draw_trials(rng, n, n_runs, q)
+            expected += np.bincount(passes, minlength=n_runs + 1)
+            exceeding += np.count_nonzero(passes / n_runs >= threshold)
+        hist = report.pass_count_histogram
+        assert hist[0] > 0 and hist[-1] > 0
+        got = np.zeros(n_runs + 1, dtype=np.int64)
+        got[report.pass_count_offset : report.pass_count_offset + hist.size] = hist
+        assert np.array_equal(got, expected)
+        assert report.exceedance_count == exceeding
+        mean = int(np.arange(n_runs + 1) @ expected) / (n_runs * 70000)
+        assert report.mean_fidelity == pytest.approx(mean, rel=1e-15)
+
+    def test_memory_stays_bounded_in_the_trial_count(self):
+        scenario = builtin_scenarios()["trine"]
+        n_runs, n_trials = 60, 10**7
+        cfg = SimConfig(scenario=scenario, n_runs=n_runs, n_trials=n_trials, seed=21)
+        tracemalloc.start()
+        try:
+            report = run_experiment(cfg, threshold=0.865)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert report.pass_count_histogram.sum() == n_trials
+        se = math.sqrt(0.75 * 0.25 / n_runs / n_trials)
+        assert abs(report.mean_fidelity - 0.75) < 5 * se
 
     def test_trivial_thresholds(self):
         scenario = builtin_scenarios()["qutrit-mubs"]
@@ -213,7 +254,9 @@ class TestRunExperiment:
         cfg = SimConfig(scenario=scenario, n_runs=600, n_trials=20000, seed=9)
         reports = [run_experiment(cfg, 0.865, workers=w) for w in (1, 2, 5)]
         for other in reports[1:]:
-            assert np.array_equal(reports[0].fidelities, other.fidelities)
+            assert other.pass_count_offset == reports[0].pass_count_offset
+            assert np.array_equal(reports[0].pass_count_histogram, other.pass_count_histogram)
+            assert other.mean_fidelity == reports[0].mean_fidelity
             assert np.array_equal(reports[0].outcome_counts, other.outcome_counts)
             assert np.array_equal(reports[0].pass_counts, other.pass_counts)
 
@@ -270,8 +313,9 @@ class TestRunExperiment:
         freq = report.prepared_counts[0] / report.prepared_counts.sum()
         se = math.sqrt(0.7 * 0.3 / (n_trials * 10))
         assert abs(freq - 0.7) < 5 * se
-        # orthonormal ensemble still always passes
-        assert np.all(report.fidelities == 1.0)
+        # orthonormal ensemble still always passes: one bin, at N passes
+        assert report.pass_count_offset == 10
+        assert report.pass_count_histogram.tolist() == [n_trials]
 
     def test_multinomial_passes_are_binomial_in_fidelity(self):
         # each run draws its state from the priors and then passes with
@@ -446,9 +490,12 @@ class TestExactOracle:
         assert exact == pytest.approx(dist[cut:].sum(), abs=1e-15)
         cfg = SimConfig(scenario=scenario, n_runs=n_runs, n_trials=20000, seed=14)
         report = run_experiment(cfg, threshold)
-        reached = report.pass_count_histogram[max(cut - report.pass_count_offset, 0) :]
+        hist = report.pass_count_histogram
+        reached = hist[max(cut - report.pass_count_offset, 0) :]
         assert report.exceedance_count == reached.sum()
-        assert report.exceedance_count == np.count_nonzero(report.fidelities >= threshold)
+        # the bins whose fidelity reaches the threshold in float arithmetic
+        passes = report.pass_count_offset + np.arange(hist.size)
+        assert report.exceedance_count == hist[passes / n_runs >= threshold].sum()
         se = math.sqrt(exact * (1 - exact) / cfg.n_trials)
         assert abs(report.exceedance_frequency - exact) <= 5 * se
 
