@@ -4,12 +4,19 @@ Verbs: ``scenarios``, ``bounds``, ``simulate``, ``hypothesis``, ``lln``,
 and ``ensemble validate``.  Each prints a human table to stdout; with
 ``--out`` the result is first written as a structured document in the
 format chosen by ``--format``.  Exit codes: 0 success, 2 validation
-failure, 3 precondition failure, 4 I/O failure.
+failure, 3 precondition failure (including a request whose sampling tables
+do not fit in memory), 4 I/O failure.
+
+``main(argv)`` may be called any number of times in one process.  The
+argument parser is built on the first call and reused, and the built-in
+scenarios are the shared instances of ``scenarios.builtin_scenario``, so a
+request pays for neither.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -17,7 +24,7 @@ from . import reporting, simulator, stats
 from ._version import __version__
 from .ensembles import load_ensemble
 from .errors import PreconditionError, ValidationError
-from .scenarios import BUILTIN_CONSTRUCTORS, builtin_scenarios
+from .scenarios import BUILTIN_CONSTRUCTORS, builtin_scenario, builtin_scenarios
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -58,7 +65,7 @@ def _get_scenario(name: str):
         raise ValidationError(
             f"unknown scenario {name!r}; choose from {', '.join(BUILTIN_CONSTRUCTORS)}"
         )
-    return BUILTIN_CONSTRUCTORS[name]()
+    return builtin_scenario(name)
 
 
 def _emit(args, manifest, headers, rows, payload, text=None) -> None:
@@ -330,6 +337,7 @@ def _add_output_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write the document to this path")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="telecert",
@@ -392,14 +400,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValidationError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except PreconditionError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except MemoryError as exc:
+        detail = str(exc) or "allocation failed"
+        print(f"precondition error: out of memory: {detail}", file=sys.stderr)
         return EXIT_PRECONDITION
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

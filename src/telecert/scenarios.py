@@ -3,10 +3,17 @@
 A scenario pins down everything the bound and the simulator need: which
 states are teleported, how the sender discriminates them, and which
 experimentally reported fidelity the certification is run against.
+
+The five built-in scenarios are built once per process, on first use, and
+shared: ``builtin_scenarios()`` and the CLI hand out the same instances.
+That is safe because a ``Scenario``, its ``Ensemble`` and its ``Povm`` are
+frozen and their arrays are read-only.  The constructors themselves, and
+``helstrom_scenario(theta)`` at any angle, build a new scenario each call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -103,6 +110,19 @@ BUILTIN_CONSTRUCTORS = {
 }
 
 
+@functools.cache
+def builtin_scenario(name: str) -> Scenario:
+    """The shared instance of the built-in scenario ``name``.
+
+    Raises ``KeyError`` for a name outside ``BUILTIN_CONSTRUCTORS``, so the
+    cache holds at most the five built-ins.
+    """
+    return BUILTIN_CONSTRUCTORS[name]()
+
+
 def builtin_scenarios() -> dict[str, Scenario]:
-    """The five built-in certification scenarios, keyed by name."""
-    return {name: build() for name, build in BUILTIN_CONSTRUCTORS.items()}
+    """The five built-in certification scenarios, keyed by name.
+
+    The dict is new on every call; the scenarios in it are shared.
+    """
+    return {name: builtin_scenario(name) for name in BUILTIN_CONSTRUCTORS}

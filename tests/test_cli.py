@@ -1,6 +1,9 @@
 import json
 import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -449,6 +452,55 @@ class TestExitCodes:
         assert "simulated rename failure" in err
         assert target.read_text() == "old document\n"
         assert [p.name for p in tmp_path.iterdir()] == ["sim.json"]
+
+    @pytest.mark.parametrize("argv", [SIMULATE, LLN], ids=["simulate", "lln"])
+    def test_tables_out_of_memory(self, capsys, monkeypatch, argv):
+        def refuse(m, p):
+            raise MemoryError("Unable to allocate 7.02 GiB")
+
+        monkeypatch.setattr(simulator, "_binomial_table", refuse)
+        got, out, err = run_cli(capsys, argv)
+        assert got == cli.EXIT_PRECONDITION
+        assert out == ""
+        assert err.splitlines() == ["precondition error: out of memory: Unable to allocate 7.02 GiB"]
+
+
+class TestRepeatedRequests:
+    """Requests in one process share a parser that carries nothing over."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_parser_is_not_built_at_import(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = "import telecert.cli as c; print(c.build_parser.cache_info().currsize)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
+
+    def test_documents_repeat_across_other_requests(self, capsys, tmp_path):
+        argv = SIMULATE + ["--seed", "7", "--format", "records", "--out"]
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert run_cli(capsys, argv + [str(first)])[0] == 0
+        with pytest.raises(SystemExit) as usage:
+            cli.main(["simulate", "--scenario", "qutrit-mubs", "--threshold", "0.9", "--n", "x"])
+        assert usage.value.code == 2
+        assert run_cli(capsys, ["simulate", "--scenario", "nope", "--n", "12"])[0] == 2
+        with pytest.raises(SystemExit) as version:
+            cli.main(["--version"])
+        assert version.value.code == 0
+        assert run_cli(capsys, LLN + ["--seed", "3"])[0] == 0
+        assert run_cli(capsys, argv + [str(second)])[0] == 0
+        docs = [load_records(p) for p in (first, second)]
+        for doc in docs:
+            doc["manifest"].pop("timestamp")
+        assert docs[0] == docs[1]
 
 
 class TestSeedEnvironment:

@@ -1,0 +1,52 @@
+import dataclasses
+
+import numpy as np
+import pytest
+
+from telecert import cli
+from telecert.scenarios import (
+    BUILTIN_CONSTRUCTORS,
+    builtin_scenario,
+    builtin_scenarios,
+    helstrom_scenario,
+)
+
+NAMES = list(BUILTIN_CONSTRUCTORS)
+
+
+class TestSharedBuiltins:
+    """The five built-in scenarios are built once and shared."""
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_one_instance_per_name(self, name):
+        shared = builtin_scenarios()[name]
+        assert builtin_scenarios()[name] is shared
+        assert builtin_scenario(name) is shared
+        assert cli._get_scenario(name) is shared
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_arrays_are_read_only(self, name):
+        scenario = builtin_scenario(name)
+        arrays = (scenario.ensemble.states, scenario.ensemble.priors, scenario.povm.elements)
+        before = [array.copy() for array in arrays]
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scenario.target_fidelity = 0.5
+        for array, old in zip(arrays, before):
+            assert np.array_equal(array, old)
+
+    def test_returned_dict_is_new(self):
+        first = builtin_scenarios()
+        del first["trine"]
+        assert list(builtin_scenarios()) == NAMES
+
+    def test_cache_holds_only_the_builtins(self):
+        shared = builtin_scenario("helstrom")
+        for theta in np.linspace(0.1, 1.5, 15):
+            assert helstrom_scenario(float(theta)) is not shared
+        assert helstrom_scenario(1.0) is not shared
+        with pytest.raises(KeyError):
+            builtin_scenario("nope")
+        assert builtin_scenario.cache_info().currsize <= len(NAMES)
