@@ -108,13 +108,12 @@ def cmd_scenarios(args) -> int:
     headers = ["name", "a", "d", "f_th_cla", "default_target", "note"]
     rows = []
     for scenario in builtin_scenarios().values():
-        f = stats.classical_fidelity(scenario.ensemble, scenario.povm)
         rows.append(
             [
                 scenario.name,
                 scenario.ensemble.size,
                 scenario.ensemble.dim,
-                f,
+                scenario.classical_fidelity,
                 scenario.target_fidelity,
                 scenario.target_note,
             ]

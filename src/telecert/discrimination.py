@@ -29,7 +29,8 @@ class Povm:
     """A positive operator valued measure with one outcome per state.
 
     ``elements`` has shape (a, d, d); each element is Hermitian positive
-    semidefinite and the elements sum to the identity.
+    semidefinite and the elements sum to the identity.  They are copied at
+    construction into an immutable buffer (``linalg.frozen``).
     """
 
     elements: np.ndarray
@@ -53,8 +54,7 @@ class Povm:
             raise ValueError(
                 f"elements do not resolve the identity (max deviation {dev:.3e})"
             )
-        elements.setflags(write=False)
-        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "elements", linalg.frozen(elements))
 
     @property
     def n_outcomes(self) -> int:
@@ -153,7 +153,12 @@ def verification_table(ensemble: Ensemble, povm: Povm) -> np.ndarray:
 
 def pass_probabilities(ensemble: Ensemble, povm: Povm) -> np.ndarray:
     """Per-state probability ``q_i = sum_k T[i, k, 1]`` that one run passes."""
-    return np.minimum(verification_table(ensemble, povm)[:, :, 1].sum(axis=1), 1.0)
+    return pass_rates(verification_table(ensemble, povm))
+
+
+def pass_rates(table: np.ndarray) -> np.ndarray:
+    """``q_i = sum_k T[i, k, 1]`` of a verification table, capped at 1."""
+    return np.minimum(table[:, :, 1].sum(axis=1), 1.0)
 
 
 def error_probability(ensemble: Ensemble, povm: Povm) -> float:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnsembleFormatError, PriorSumError, StateNormalizationError
+from .linalg import frozen
 
 #: A constructed ensemble must have each state normalized this tightly.
 NORM_TOL = 1e-10
@@ -36,7 +37,8 @@ class Ensemble:
     """A set of ``a >= 2`` normalized pure states with prior probabilities.
 
     ``states`` has shape (a, d) with one ket per row; ``priors`` has shape
-    (a,).  Both arrays are copied and frozen at construction.
+    (a,).  Both arrays are copied at construction into immutable buffers
+    (``linalg.frozen``) that cannot be made writable again.
     """
 
     states: np.ndarray
@@ -66,10 +68,8 @@ class Ensemble:
             raise PriorSumError(
                 f"priors sum to {priors.sum()!r}, expected 1 within {PRIOR_TOL}"
             )
-        states.setflags(write=False)
-        priors.setflags(write=False)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "priors", priors)
+        object.__setattr__(self, "states", frozen(states))
+        object.__setattr__(self, "priors", frozen(priors))
 
     @property
     def size(self) -> int:

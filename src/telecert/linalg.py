@@ -21,6 +21,17 @@ HERMITIAN_TOL = 1e-12
 NULL_TOL = 1e-10
 
 
+def frozen(array) -> np.ndarray:
+    """A copy of ``array`` over an immutable ``bytes`` buffer.
+
+    numpy refuses ``setflags(write=True)`` on it and on every view of it,
+    so an array shared by every caller in the process cannot be changed by
+    one of them.
+    """
+    array = np.ascontiguousarray(array)
+    return np.frombuffer(array.tobytes(), dtype=array.dtype).reshape(array.shape)
+
+
 def projector(v) -> np.ndarray:
     """Rank-1 projector onto the (assumed normalized) vector ``v``."""
     v = np.asarray(v, dtype=complex)

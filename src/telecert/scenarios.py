@@ -7,8 +7,9 @@ experimentally reported fidelity the certification is run against.
 The five built-in scenarios are built once per process, on first use, and
 shared: ``builtin_scenarios()`` and the CLI hand out the same instances.
 That is safe because a ``Scenario``, its ``Ensemble`` and its ``Povm`` are
-frozen and their arrays are read-only.  The constructors themselves, and
-``helstrom_scenario(theta)`` at any angle, build a new scenario each call.
+frozen and their arrays sit on immutable buffers.  The constructors
+themselves, and ``helstrom_scenario(theta)`` at any angle, build a new
+scenario each call.
 """
 
 from __future__ import annotations
@@ -17,7 +18,16 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .discrimination import Povm, _check_match, helstrom_povm, square_root_povm
+import numpy as np
+
+from .discrimination import (
+    Povm,
+    _check_match,
+    helstrom_povm,
+    pass_rates,
+    square_root_povm,
+    verification_table,
+)
 from .ensembles import (
     Ensemble,
     four_asymmetric,
@@ -26,12 +36,23 @@ from .ensembles import (
     qutrit_mubs,
     trine,
 )
+from .linalg import frozen
+from .stats import fidelity_from_pass_rates
 
 STRATEGIES = ("square-root", "helstrom", "custom")
 
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
+    """An ensemble, the strategy measuring it, and the target to certify.
+
+    The values every request derives from the ensemble and the POVM,
+    ``verification_table``, ``pass_probabilities`` (q) and
+    ``classical_fidelity``, are computed on first use and kept, so a
+    scenario computes its verification table at most once.  The arrays sit
+    on immutable buffers like the ensemble's.
+    """
+
     name: str
     ensemble: Ensemble
     povm: Povm
@@ -49,6 +70,21 @@ class Scenario:
                 f"target fidelity must lie in (0, 1], got {self.target_fidelity!r}"
             )
         _check_match(self.ensemble, self.povm)
+
+    @functools.cached_property
+    def verification_table(self) -> np.ndarray:
+        """``discrimination.verification_table`` of the ensemble and the POVM."""
+        return frozen(verification_table(self.ensemble, self.povm))
+
+    @functools.cached_property
+    def pass_probabilities(self) -> np.ndarray:
+        """Per-state probability q_i that one run passes verification."""
+        return frozen(pass_rates(self.verification_table))
+
+    @functools.cached_property
+    def classical_fidelity(self) -> float:
+        """``stats.classical_fidelity`` of the ensemble and the POVM."""
+        return fidelity_from_pass_rates(self.ensemble.priors, self.pass_probabilities)
 
 
 def trine_scenario() -> Scenario:

@@ -17,8 +17,13 @@ likewise for its failures.  This is the same joint law as sampling every
 run.
 
 Every per-state pass count comes from one windowed Binomial table,
-``_binomial_table``, whose cdf ``_binomial`` inverts with one uniform per
-draw.  Both samplers keep only histograms of the trials' pass counts:
+``_binomial_table``, whose cdf ``_invert`` inverts with one uniform per
+draw through a guide table that returns the index ``searchsorted`` would,
+so the draws are those of the plain search.  ``run_experiment`` builds one
+such table per distinct (m, q_i) before sampling and reuses it for every
+state and every block of trials that draws from that law; the scenario
+supplies q and the verification table, computed once per scenario.
+Both samplers keep only histograms of the trials' pass counts:
 ``run_experiment`` reduces each block of trials as it is drawn, and
 ``lln_sweep`` draws a point's histogram as one multinomial over the law of
 a trial's total.  The README's Notes on numerics give the window, the
@@ -40,10 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrimination import pass_probabilities, verification_table
 from .errors import BudgetExceededError, PreconditionError
 from .scenarios import Scenario
-from .stats import classical_fidelity
 
 _U64 = (1 << 64) - 1
 _I64 = (1 << 63) - 1
@@ -65,6 +68,18 @@ HISTOGRAM_SAMPLER = "multinomial-histogram"
 #: Half-width of the cdf table in units of sqrt(m): Hoeffding's
 #: exp(-2 t**2 / m) is 2**-64 at t = sqrt(32 ln2 m).
 _WINDOW = math.sqrt(32.0 * math.log(2.0))
+
+#: Largest cdf table sampled from, about 9.4 sqrt(m) entries; it caps m
+#: near 1.2e10 runs per law and a table's arrays near 8 MiB each.
+_MAX_TABLE_ENTRIES = 1 << 20
+
+
+def _laws(scenario: Scenario, n_runs: int, multinomial: bool) -> list:
+    """Distinct (m, p) of the Binomial(m, p) laws a trial draws from."""
+    q = scenario.pass_probabilities
+    if multinomial:
+        return [(n_runs, float(scenario.ensemble.priors @ q))]
+    return [(n_runs // q.size, qi) for qi in dict.fromkeys(q.tolist())]
 
 
 def _check_schedule(scenario: Scenario, n_runs: int, uniform_priors: bool = True):
@@ -90,7 +105,9 @@ class SimConfig:
     state is prepared exactly ``n_runs / a`` times (preparation-count
     fluctuations neglected).  Setting ``multinomial_preparation`` samples
     each run's state from the priors instead, a sensitivity mode that goes
-    beyond that fixed-schedule assumption.
+    beyond that fixed-schedule assumption.  A configuration whose sampling
+    tables would span more than ``_MAX_TABLE_ENTRIES`` entries raises
+    ``PreconditionError`` here, before anything is allocated.
     """
 
     scenario: Scenario
@@ -109,6 +126,8 @@ class SimConfig:
             )
         if not 0 <= self.seed <= _U64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        for m, p in _laws(self.scenario, self.n_runs, self.multinomial_preparation):
+            _window(m, p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,50 +204,115 @@ def stream(seed: int, subkey: int = 0, block: int = 0) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
-def _binomial_table(m: int, p: float) -> tuple[int, np.ndarray]:
-    """Window start and unnormalized weights of the Binomial(m, p) pmf.
+def _window(m: int, p: float) -> tuple[int, int]:
+    """First and last pass count of the Binomial(m, p) table.
 
     The window is mp +/- sqrt(32 ln2 m), clipped to [0, m]; the mass it
-    leaves out is below 2**-64 on each side.  The weights peak at 1.  A
-    certain outcome (p = 0 or 1) is a one-entry table.
+    leaves out is below 2**-64 on each side.  A certain outcome (p = 0 or
+    1) is a one-entry window.  A window of more than ``_MAX_TABLE_ENTRIES``
+    entries raises ``PreconditionError``, before anything is allocated.
     """
     if p <= 0.0 or p >= 1.0:
-        return (m if p >= 1.0 else 0), np.ones(1)
+        return (m, m) if p >= 1.0 else (0, 0)
     half = _WINDOW * math.sqrt(m)
     lo = max(0, math.floor(m * p - half))
     hi = min(m, math.ceil(m * p + half))
+    if hi - lo >= _MAX_TABLE_ENTRIES:
+        raise PreconditionError(
+            f"sampling Binomial({m}, {p!r}) needs a table of {hi - lo + 1} entries, "
+            f"more than {_MAX_TABLE_ENTRIES}; n_runs is too large to simulate"
+        )
+    return lo, hi
+
+
+def _binomial_table(m: int, p: float) -> tuple[int, np.ndarray]:
+    """Window start and unnormalized weights of the Binomial(m, p) pmf.
+
+    The window is ``_window(m, p)``; the weights peak at 1.
+    """
+    lo, hi = _window(m, p)
+    if lo == hi:
+        return lo, np.ones(1)
     k = np.arange(lo + 1, hi + 1)
     steps = np.log((m - k + 1) / k) + (math.log(p) - math.log1p(-p))
     log_pmf = np.concatenate(([0.0], np.cumsum(steps)))
     return lo, np.exp(log_pmf - log_pmf.max())
 
 
-def _binomial(rng, m: int, p: float, size: int) -> np.ndarray:
-    """``size`` Binomial(m, p) draws, each inverting the table's cdf with one uniform."""
+def _inversion_table(m: int, p: float, draws: int):
+    """Window start, normalized cdf and guide table of Binomial(m, p).
+
+    ``guide[j]`` is ``searchsorted(cdf, j / g, 'right')`` for g buckets,
+    the power of two at or above max(64, 4 min(K, draws)) for K entries;
+    ``draws``, the most draws taken at once, only sizes the guide, so the
+    guide never outgrows the block it serves.  A certain outcome has no
+    cdf and no guide.
+    """
     lo, weights = _binomial_table(m, p)
     if weights.size == 1:
-        # a certain outcome consumes no uniforms
-        return np.full(size, lo, dtype=np.int64)
+        return lo, None, None
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
-    return lo + np.searchsorted(cdf, rng.random(size), side="right")
+    g = 1 << (max(64, 4 * min(cdf.size, draws)) - 1).bit_length()
+    return lo, cdf, np.searchsorted(cdf, np.arange(g) / g, side="right")
+
+
+def _invert(rng, table, size: int) -> np.ndarray:
+    """``size`` draws from an ``_inversion_table``, one uniform each.
+
+    A uniform u in bucket j = floor(u g) starts at ``idx = guide[j]``, the
+    count of cdf entries <= j / g <= u.  If ``u < cdf[idx]`` that count is
+    also the count of entries <= u, so idx is ``searchsorted(cdf, u,
+    'right')``; the other draws go to that search.  Every index is the one
+    the plain search returns.
+    """
+    lo, cdf, guide = table
+    if cdf is None:
+        # a certain outcome consumes no uniforms
+        return np.full(size, lo, dtype=np.int64)
+    u = rng.random(size)
+    # u * g is exact: g is a power of two
+    idx = guide[(u * guide.size).astype(np.intp)]
+    missed = u >= cdf[idx]
+    idx[missed] = np.searchsorted(cdf, u[missed], side="right")
+    return lo + idx
+
+
+def _binomial(rng, m: int, p: float, size: int) -> np.ndarray:
+    """``size`` Binomial(m, p) draws from a table and guide built for them.
+
+    Each draw inverts the cdf with one uniform, through ``_invert``; the
+    results equal ``lo + searchsorted(cdf, u, 'right')`` for every u.
+    """
+    return _invert(rng, _inversion_table(m, p, size), size)
 
 
 def _pass_count_law(q: np.ndarray, m: int) -> tuple[int, np.ndarray]:
     """Window start and pmf of the sum of independent Binomial(m, q_i).
 
-    The a windowed tables are convolved in one FFT of power-of-two length;
-    rounding leaves entries off by about 1e-16 absolute, so negatives are
-    clipped to 0 and the result is renormalized.
+    The a windowed tables are convolved in one FFT of power-of-two length,
+    multiplied in state order.  States with equal q_i share one table, and
+    a state whose q_i equals the previous state's reuses its spectrum, so
+    at most one factor spectrum is held at a time.  Rounding leaves
+    entries off by about 1e-16 absolute, so negatives are clipped to 0 and
+    the result is renormalized.
     """
-    tables = [_binomial_table(m, qi) for qi in q.tolist()]
-    size = sum(weights.size for _, weights in tables) - len(tables) + 1
+    q = q.tolist()
+    tables = {qi: _binomial_table(m, qi) for qi in dict.fromkeys(q)}
+    size = sum(tables[qi][1].size for qi in q) - len(q) + 1
     n_fft = 1 << (size - 1).bit_length()
     spectrum = np.ones(n_fft // 2 + 1, dtype=complex)
-    for _, weights in tables:
-        spectrum *= np.fft.rfft(weights / weights.sum(), n_fft)
+    previous = factor = None
+    for qi in q:
+        if qi != previous:
+            factor = None  # released before the next one is allocated
+            weights = tables[qi][1]
+            factor = np.fft.rfft(weights / weights.sum(), n_fft)
+            previous = qi
+        spectrum *= factor
+    del factor  # and before the inverse FFT
     pmf = np.clip(np.fft.irfft(spectrum, n_fft)[:size], 0.0, None)
-    return sum(lo for lo, _ in tables), pmf / pmf.sum()
+    return sum(tables[qi][0] for qi in q), pmf / pmf.sum()
 
 
 def _total_histogram(cfg: SimConfig) -> tuple[int, np.ndarray]:
@@ -238,7 +322,7 @@ def _total_histogram(cfg: SimConfig) -> tuple[int, np.ndarray]:
     so one multinomial over the law's window, passed in ascending order of
     mass, replaces T draws.  Returns the window start and the counts over it.
     """
-    q = pass_probabilities(cfg.scenario.ensemble, cfg.scenario.povm)
+    q = cfg.scenario.pass_probabilities
     lo, pmf = _pass_count_law(q, cfg.n_runs // q.size)
     order = np.argsort(pmf, kind="stable")
     counts = np.empty(pmf.size, dtype=np.int64)
@@ -252,24 +336,40 @@ def _conditional(weights: np.ndarray) -> np.ndarray:
     return weights / total if total > 0 else weights
 
 
-def _draw_trials(rng, n_trials: int, n_runs: int, q: np.ndarray, priors=None):
+def _sampling_tables(scenario: Scenario, n_runs: int, draws: int, multinomial: bool) -> list:
+    """The inversion table of each Binomial law a trial draws, in draw order.
+
+    Under the fixed schedule that is one table per state, shared by the
+    states with equal q_i; under multinomial preparation, the one table
+    of Binomial(n_runs, F).  ``draws`` is the largest block to be drawn.
+    """
+    tables = {law: _inversion_table(*law, draws) for law in _laws(scenario, n_runs, multinomial)}
+    if multinomial:
+        return list(tables.values())
+    m = n_runs // scenario.ensemble.size
+    return [tables[m, qi] for qi in scenario.pass_probabilities.tolist()]
+
+
+def _draw_trials(rng, n_trials: int, n_runs: int, q: np.ndarray, tables: list, priors=None):
     """Passes per trial, and per-state prepared and passing counts summed.
 
-    Without ``priors`` every state is prepared ``n_runs / a`` times (the
-    fixed schedule) and state i's passes are Binomial(n_runs / a, q_i).
-    With them each run's state is drawn from the priors, so every run
-    passes with probability F = priors @ q and a trial's passes are
+    ``tables`` are the ``_sampling_tables`` of the configuration.  Without
+    ``priors`` every state is prepared ``n_runs / a`` times (the fixed
+    schedule) and state i's passes are Binomial(n_runs / a, q_i).  With
+    them each run's state is drawn from the priors, so every run passes
+    with probability F = priors @ q and a trial's passes are
     Binomial(n_runs, F).  Given the passes summed over the trials, their
     states are Multinomial(passes, priors * q / F) and the failures'
     states Multinomial(failures, priors * (1 - q) / (1 - F)).
     """
     if priors is None:
         per_state = n_runs // q.size
-        columns = [_binomial(rng, per_state, qi, n_trials) for qi in q.tolist()]
+        columns = [_invert(rng, table, n_trials) for table in tables]
         passed = np.array([column.sum() for column in columns], dtype=np.int64)
         prepared = np.full(q.size, per_state * n_trials, dtype=np.int64)
         return sum(columns), prepared, passed
-    passes = _binomial(rng, n_runs, float(priors @ q), n_trials)
+    (table,) = tables
+    passes = _invert(rng, table, n_trials)
     total = int(passes.sum())
     passed = rng.multinomial(total, _conditional(priors * q))
     failed = rng.multinomial(n_runs * n_trials - total, _conditional(priors * (1.0 - q)))
@@ -285,7 +385,7 @@ def _split_outcomes(rng, scenario: Scenario, prepared: np.ndarray, passed: np.nd
     multinomial in the summed count, so one draw per state covers any
     number of trials.
     """
-    table = verification_table(scenario.ensemble, scenario.povm)
+    table = scenario.verification_table
     total = table.sum(axis=1, keepdims=True)
     split = np.divide(table, total, out=np.zeros_like(table), where=total > 0)
     pass_counts = rng.multinomial(passed, split[:, :, 1])
@@ -305,8 +405,8 @@ def run_trial(
     the benchmark's tracer wraps it by name, so the API keeps it.
     """
     _check_schedule(scenario, n_runs)
-    q = pass_probabilities(scenario.ensemble, scenario.povm)
-    passes, prepared, passed = _draw_trials(rng, 1, n_runs, q)
+    q = scenario.pass_probabilities
+    passes, prepared, passed = _draw_trials(rng, 1, n_runs, q, _sampling_tables(scenario, n_runs, 1, False))
     outcomes, pass_counts = _split_outcomes(rng, scenario, prepared, passed)
     return TrialTally(prepared, outcomes, pass_counts), int(passes[0]) / n_runs
 
@@ -336,20 +436,24 @@ def run_experiment(cfg: SimConfig, threshold: float, workers: int = 1) -> SimRep
 
     Output is fully determined by ``cfg`` and ``threshold``.  ``workers``
     must be at least 1 and changes nothing: sampling runs on one thread.
-    Each block of trials is reduced to its pass-count histogram once drawn.
+    The sampling tables are built once, before any block is drawn, and
+    each block of trials is reduced to its pass-count histogram once drawn.
     """
     s_min = min_passes(threshold, cfg.n_runs)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    q = pass_probabilities(cfg.scenario.ensemble, cfg.scenario.povm)
+    q = cfg.scenario.pass_probabilities
     priors = cfg.scenario.ensemble.priors if cfg.multinomial_preparation else None
+    tables = _sampling_tables(
+        cfg.scenario, cfg.n_runs, min(_MAX_BLOCK_TRIALS, cfg.n_trials), cfg.multinomial_preparation
+    )
     prepared = np.zeros(q.size, dtype=np.int64)
     passed = np.zeros(q.size, dtype=np.int64)
     lo, counts = None, np.zeros(0, dtype=np.int64)
     for block, first in enumerate(range(0, cfg.n_trials, _MAX_BLOCK_TRIALS)):
         rng = stream(cfg.seed, subkey=cfg.n_runs, block=block)
         n = min(_MAX_BLOCK_TRIALS, cfg.n_trials - first)
-        block_passes, block_prepared, block_passed = _draw_trials(rng, n, cfg.n_runs, q, priors)
+        block_passes, block_prepared, block_passed = _draw_trials(rng, n, cfg.n_runs, q, tables, priors)
         prepared += block_prepared
         passed += block_passed
         # merge into the histogram so far; both span their observed range
@@ -394,7 +498,7 @@ def pass_count_distribution(scenario: Scenario, n_runs: int) -> np.ndarray:
             f"exact enumeration at n_runs={n_runs} exceeds the work budget; "
             "use the Monte Carlo simulator instead"
         )
-    q = pass_probabilities(scenario.ensemble, scenario.povm)
+    q = scenario.pass_probabilities
     power = functools.reduce(np.convolve, ([1.0 - qi, qi] for qi in q))
     dist = np.ones(1)
     rounds = n_runs // q.size
@@ -422,8 +526,9 @@ def lln_sweep(
 ) -> list[LlnRow]:
     """Deviation of the trial fidelity from its infinite-N value per N.
 
-    Every N in ``n_values`` must be a multiple of the ensemble size; the
-    whole ladder is validated before any point is sampled.  Each point
+    Every N in ``n_values`` must be a multiple of the ensemble size and
+    small enough to sample; the whole ladder is validated before any point
+    is sampled.  Each point
     draws the histogram of its trials' pass counts as one multinomial over
     the fixed-schedule law (``_total_histogram``) and reduces it, so its
     cost and memory grow like sqrt(N), whatever ``n_trials`` is.  The
@@ -437,7 +542,7 @@ def lln_sweep(
         SimConfig(scenario=scenario, n_runs=int(n_runs), n_trials=n_trials, seed=seed)
         for n_runs in n_values
     ]
-    f_th = classical_fidelity(scenario.ensemble, scenario.povm)
+    f_th = scenario.classical_fidelity
     rows = []
     for cfg in configs:
         fidelities, weights = _histogram_weights(*_total_histogram(cfg), cfg.n_runs)

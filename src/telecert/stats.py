@@ -30,9 +30,19 @@ def classical_fidelity(ensemble: Ensemble, povm: Povm) -> float:
     original state ``i`` with probability ``|<psi_i|psi_l>|^2``.  The
     returned value is the prior-weighted pass probability ``priors @ q``
     for the supplied measurement (no optimization over measurements is
-    performed).
+    performed).  ``Scenario.classical_fidelity`` holds the same value,
+    computed once per scenario.
     """
-    return float(ensemble.priors @ pass_probabilities(ensemble, povm))
+    return fidelity_from_pass_rates(ensemble.priors, pass_probabilities(ensemble, povm))
+
+
+def fidelity_from_pass_rates(priors, q) -> float:
+    """The prior-weighted pass probability ``priors @ q``.
+
+    The one formula behind ``classical_fidelity`` and
+    ``Scenario.classical_fidelity``.
+    """
+    return float(priors @ q)
 
 
 def mu_of(f_th_cla: float, a: int) -> float:
@@ -200,8 +210,7 @@ def scenario_bound_report(scenario, n_runs: int, f_target: float | None = None):
         )
     if f_target is None:
         f_target = scenario.target_fidelity
-    f = classical_fidelity(ensemble, scenario.povm)
-    return bound_report(f, f_target, ensemble.size, n_runs)
+    return bound_report(scenario.classical_fidelity, f_target, ensemble.size, n_runs)
 
 
 @dataclass(frozen=True)

@@ -465,6 +465,22 @@ class TestExitCodes:
         assert err.splitlines() == ["precondition error: out of memory: Unable to allocate 7.02 GiB"]
 
 
+    @pytest.mark.parametrize("verb", ["simulate", "lln"])
+    def test_oversized_tables_refused_before_sampling(self, capsys, monkeypatch, verb):
+        # N = 3e16 on trine would need a 7 GiB cdf table
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(simulator, "stream", no_sampling)
+        # the ladder's first point is small, so lln must check every point first
+        n = "30000000000000000" if verb == "simulate" else "60,30000000000000000"
+        got, out, err = run_cli(capsys, [verb, "--scenario", "trine", "--n", n, "--trials", "10"])
+        assert got == cli.EXIT_PRECONDITION
+        assert out == ""
+        assert err.startswith("precondition error: sampling Binomial(10000000000000000, ")
+        assert "n_runs is too large to simulate" in err
+
+
 class TestRepeatedRequests:
     """Requests in one process share a parser that carries nothing over."""
 

@@ -37,6 +37,21 @@ class TestSharedBuiltins:
         for array, old in zip(arrays, before):
             assert np.array_equal(array, old)
 
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize(
+        "array",
+        ["ensemble.states", "ensemble.priors", "povm.elements", "verification_table", "pass_probabilities"],
+    )
+    def test_shared_arrays_cannot_be_made_writable(self, name, array):
+        scenario = builtin_scenario(name)
+        owner, _, attr = array.rpartition(".")
+        shared = getattr(getattr(scenario, owner) if owner else scenario, attr)
+        with pytest.raises(ValueError):
+            shared.setflags(write=True)
+        with pytest.raises(ValueError):
+            shared[...].setflags(write=True)
+        assert not shared.flags.writeable
+
     def test_returned_dict_is_new(self):
         first = builtin_scenarios()
         del first["trine"]

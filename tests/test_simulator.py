@@ -114,6 +114,33 @@ def binomial_pmf(m, p):
     return np.exp(log_comb + k * math.log(p) + (m - k) * math.log1p(-p))
 
 
+def searchsorted_reference(m, p, u):
+    """Binomial(m, p) draws for the uniforms ``u`` by the plain cdf search."""
+    lo, weights = simulator._binomial_table(m, p)
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    return lo + np.searchsorted(cdf, u, side="right")
+
+
+class ChosenUniforms:
+    """A stand-in random stream whose ``random(size)`` hands out given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+        self.taken = 0
+
+    def random(self, size):
+        chunk = self.u[self.taken : self.taken + size]
+        assert chunk.size == size, "asked for more uniforms than were chosen"
+        self.taken += size
+        return chunk.copy()
+
+
+def guide_bound(entries, draws):
+    """The largest guide the sampler may build: 2**ceil(log2(max(64, 4 min(K, draws))))."""
+    return 2 ** math.ceil(math.log2(max(64, 4 * min(entries, draws))))
+
+
 class TestBinomialKernel:
     @pytest.mark.parametrize("m", [1, 7, 20, 200, 2000])
     @pytest.mark.parametrize("p", [1e-3, 0.02, 0.3, 0.5, 0.75, 0.7499999999999999, 0.999])
@@ -137,6 +164,55 @@ class TestBinomialKernel:
         rng = stream(0)
         assert np.array_equal(simulator._binomial(rng, m, 0.0, 5), np.zeros(5))
         assert np.array_equal(simulator._binomial(rng, m, 1.0, 5), np.full(5, m))
+
+    @pytest.mark.parametrize("block", [1, 7, 32768])
+    @pytest.mark.parametrize(
+        "m,p",
+        [(1, 0.5), (20, 0.75), (2000, 1e-3), (10**6, 0.3), (10**9, 0.7499999999999999)],
+        ids=["two-entries", "small", "tied-cdf", "m=1e6", "m=1e9"],
+    )
+    def test_guide_matches_the_plain_search(self, m, p, block):
+        # uniforms exactly at every bucket edge j/g and every cdf entry, one
+        # ulp below each, the extremes of [0, 1), and random ones, drawn in
+        # calls of ``block`` uniforms each
+        lo, cdf, guide = simulator._inversion_table(m, p, block)
+        g = guide.size
+        rng = np.random.default_rng(m + block)
+        edges = np.arange(g) / g
+        below = np.nextafter(np.concatenate((edges[1:], cdf[:-1])), 0.0)
+        chosen = np.concatenate((edges, cdf[:-1], below, [0.0, 1.0 - 2.0**-53], rng.random(1000)))
+        chosen = chosen[chosen < 1.0]  # tied entries reach 1 before the last one
+        calls = min(-(-chosen.size // block), 200 if cdf.size < 10**4 else 16)
+        if chosen.size > calls * block:
+            chosen = rng.choice(chosen, calls * block, replace=False)
+        chosen = np.concatenate((chosen, rng.random(calls * block - chosen.size)))
+        stub = ChosenUniforms(chosen)
+        got = np.concatenate([simulator._binomial(stub, m, p, block) for _ in range(calls)])
+        assert stub.taken == chosen.size
+        assert np.array_equal(got, searchsorted_reference(m, p, chosen))
+        assert g <= guide_bound(cdf.size, block)
+
+    def test_tied_cdf_entries_are_covered(self):
+        # underflowed weights leave runs of equal cdf entries at the top
+        _, cdf, _ = simulator._inversion_table(2000, 1e-3, 7)
+        assert np.count_nonzero(np.diff(cdf) == 0.0) > 10
+
+    @pytest.mark.parametrize("m", [1, 4, 20, 2000, 10**6, 10**9])
+    @pytest.mark.parametrize("draws", [1, 7, 100, 32768, 10**6])
+    def test_guide_stays_within_its_bound(self, m, draws):
+        _, cdf, guide = simulator._inversion_table(m, 0.3, draws)
+        assert guide.size & (guide.size - 1) == 0
+        assert 4 * min(cdf.size, draws) <= guide.size <= guide_bound(cdf.size, draws)
+        assert guide.size >= 64
+
+    def test_oversized_table_refused_before_allocation(self):
+        # 3e16 runs on trine would need a 9.4e8-entry table (7 GiB)
+        with pytest.raises(PreconditionError, match="too large"):
+            simulator._binomial_table(10**16, 0.75)
+        lo, hi = simulator._window(10**9, 0.75)
+        assert hi - lo < simulator._MAX_TABLE_ENTRIES
+        lo, hi = simulator._window(10**16, 1.0)
+        assert lo == hi == 10**16
 
     def test_memory_stays_bounded_at_huge_n(self):
         # the cdf table spans O(sqrt(N / a)) entries, about 3e5 here
@@ -215,7 +291,8 @@ class TestRunExperiment:
         exceeding = 0
         for block, n in blocks:
             rng = stream(15, subkey=n_runs, block=block)
-            passes, _, _ = simulator._draw_trials(rng, n, n_runs, q)
+            # one Binomial column per state, in state order
+            passes = sum(simulator._binomial(rng, n_runs // 3, qi, n) for qi in q.tolist())
             expected += np.bincount(passes, minlength=n_runs + 1)
             exceeding += np.count_nonzero(passes / n_runs >= threshold)
         hist = report.pass_count_histogram
@@ -374,6 +451,138 @@ class TestRunExperiment:
         dist = pass_count_distribution(scenario, n_runs)
         se = np.sqrt(n_trials * dist * (1 - dist))
         assert np.all(np.abs(hist - n_trials * dist) <= 5 * se)
+
+
+def nonuniform_trine():
+    ens = ensembles.Ensemble(ensembles.trine().states, np.array([0.5, 0.3, 0.2]))
+    return custom_scenario(ens, target_fidelity=1.0)
+
+
+#: Seeded ``run_experiment`` reports recorded with numpy 2.4.6, threshold
+#: 0.8: (scenario, N, trials, seed, multinomial) -> histogram offset and
+#: counts, prepared counts, outcome counts and pass counts.
+PINNED_REPORTS = {
+    "trine": (
+        ("trine", 60, 3000, 101, False),
+        33,
+        [2, 2, 13, 14, 37, 52, 69, 121, 163, 246, 290, 307, 381, 355, 306, 207, 190, 112, 77, 31, 18, 4, 2, 0, 1],
+        [60000, 60000, 60000],
+        [[39918, 10086, 9996], [10131, 39971, 9898], [10116, 10189, 39695]],
+        [[39918, 2497, 2473], [2482, 39971, 2470], [2520, 2515, 39695]],
+    ),
+    "qutrit-mubs": (
+        ("qutrit-mubs", 24, 2000, 102, False),
+        3,
+        [1, 0, 4, 18, 39, 95, 153, 233, 285, 299, 306, 234, 163, 92, 57, 15, 4, 2],
+        [4000] * 12,
+        [
+            [976, 0, 0, 328, 343, 320, 333, 327, 372, 338, 349, 314],
+            [0, 962, 0, 352, 304, 322, 351, 333, 345, 363, 364, 304],
+            [0, 0, 1018, 330, 324, 332, 333, 348, 329, 283, 352, 351],
+            [310, 328, 337, 1002, 0, 0, 355, 328, 327, 356, 326, 331],
+            [342, 337, 300, 0, 1022, 0, 361, 326, 345, 329, 294, 344],
+            [328, 341, 319, 0, 0, 1064, 306, 324, 312, 344, 333, 329],
+            [344, 341, 346, 299, 344, 325, 1024, 0, 0, 301, 318, 358],
+            [316, 342, 308, 363, 326, 322, 0, 996, 0, 355, 315, 357],
+            [332, 333, 323, 307, 339, 371, 0, 0, 991, 340, 326, 338],
+            [333, 351, 310, 303, 342, 364, 315, 327, 332, 1023, 0, 0],
+            [334, 341, 335, 335, 338, 315, 314, 343, 357, 0, 988, 0],
+            [340, 349, 339, 352, 313, 346, 328, 340, 340, 0, 0, 953],
+        ],
+        [
+            [976, 0, 0, 116, 110, 106, 107, 105, 126, 122, 113, 105],
+            [0, 962, 0, 119, 111, 110, 125, 107, 99, 122, 122, 110],
+            [0, 0, 1018, 132, 116, 106, 98, 121, 105, 89, 117, 123],
+            [112, 99, 113, 1002, 0, 0, 109, 121, 93, 118, 102, 103],
+            [127, 110, 94, 0, 1022, 0, 120, 119, 120, 115, 118, 111],
+            [107, 109, 106, 0, 0, 1064, 108, 97, 120, 108, 108, 96],
+            [120, 116, 122, 93, 122, 105, 1024, 0, 0, 98, 98, 117],
+            [98, 135, 105, 128, 112, 124, 0, 996, 0, 122, 113, 110],
+            [116, 106, 99, 89, 119, 133, 0, 0, 991, 109, 94, 134],
+            [120, 137, 112, 108, 109, 111, 97, 105, 101, 1023, 0, 0],
+            [108, 113, 113, 119, 110, 119, 126, 98, 114, 0, 988, 0],
+            [115, 130, 117, 125, 90, 123, 100, 122, 117, 0, 0, 953],
+        ],
+    ),
+    "multinomial": (
+        ("nonuniform-trine", 30, 2000, 103, True),
+        14,
+        [1, 2, 6, 12, 28, 70, 97, 192, 287, 314, 356, 271, 205, 114, 36, 9],
+        [29988, 18030, 11982],
+        [[24077, 3019, 2892], [3028, 12015, 2987], [2806, 2966, 6210]],
+        [[24077, 731, 686], [782, 12015, 779], [666, 736, 6210]],
+    ),
+    "three-blocks": (
+        ("trine", 12, 70000, 104, False),
+        3,
+        [25, 164, 790, 2791, 7263, 13810, 18013, 16016, 8887, 2241],
+        [280000, 280000, 280000],
+        [[186546, 46870, 46584], [46742, 186586, 46672], [46769, 46586, 186645]],
+        [[186546, 11511, 11607], [11776, 186586, 11672], [11757, 11574, 186645]],
+    ),
+}
+
+
+class TestPinnedDraws:
+    """Seeded reports stay the same draw for draw.
+
+    numpy does not promise the same ``Generator`` streams across versions
+    (NEP 19), so a failure on another numpy says that seeded documents
+    differ there; on the recorded version it says the sampler changed.
+    """
+
+    @pytest.mark.parametrize("case", list(PINNED_REPORTS))
+    def test_run_experiment_matches_the_recorded_draws(self, case):
+        (name, n_runs, n_trials, seed, multinomial), offset, counts, prepared, outcomes, passes = PINNED_REPORTS[case]
+        scenario = nonuniform_trine() if name == "nonuniform-trine" else builtin_scenarios()[name]
+        cfg = SimConfig(scenario, n_runs, n_trials, seed, multinomial_preparation=multinomial)
+        report = run_experiment(cfg, threshold=0.8)
+        assert report.pass_count_offset == offset
+        assert report.pass_count_histogram.tolist() == counts
+        assert report.prepared_counts.tolist() == prepared
+        assert report.outcome_counts.tolist() == outcomes
+        assert report.pass_counts.tolist() == passes
+
+
+class TestDerivedOnce:
+    """A scenario computes its verification table once, whatever uses it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from telecert import discrimination, scenarios
+
+        seen = []
+        original = discrimination.verification_table
+
+        def counted(ensemble, povm):
+            seen.append(ensemble)
+            return original(ensemble, povm)
+
+        monkeypatch.setattr(discrimination, "verification_table", counted)
+        monkeypatch.setattr(scenarios, "verification_table", counted)
+        return seen
+
+    def test_one_table_per_scenario_over_a_simulate_and_a_ladder(self, calls, monkeypatch, capsys):
+        from telecert import cli, scenarios
+
+        fresh = scenarios.trine_scenario()
+        monkeypatch.setattr(cli, "builtin_scenario", lambda name: fresh)
+        ladder = "60,129,279,600,1293,2787,6000"
+        assert cli.main(["simulate", "--scenario", "trine", "--n", "60", "--trials", "3000"]) == 0
+        assert cli.main(["lln", "--scenario", "trine", "--n", ladder, "--trials", "3000"]) == 0
+        assert cli.main(["bounds", "--scenario", "trine", "--n", "60"]) == 0
+        capsys.readouterr()
+        assert calls == [fresh.ensemble]
+
+    def test_nothing_is_shared_across_scenarios(self, calls):
+        from telecert.scenarios import helstrom_scenario
+
+        for theta in (0.5, 0.5, 1.0):
+            scenario = helstrom_scenario(theta)
+            run_experiment(SimConfig(scenario, 10, 100, seed=1), threshold=0.9)
+            lln_sweep(scenario, [10, 20], 100, seed=1)
+        assert len(calls) == 3
+        assert len({id(ensemble) for ensemble in calls}) == 3
 
 
 class TestExactOracle:
