@@ -10,6 +10,7 @@ fixed-schedule simulator only accept uniform ones.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -56,6 +57,13 @@ class Ensemble:
             raise ValueError(
                 f"priors shape {priors.shape} does not match {states.shape[0]} states"
             )
+        bad = ~np.isfinite(states).all(axis=1)
+        if bad.any():
+            raise StateNormalizationError(
+                f"state {int(np.argmax(bad))} has a non-finite amplitude"
+            )
+        if not np.isfinite(priors).all():
+            raise PriorSumError(f"priors must be finite, got {priors.tolist()!r}")
         norms = np.linalg.norm(states, axis=1)
         if np.max(np.abs(norms - 1.0)) > NORM_TOL:
             worst = int(np.argmax(np.abs(norms - 1.0)))
@@ -83,6 +91,11 @@ class Ensemble:
 
     def has_uniform_priors(self) -> bool:
         """Whether every prior is within ``UNIFORM_PRIOR_TOL`` of ``1/a``."""
+        return self._uniform_priors
+
+    @functools.cached_property
+    def _uniform_priors(self) -> bool:
+        # computed on first use and kept, like a scenario's derived values
         return bool(np.max(np.abs(self.priors - 1.0 / self.size)) <= UNIFORM_PRIOR_TOL)
 
     def overlap_matrix(self) -> np.ndarray:
@@ -183,12 +196,29 @@ def helstrom_pair(theta: float) -> Ensemble:
     return Ensemble(states, _uniform(2), name="helstrom-pair")
 
 
+def _finite(x) -> float | None:
+    """``x`` as a float if it is a finite number; None for anything else.
+
+    A bool is not a number here, although Python counts it as an int, and
+    an int too large for a float is not finite.
+    """
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return None
+    try:
+        x = float(x)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
+
+
 def load_ensemble(document) -> Ensemble:
     """Build an Ensemble from a JSON document (text or parsed mapping).
 
     Expected fields: ``dim`` (int), ``states`` (list of states, each a list
     of ``[re, im]`` amplitude pairs), optional ``priors`` (list of reals,
-    default uniform) and optional ``name``.  States within ``LOAD_TOL`` of
+    default uniform) and optional ``name``.  Every amplitude part and prior
+    must be a finite number, and ``true``/``false`` are not numbers; both
+    are checked before any arithmetic.  States within ``LOAD_TOL`` of
     unit norm are accepted and renormalized exactly; likewise priors whose
     sum is within ``LOAD_TOL`` of one.
     """
@@ -208,27 +238,29 @@ def load_ensemble(document) -> Ensemble:
         raw_states = document["states"]
     except KeyError as exc:
         raise EnsembleFormatError(f"missing required field {exc}") from exc
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise EnsembleFormatError(f"dim must be a positive integer, got {dim!r}")
     if not isinstance(raw_states, list) or len(raw_states) < 2:
         raise EnsembleFormatError("states must be a list of at least two states")
 
-    states = np.zeros((len(raw_states), dim), dtype=complex)
+    # Every row is checked against dim before the (a, dim) array exists.
+    rows = []
     for i, row in enumerate(raw_states):
         if not isinstance(row, list) or len(row) != dim:
             raise EnsembleFormatError(
                 f"state {i} must be a list of {dim} amplitude pairs"
             )
+        amps = []
         for j, amp in enumerate(row):
-            if (
-                not isinstance(amp, list)
-                or len(amp) != 2
-                or not all(isinstance(x, (int, float)) for x in amp)
-            ):
+            parts = [_finite(x) for x in amp] if isinstance(amp, list) else []
+            if len(parts) != 2 or None in parts:
                 raise EnsembleFormatError(
-                    f"state {i}, amplitude {j}: expected [re, im], got {amp!r}"
+                    f"state {i}, amplitude {j}: expected [re, im] of finite "
+                    f"numbers, got {amp!r}"
                 )
-            states[i, j] = complex(amp[0], amp[1])
+            amps.append(complex(*parts))
+        rows.append(amps)
+    states = np.array(rows, dtype=complex)
 
     norms = np.linalg.norm(states, axis=1)
     off = np.abs(norms - 1.0)
@@ -244,15 +276,16 @@ def load_ensemble(document) -> Ensemble:
     if raw_priors is None:
         priors = _uniform(len(raw_states))
     else:
-        if not isinstance(raw_priors, list) or not all(
-            isinstance(p, (int, float)) for p in raw_priors
-        ):
-            raise EnsembleFormatError("priors must be a list of numbers")
-        if len(raw_priors) != len(raw_states):
+        values = [_finite(p) for p in raw_priors] if isinstance(raw_priors, list) else [None]
+        if None in values:
             raise EnsembleFormatError(
-                f"got {len(raw_priors)} priors for {len(raw_states)} states"
+                f"priors must be a list of finite numbers, got {raw_priors!r}"
             )
-        priors = np.asarray(raw_priors, dtype=float)
+        if len(values) != len(raw_states):
+            raise EnsembleFormatError(
+                f"got {len(values)} priors for {len(raw_states)} states"
+            )
+        priors = np.array(values)
         if np.any(priors < 0.0):
             raise PriorSumError("priors must be nonnegative")
         total = float(priors.sum())

@@ -3,6 +3,12 @@
 Every document written to disk embeds the manifest of the command that
 produced it.  Numbers are rendered with shortest round-trip precision so
 structured output carries full double precision.
+
+A records document is byte for byte ``json.dumps(doc, indent=2) + "\n"``.
+``json`` renders an indented document with its pure-Python encoder, so
+``_render`` writes the values documents hold itself (dicts with string
+keys, lists, strings, ints, finite floats, ``None`` and bools) and hands
+everything else to ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -10,8 +16,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import platform
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -60,7 +67,7 @@ def make_manifest(
         python=platform.python_version(),
         numpy=np.__version__,
         platform=platform.platform(),
-        bit_generator=type(simulator.stream(0).bit_generator).__name__,
+        bit_generator=simulator.BIT_GENERATOR,
         sampler=sampler,
     )
 
@@ -115,8 +122,46 @@ def _manifest_comment_lines(manifest: RunManifest) -> list[str]:
     return lines
 
 
+_MANIFEST_FIELDS = tuple(field.name for field in fields(RunManifest))
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _render(value, pad: str) -> str:
+    """``json.dumps(value, indent=2)`` for a value nested at indent ``pad``.
+
+    An all-int list is written with one join.  Any other value, and any
+    empty container, goes to ``json.dumps`` with its newlines indented by
+    ``pad``; that is exact because a JSON string holds no raw newline.
+    """
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    inner = pad + "  "
+    if kind is list and value:
+        if set(map(type, value)) == {int}:
+            items = map(str, value)
+        else:
+            items = [_render(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if kind is dict and value and set(map(type, value)) == {str}:
+        items = [_encode_str(k) + ": " + _render(v, inner) for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
 def records_document(manifest: RunManifest, payload: dict) -> str:
-    return json.dumps({"manifest": asdict(manifest), **payload}, indent=2) + "\n"
+    """``json.dumps({"manifest": ..., **payload}, indent=2) + "\\n"``, byte for byte."""
+    head = {name: getattr(manifest, name) for name in _MANIFEST_FIELDS}
+    return _render({"manifest": head, **payload}, "") + "\n"
 
 
 def csv_document(manifest: RunManifest, headers: list[str], rows: list[list]) -> str:

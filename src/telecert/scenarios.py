@@ -47,10 +47,11 @@ class Scenario:
     """An ensemble, the strategy measuring it, and the target to certify.
 
     The values every request derives from the ensemble and the POVM,
-    ``verification_table``, ``pass_probabilities`` (q) and
-    ``classical_fidelity``, are computed on first use and kept, so a
-    scenario computes its verification table at most once.  The arrays sit
-    on immutable buffers like the ensemble's.
+    ``verification_table``, ``pass_probabilities`` (q),
+    ``classical_fidelity``, ``outcome_split`` and ``round_pass_law``, are
+    computed on first use and kept, so a scenario computes each at most
+    once, whatever N, trial count, seed or threshold a request asks for.
+    The arrays sit on immutable buffers like the ensemble's.
     """
 
     name: str
@@ -85,6 +86,25 @@ class Scenario:
     def classical_fidelity(self) -> float:
         """``stats.classical_fidelity`` of the ensemble and the POVM."""
         return fidelity_from_pass_rates(self.ensemble.priors, self.pass_probabilities)
+
+    @functools.cached_property
+    def outcome_split(self) -> np.ndarray:
+        """Outcome law of a run given its state and its verification result.
+
+        ``outcome_split[v, i, k]`` is the share of state i's runs with
+        verification result v (0 fail, 1 pass) that gave outcome k: the
+        verification table normalized over outcomes, all zeros where state
+        i never gives result v.
+        """
+        table = self.verification_table
+        total = table.sum(axis=1, keepdims=True)
+        split = np.divide(table, total, out=np.zeros_like(table), where=total > 0)
+        return frozen(np.moveaxis(split, 2, 0))
+
+    @functools.cached_property
+    def round_pass_law(self) -> np.ndarray:
+        """Pass-count law of one round, one run per state: ``[1 - q_i, q_i]`` convolved."""
+        return frozen(functools.reduce(np.convolve, ([1.0 - qi, qi] for qi in self.pass_probabilities)))
 
 
 def trine_scenario() -> Scenario:

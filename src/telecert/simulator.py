@@ -22,7 +22,8 @@ draw through a guide table that returns the index ``searchsorted`` would,
 so the draws are those of the plain search.  ``run_experiment`` builds one
 such table per distinct (m, q_i) before sampling and reuses it for every
 state and every block of trials that draws from that law; the scenario
-supplies q and the verification table, computed once per scenario.
+supplies q, the outcome split and the one-round law of the exact oracle,
+each computed once per scenario.
 Both samplers keep only histograms of the trials' pass counts:
 ``run_experiment`` reduces each block of trials as it is drawn, and
 ``lln_sweep`` draws a point's histogram as one multinomial over the law of
@@ -39,7 +40,6 @@ convolution, covering small N without sampling.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
 
@@ -188,6 +188,11 @@ class LlnRow:
     mean_fidelity: float
     mean_abs_deviation: float
     rms_deviation: float
+
+
+#: Name of the bit generator ``stream`` builds, for run manifests; read off
+#: the class, so naming it builds no generator.
+BIT_GENERATOR = np.random.Philox.__name__
 
 
 def stream(seed: int, subkey: int = 0, block: int = 0) -> np.random.Generator:
@@ -385,11 +390,9 @@ def _split_outcomes(rng, scenario: Scenario, prepared: np.ndarray, passed: np.nd
     multinomial in the summed count, so one draw per state covers any
     number of trials.
     """
-    table = scenario.verification_table
-    total = table.sum(axis=1, keepdims=True)
-    split = np.divide(table, total, out=np.zeros_like(table), where=total > 0)
-    pass_counts = rng.multinomial(passed, split[:, :, 1])
-    failing = rng.multinomial(prepared - passed, split[:, :, 0])
+    fail_split, pass_split = scenario.outcome_split
+    pass_counts = rng.multinomial(passed, pass_split)
+    failing = rng.multinomial(prepared - passed, fail_split)
     return pass_counts + failing, pass_counts
 
 
@@ -486,10 +489,9 @@ def pass_count_distribution(scenario: Scenario, n_runs: int) -> np.ndarray:
     """Exact distribution of the number of passing runs in a trial.
 
     Under the fixed schedule the pass count is a sum of independent
-    Binomial(n_runs / a, q_i), the law the sampler draws.  One round (one
-    run per state) has the pass-count law of ``a`` Bernoulli(q_i) factors;
-    the trial's law is its (n_runs / a)-th convolution power, formed by
-    repeated squaring.  Beyond the work budget a ``BudgetExceededError``
+    Binomial(n_runs / a, q_i), the law the sampler draws.  The trial's law
+    is the (n_runs / a)-th convolution power of the scenario's
+    ``round_pass_law`` (one run per state), formed by repeated squaring.  Beyond the work budget a ``BudgetExceededError``
     points the caller at the Monte Carlo path.
     """
     _check_schedule(scenario, n_runs)
@@ -498,10 +500,9 @@ def pass_count_distribution(scenario: Scenario, n_runs: int) -> np.ndarray:
             f"exact enumeration at n_runs={n_runs} exceeds the work budget; "
             "use the Monte Carlo simulator instead"
         )
-    q = scenario.pass_probabilities
-    power = functools.reduce(np.convolve, ([1.0 - qi, qi] for qi in q))
+    power = scenario.round_pass_law
     dist = np.ones(1)
-    rounds = n_runs // q.size
+    rounds = n_runs // scenario.ensemble.size
     while True:
         if rounds & 1:
             dist = np.convolve(dist, power)

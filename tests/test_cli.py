@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import platform
 import subprocess
@@ -583,11 +584,64 @@ class TestManifest:
         assert f"# sampler: {simulator.SAMPLER}" not in comments
 
 
+class TestRecordsBytes:
+    """Every verb's records document is byte for byte ``json.dumps(doc, indent=2)``."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scenarios"],
+            BOUNDS + ["--n", "12,120,1200"],
+            SIMULATE,
+            ["simulate", "--scenario", "qutrit-mubs", "--n", "600", "--trials", "3000", "--seed", "7"],
+            SIMULATE + ["--threshold", "0.5"],  # no bound: a note instead
+            ["simulate", "--scenario", "helstrom", "--n", "4472", "--trials", "100"],  # no exact value
+            HYPOTHESIS + ["--sigma", "0.3", "--n", "10,100"],
+            LLN + ["--n", "60,129,279,600,1293,2787,6000"],
+            LLN,  # one point: no slope
+            ["ensemble", "validate"],
+        ],
+        ids=["scenarios", "bounds", "simulate", "simulate-qutrit", "simulate-no-bound",
+             "simulate-no-exact", "hypothesis", "lln", "lln-one-point", "ensemble-validate"],
+    )
+    def test_records_are_json_dumps_indent_2(self, capsys, tmp_path, argv):
+        if argv[0] == "ensemble":
+            path = tmp_path / "ensemble.json"
+            doc = {"dim": 2, "states": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], "priors": [0.25, 0.75],
+                   "name": "paar-é-中-😀"}
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            argv = argv + [str(path)]
+        code, out, _ = run_cli(capsys, argv + ["--format", "records"])
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 class TestEnsembleValidate:
     def _write(self, tmp_path, doc):
         path = tmp_path / "ensemble.json"
         path.write_text(json.dumps(doc))
         return str(path)
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"dim": 2, "states": [[[math.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, "finite"),
+            ({"dim": 2, "states": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, -math.inf]]]}, "finite"),
+            ({"dim": 2, "states": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+              "priors": [math.nan, 0.5]}, "finite"),
+            ({"dim": True, "states": [[[1.0, 0.0]], [[0.0, 1.0]]]}, "dim"),
+            ({"dim": 1, "states": [[[True, 0]], [[0.0, 1.0]]]}, "finite numbers"),
+            ({"dim": 1, "states": [[[1.0, 0.0]], [[0.0, 1.0]]], "priors": [True, False]}, "priors"),
+            ({"dim": 10**12, "states": [[[1.0, 0.0]], [[0.0, 1.0]]]}, "amplitude pairs"),
+        ],
+        ids=["nan-amplitude", "inf-amplitude", "nan-prior", "bool-dim", "bool-amplitude",
+             "bool-priors", "absurd-dim"],
+    )
+    def test_rejected_with_exit_2_and_empty_stdout(self, capsys, tmp_path, doc, message):
+        code, out, err = run_cli(capsys, ["ensemble", "validate", self._write(tmp_path, doc)])
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("validation error: ") and message in err
 
     def test_valid_document(self, capsys, tmp_path):
         path = self._write(

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,54 @@ class TestLoadEnsemble:
         with pytest.raises(EnsembleFormatError):
             ensembles.load_ensemble(doc)
 
+    @pytest.mark.parametrize(
+        "states,priors",
+        [
+            ([[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], None),
+            ([[[1.0, 0.0], [0.0, float("inf")]], [[0.0, 0.0], [1.0, 0.0]]], None),
+            ([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-float("inf"), 0.0]]], None),
+            ([[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]], None),  # no float holds it
+            ([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], [float("nan"), 0.5]),
+            ([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], [float("inf"), 0.0]),
+            ([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], [10**400, 0]),
+        ],
+        ids=["nan-re", "inf-im", "minus-inf-re", "huge-int", "nan-prior", "inf-prior", "huge-int-prior"],
+    )
+    def test_non_finite_values_rejected_before_arithmetic(self, states, priors):
+        doc = {"dim": 2, "states": states}
+        if priors is not None:
+            doc["priors"] = priors
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning from NaN arithmetic
+            with pytest.raises(EnsembleFormatError, match="finite"):
+                ensembles.load_ensemble(doc)
+            with pytest.raises(EnsembleFormatError, match="finite"):
+                ensembles.load_ensemble(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"dim": True, "states": [[[1, 0]], [[0, 1]]]},
+            {"dim": 1, "states": [[[True, 0]], [[0, 1]]]},
+            {"dim": 1, "states": [[[1, 0]], [[0, False]]]},
+            {"dim": 1, "states": [[[1, 0]], [[0, 1]]], "priors": [True, False]},
+            {"dim": 1, "states": [[[1, 0]], [[0, 1]]], "priors": [0.5, True]},
+        ],
+        ids=["dim", "re", "im", "priors", "one-prior"],
+    )
+    def test_booleans_are_not_numbers(self, doc):
+        with pytest.raises(EnsembleFormatError):
+            ensembles.load_ensemble(json.dumps(doc))
+
+    def test_absurd_dim_refused_before_allocation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before checking the rows")
+
+        monkeypatch.setattr(ensembles.np, "zeros", refuse)
+        doc = {"dim": 10**12, "states": [[[1, 0]], [[0, 1]]]}
+        with pytest.raises(EnsembleFormatError, match="amplitude pairs"):
+            ensembles.load_ensemble(json.dumps(doc))
+
     def test_small_norm_error_is_renormalized(self):
         amp = 1.0 + 5e-7  # inside the load tolerance
         doc = {
@@ -199,3 +248,17 @@ def test_direct_construction_enforces_invariants():
         ensembles.Ensemble(good[:1], np.array([1.0]))
     with pytest.raises(ValueError, match="priors shape"):
         ensembles.Ensemble(good, np.array([1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_direct_construction_rejects_non_finite_values(bad):
+    good = np.array([[1, 0], [0, 1]], complex)
+    states = good.copy()
+    states[1, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateNormalizationError, match="state 1 has a non-finite"):
+            ensembles.Ensemble(states, np.array([0.5, 0.5]))
+        if np.isreal(bad):
+            with pytest.raises(PriorSumError, match="finite"):
+                ensembles.Ensemble(good, np.array([bad.real, 0.5]))

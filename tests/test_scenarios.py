@@ -40,7 +40,10 @@ class TestSharedBuiltins:
     @pytest.mark.parametrize("name", NAMES)
     @pytest.mark.parametrize(
         "array",
-        ["ensemble.states", "ensemble.priors", "povm.elements", "verification_table", "pass_probabilities"],
+        [
+            "ensemble.states", "ensemble.priors", "povm.elements", "verification_table",
+            "pass_probabilities", "outcome_split", "round_pass_law",
+        ],
     )
     def test_shared_arrays_cannot_be_made_writable(self, name, array):
         scenario = builtin_scenario(name)
@@ -65,3 +68,26 @@ class TestSharedBuiltins:
         with pytest.raises(KeyError):
             builtin_scenario("nope")
         assert builtin_scenario.cache_info().currsize <= len(NAMES)
+
+
+class TestDerivedValues:
+    @pytest.mark.parametrize("name", NAMES)
+    def test_outcome_split_normalizes_the_table_per_result(self, name):
+        scenario = builtin_scenario(name)
+        table = scenario.verification_table
+        split = scenario.outcome_split
+        assert split.shape == (2,) + table.shape[:2]
+        for v in (0, 1):
+            total = table[:, :, v].sum(axis=1, keepdims=True)
+            want = np.divide(table[:, :, v], total, out=np.zeros_like(table[:, :, v]), where=total > 0)
+            np.testing.assert_allclose(split[v], want, rtol=1e-15, atol=0)
+            np.testing.assert_allclose(split[v].sum(axis=1), np.where(total[:, 0] > 0, 1.0, 0.0), rtol=1e-14)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_round_pass_law_is_one_run_per_state(self, name):
+        scenario = builtin_scenario(name)
+        law = np.ones(1)
+        for qi in scenario.pass_probabilities:
+            law = np.convolve(law, [1.0 - qi, qi])
+        assert law.shape == scenario.round_pass_law.shape
+        np.testing.assert_allclose(scenario.round_pass_law, law, rtol=0, atol=1e-15)

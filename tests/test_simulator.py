@@ -545,34 +545,59 @@ class TestPinnedDraws:
 
 
 class TestDerivedOnce:
-    """A scenario computes its verification table once, whatever uses it."""
+    """A scenario computes each of its derived values once, whatever uses it."""
+
+    #: (class, cached property) of every value derived once per scenario or
+    #: ensemble besides the verification table.
+    PROPERTIES = [
+        ("Scenario", "outcome_split"),
+        ("Scenario", "round_pass_law"),
+        ("Ensemble", "_uniform_priors"),
+    ]
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        """Instances each derived value was computed for, keyed by value."""
         from telecert import discrimination, scenarios
 
-        seen = []
+        seen = {"verification_table": []}
         original = discrimination.verification_table
 
         def counted(ensemble, povm):
-            seen.append(ensemble)
+            seen["verification_table"].append(ensemble)
             return original(ensemble, povm)
 
         monkeypatch.setattr(discrimination, "verification_table", counted)
         monkeypatch.setattr(scenarios, "verification_table", counted)
+        owners = {"Scenario": scenarios.Scenario, "Ensemble": ensembles.Ensemble}
+        for owner, name in self.PROPERTIES:
+            prop = vars(owners[owner])[name]
+            seen[name] = []
+
+            def counted_property(instance, func=prop.func, log=seen[name]):
+                log.append(instance)
+                return func(instance)
+
+            monkeypatch.setattr(prop, "func", counted_property)
         return seen
 
-    def test_one_table_per_scenario_over_a_simulate_and_a_ladder(self, calls, monkeypatch, capsys):
+    def test_one_table_per_scenario_over_simulates_and_a_ladder(self, calls, monkeypatch, capsys):
         from telecert import cli, scenarios
 
         fresh = scenarios.trine_scenario()
         monkeypatch.setattr(cli, "builtin_scenario", lambda name: fresh)
         ladder = "60,129,279,600,1293,2787,6000"
-        assert cli.main(["simulate", "--scenario", "trine", "--n", "60", "--trials", "3000"]) == 0
+        for n in ("60", "120"):  # a second request would recompute an uncached value
+            assert cli.main(["simulate", "--scenario", "trine", "--n", n, "--trials", "3000"]) == 0
         assert cli.main(["lln", "--scenario", "trine", "--n", ladder, "--trials", "3000"]) == 0
         assert cli.main(["bounds", "--scenario", "trine", "--n", "60"]) == 0
         capsys.readouterr()
-        assert calls == [fresh.ensemble]
+        assert calls == {
+            "verification_table": [fresh.ensemble],
+            "outcome_split": [fresh],
+            "round_pass_law": [fresh],
+            "_uniform_priors": [fresh.ensemble],
+        }
 
     def test_nothing_is_shared_across_scenarios(self, calls):
         from telecert.scenarios import helstrom_scenario
@@ -580,9 +605,11 @@ class TestDerivedOnce:
         for theta in (0.5, 0.5, 1.0):
             scenario = helstrom_scenario(theta)
             run_experiment(SimConfig(scenario, 10, 100, seed=1), threshold=0.9)
+            exact_exceedance(scenario, 10, 0.9)
             lln_sweep(scenario, [10, 20], 100, seed=1)
-        assert len(calls) == 3
-        assert len({id(ensemble) for ensemble in calls}) == 3
+        for name, seen in calls.items():
+            assert len(seen) == 3, name
+            assert len({id(instance) for instance in seen}) == 3, name
 
 
 class TestExactOracle:
