@@ -95,7 +95,7 @@ class Ensemble:
 
     @functools.cached_property
     def _uniform_priors(self) -> bool:
-        # computed on first use and kept, like a scenario's derived values
+        """``has_uniform_priors()``, computed on first use and kept."""
         return bool(np.max(np.abs(self.priors - 1.0 / self.size)) <= UNIFORM_PRIOR_TOL)
 
     def overlap_matrix(self) -> np.ndarray:

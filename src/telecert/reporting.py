@@ -138,9 +138,9 @@ def _render(value, pad: str) -> str:
     if kind is str:
         return _encode_str(value)
     if kind is int:
-        return int.__repr__(value)
+        return str(value)
     if kind is float and math.isfinite(value):
-        return float.__repr__(value)
+        return repr(value)
     if value is None:
         return "null"
     if kind is bool:

@@ -104,7 +104,8 @@ class Scenario:
     @functools.cached_property
     def round_pass_law(self) -> np.ndarray:
         """Pass-count law of one round, one run per state: ``[1 - q_i, q_i]`` convolved."""
-        return frozen(functools.reduce(np.convolve, ([1.0 - qi, qi] for qi in self.pass_probabilities)))
+        factors = ([1.0 - qi, qi] for qi in self.pass_probabilities)
+        return frozen(functools.reduce(np.convolve, factors))
 
 
 def trine_scenario() -> Scenario:

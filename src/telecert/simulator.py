@@ -190,9 +190,11 @@ class LlnRow:
     rms_deviation: float
 
 
-#: Name of the bit generator ``stream`` builds, for run manifests; read off
-#: the class, so naming it builds no generator.
-BIT_GENERATOR = np.random.Philox.__name__
+#: The numpy bit generator under every stream, named in run manifests.
+#: ``stream`` looks the class up by this name, so the two cannot drift, and
+#: naming it neither builds a generator nor imports ``numpy.random``, which
+#: numpy loads on first use.
+BIT_GENERATOR = "Philox"
 
 
 def stream(seed: int, subkey: int = 0, block: int = 0) -> np.random.Generator:
@@ -205,7 +207,7 @@ def stream(seed: int, subkey: int = 0, block: int = 0) -> np.random.Generator:
     # which would merge neighbouring keys.
     key = np.array([seed & _U64, subkey & _U64], dtype=np.uint64)
     counter = np.array([0, 0, block & _U64, 0], dtype=np.uint64)
-    bits = np.random.Philox(key=key, counter=counter)
+    bits = getattr(np.random, BIT_GENERATOR)(key=key, counter=counter)
     return np.random.Generator(bits)
 
 

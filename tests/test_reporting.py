@@ -1,8 +1,12 @@
 import dataclasses
 import json
 import math
+import os
 import random
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,3 +124,20 @@ class TestManifest:
 
     def test_bit_generator_is_the_one_stream_builds(self):
         assert type(simulator.stream(0).bit_generator).__name__ == simulator.BIT_GENERATOR
+
+    def test_importing_the_cli_leaves_numpy_random_unloaded(self):
+        # numpy loads numpy.random on first use; a manifest must not need it,
+        # or every process start pays for it before its first request.
+        code = (
+            "import sys, numpy\n"
+            "if 'numpy.random' in sys.modules: sys.exit(3)\n"
+            "import telecert.cli\n"
+            "from telecert import reporting\n"
+            "assert reporting.make_manifest('scenarios', {}).bit_generator == 'Philox'\n"
+            "sys.exit(1 if 'numpy.random' in sys.modules else 0)\n"
+        )
+        src = str(Path(reporting.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src})
+        if proc.returncode == 3:
+            pytest.skip("this numpy imports numpy.random eagerly")
+        assert proc.returncode == 0
