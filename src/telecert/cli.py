@@ -7,6 +7,10 @@ format chosen by ``--format``.  Exit codes: 0 success, 2 validation
 failure, 3 precondition failure (including a request whose sampling tables
 do not fit in memory), 4 I/O failure.
 
+Every verb answers through one response path: its ``cmd_*`` function
+computes the result's rows and records payload and hands them to
+``_emit``, which builds the run manifest and writes document and stdout.
+
 ``main(argv)`` may be called any number of times in one process.  The
 argument parser is built on the first call and reused, and the built-in
 scenarios are the shared instances of ``scenarios.builtin_scenario``, so a
@@ -68,17 +72,46 @@ def _get_scenario(name: str):
     return builtin_scenario(name)
 
 
-def _emit(args, manifest, headers, rows, payload, text=None) -> None:
-    """Write the structured document if asked, then print the result.
+def _fields(obj, names) -> dict:
+    """Attributes ``names`` of ``obj`` by name, uncopied (``asdict`` deep-copies)."""
+    return {name: getattr(obj, name) for name in names}
 
-    ``text`` is the human rendering, a table of ``rows`` by default.
-    Without ``--out`` stdout receives the chosen format (``text`` for the
-    table format).  With ``--out`` the file receives the structured
-    document before anything is printed, so a failed write leaves stdout
-    empty, and stdout then receives ``text``.  The document is written to
-    a sibling file that is then renamed over the target, so a failed write
-    leaves an existing target untouched and no partial file behind.
+
+#: ``BoundReport`` fields: a ``bounds`` row after ``n_runs``, and ``simulate``'s bound.
+_BOUND_FIELDS = ("f_th_cla", "mu", "t", "log10_bound", "bound")
+
+#: ``SimReport`` fields that ``simulate`` prints and its records ``report`` holds.
+_REPORT_FIELDS = (
+    "n_runs",
+    "n_trials",
+    "seed",
+    "threshold",
+    "mean_fidelity",
+    "exceedance_count",
+    "exceedance_frequency",
+)
+
+
+def _emit(
+    args, command, parameters, records, payload, text=None, *, seed=None,
+    sampler=simulator.SAMPLER,
+) -> int:
+    """Build the request's manifest, write its document if asked, print the result.
+
+    ``records`` are the result's rows, each a dict from column header to
+    value; the table and the csv document show them, and the records
+    document shows ``payload``.  ``text`` is the human rendering, a table
+    of the records by default.  Without ``--out`` stdout receives the
+    chosen format (``text`` for the table format).  With ``--out`` the file
+    receives the structured document before anything is printed, so a
+    failed write leaves stdout empty, and stdout then receives ``text``.
+    The document is written to a sibling file that is then renamed over the
+    target, so a failed write leaves an existing target untouched and no
+    partial file behind.
     """
+    manifest = reporting.make_manifest(command, parameters, seed=seed, sampler=sampler)
+    headers = list(records[0])
+    rows = [list(record.values()) for record in records]
     if text is None:
         text = reporting.format_table(headers, rows)
     if args.format == "records":
@@ -89,70 +122,50 @@ def _emit(args, manifest, headers, rows, payload, text=None) -> None:
         document = text
     else:
         document = reporting.table_document(manifest, headers, rows)
-    if args.out is None:
-        sys.stdout.write(document)
-        return
-    partial = f"{args.out}.{os.getpid()}.tmp"
-    fh = open(partial, "x", encoding="utf-8")
-    try:
-        with fh:
-            fh.write(document)
-        os.replace(partial, args.out)
-    except BaseException:
-        os.remove(partial)
-        raise
-    sys.stdout.write(text)
+    if args.out is not None:
+        partial = f"{args.out}.{os.getpid()}.tmp"
+        fh = open(partial, "x", encoding="utf-8")
+        try:
+            with fh:
+                fh.write(document)
+            os.replace(partial, args.out)
+        except BaseException:
+            os.remove(partial)
+            raise
+        document = text
+    sys.stdout.write(document)
+    return EXIT_OK
 
 
 def cmd_scenarios(args) -> int:
-    headers = ["name", "a", "d", "f_th_cla", "default_target", "note"]
-    rows = []
-    for scenario in builtin_scenarios().values():
-        rows.append(
-            [
-                scenario.name,
-                scenario.ensemble.size,
-                scenario.ensemble.dim,
-                scenario.classical_fidelity,
-                scenario.target_fidelity,
-                scenario.target_note,
-            ]
-        )
-    manifest = reporting.make_manifest("scenarios", {})
-    payload = {"rows": [dict(zip(headers, row)) for row in rows]}
-    _emit(args, manifest, headers, rows, payload)
-    return EXIT_OK
+    records = [
+        {
+            "name": scenario.name,
+            "a": scenario.ensemble.size,
+            "d": scenario.ensemble.dim,
+            "f_th_cla": scenario.classical_fidelity,
+            "default_target": scenario.target_fidelity,
+            "note": scenario.target_note,
+        }
+        for scenario in builtin_scenarios().values()
+    ]
+    return _emit(args, "scenarios", {}, records, {"rows": records})
 
 
 def cmd_bounds(args) -> int:
     scenario = _get_scenario(args.scenario)
     target = scenario.target_fidelity if args.target is None else args.target
     n_values = _parse_n_list(args.n)
-    headers = ["n_runs", "f_th_cla", "mu", "t", "log10_bound", "bound"]
-    rows = []
-    for n_runs in n_values:
-        report = stats.scenario_bound_report(scenario, n_runs, target)
-        rows.append(
-            [
-                report.n_runs,
-                report.f_th_cla,
-                report.mu,
-                report.t,
-                report.log10_bound,
-                report.bound,
-            ]
+    records = [
+        _fields(
+            stats.scenario_bound_report(scenario, n_runs, target),
+            ("n_runs", *_BOUND_FIELDS),
         )
-    manifest = reporting.make_manifest(
-        "bounds",
-        {"scenario": scenario.name, "target": target, "n": n_values},
-    )
-    payload = {
-        "scenario": scenario.name,
-        "target": target,
-        "rows": [dict(zip(headers, row)) for row in rows],
-    }
-    _emit(args, manifest, headers, rows, payload)
-    return EXIT_OK
+        for n_runs in n_values
+    ]
+    parameters = {"scenario": scenario.name, "target": target, "n": n_values}
+    payload = {"scenario": scenario.name, "target": target, "rows": records}
+    return _emit(args, "bounds", parameters, records, payload)
 
 
 def _rounded_runs(n_runs: int, a: int) -> int:
@@ -172,141 +185,83 @@ def _rounded_runs(n_runs: int, a: int) -> int:
 def cmd_simulate(args) -> int:
     seed = _seed(args)
     scenario = _get_scenario(args.scenario)
-    a = scenario.ensemble.size
-    n_runs = _rounded_runs(args.n, a)
+    n_runs = _rounded_runs(args.n, scenario.ensemble.size)
     threshold = scenario.target_fidelity if args.threshold is None else args.threshold
     cfg = simulator.SimConfig(
         scenario=scenario, n_runs=n_runs, n_trials=args.trials, seed=seed
     )
     report = simulator.run_experiment(cfg, threshold, workers=args.workers)
 
-    bound_block = None
-    bound_note = ""
+    bound, bound_note = None, ""
     try:
-        bound = stats.scenario_bound_report(scenario, n_runs, threshold)
-        bound_block = {
-            "f_th_cla": bound.f_th_cla,
-            "mu": bound.mu,
-            "t": bound.t,
-            "log10_bound": bound.log10_bound,
-            "bound": bound.bound,
-        }
+        bound_row = stats.scenario_bound_report(scenario, n_runs, threshold)
+        bound = _fields(bound_row, _BOUND_FIELDS)
     except PreconditionError as exc:
         bound_note = str(exc)
 
-    exact = None
     try:
         exact = simulator.exact_exceedance(scenario, n_runs, threshold)
     except PreconditionError:
-        pass
+        exact = None
 
-    pairs = [
-        ("scenario", scenario.name),
-        ("n_runs", n_runs),
-        ("n_trials", report.n_trials),
-        ("seed", report.seed),
-        ("threshold", threshold),
-        ("mean_fidelity", report.mean_fidelity),
-        ("exceedance_count", report.exceedance_count),
-        ("exceedance_frequency", report.exceedance_frequency),
-        ("exact_exceedance", exact),
-        ("log10_bound", None if bound_block is None else bound_block["log10_bound"]),
-        ("bound", None if bound_block is None else bound_block["bound"]),
-    ]
+    summary = _fields(report, _REPORT_FIELDS)
+    pairs = {"scenario": scenario.name, **summary, "exact_exceedance": exact}
+    for name in ("log10_bound", "bound"):
+        pairs[name] = None if bound is None else bound[name]
     if bound_note:
-        pairs.append(("bound_note", bound_note))
-
-    manifest = reporting.make_manifest(
-        "simulate",
-        {
-            "scenario": scenario.name,
-            "n": n_runs,
-            "trials": args.trials,
-            "threshold": threshold,
-        },
-        seed=seed,
-    )
+        pairs["bound_note"] = bound_note
+    tallies = ("prepared_counts", "outcome_counts", "pass_counts")
     payload = {
         "report": {
-            "n_runs": report.n_runs,
-            "n_trials": report.n_trials,
-            "seed": report.seed,
-            "threshold": report.threshold,
-            "mean_fidelity": report.mean_fidelity,
-            "exceedance_count": report.exceedance_count,
-            "exceedance_frequency": report.exceedance_frequency,
+            **summary,
             "pass_count_histogram": {
                 "offset": report.pass_count_offset,
                 "counts": report.pass_count_histogram.tolist(),
             },
-            "prepared_counts": report.prepared_counts.tolist(),
-            "outcome_counts": report.outcome_counts.tolist(),
-            "pass_counts": report.pass_counts.tolist(),
+            **{name: getattr(report, name).tolist() for name in tallies},
         },
         "exact_exceedance": exact,
-        "bound": bound_block,
+        "bound": bound,
         "bound_note": bound_note,
     }
-    headers = [k for k, _ in pairs]
-    rows = [[v for _, v in pairs]]
-    _emit(args, manifest, headers, rows, payload, reporting.format_pairs(pairs))
-    return EXIT_OK
+    parameters = {
+        "scenario": scenario.name,
+        "n": n_runs,
+        "trials": args.trials,
+        "threshold": threshold,
+    }
+    text = reporting.format_pairs(list(pairs.items()))
+    return _emit(args, "simulate", parameters, [pairs], payload, text, seed=seed)
 
 
 def cmd_hypothesis(args) -> int:
+    model = _fields(args, ("f_qm", "f_cla", "f_crit", "sigma"))
     n_values = _parse_n_list(args.n)
-    headers = ["n_runs", "alpha", "beta"]
-    rows = []
+    records = []
     for n_runs in n_values:
-        cfg = stats.HypothesisConfig(
-            f_qm=args.f_qm,
-            f_cla=args.f_cla,
-            f_crit=args.f_crit,
-            sigma=args.sigma,
-            n_runs=n_runs,
-        )
-        rows.append([n_runs, stats.type_one_error(cfg), stats.type_two_error(cfg)])
-    manifest = reporting.make_manifest(
-        "hypothesis",
-        {
-            "f_qm": args.f_qm,
-            "f_cla": args.f_cla,
-            "f_crit": args.f_crit,
-            "sigma": args.sigma,
-            "n": n_values,
-        },
-    )
-    payload = {"rows": [dict(zip(headers, row)) for row in rows]}
-    _emit(args, manifest, headers, rows, payload)
-    return EXIT_OK
+        cfg = stats.HypothesisConfig(**model, n_runs=n_runs)
+        alpha, beta = stats.type_one_error(cfg), stats.type_two_error(cfg)
+        records.append({"n_runs": n_runs, "alpha": alpha, "beta": beta})
+    parameters = {**model, "n": n_values}
+    return _emit(args, "hypothesis", parameters, records, {"rows": records})
 
 
 def cmd_lln(args) -> int:
     seed = _seed(args)
     scenario = _get_scenario(args.scenario)
     n_values = _parse_n_list(args.n)
-    rows_data = simulator.lln_sweep(
+    ladder = simulator.lln_sweep(
         scenario, n_values, args.trials, seed, workers=args.workers
     )
-    headers = ["n_runs", "mean_fidelity", "mean_abs_deviation", "rms_deviation"]
-    rows = [
-        [r.n_runs, r.mean_fidelity, r.mean_abs_deviation, r.rms_deviation]
-        for r in rows_data
-    ]
-    slope = simulator.rms_loglog_slope(rows_data) if len(rows_data) >= 2 else None
-    manifest = reporting.make_manifest(
-        "lln",
-        {"scenario": scenario.name, "n": n_values, "trials": args.trials},
-        seed=seed,
+    columns = ("n_runs", "mean_fidelity", "mean_abs_deviation", "rms_deviation")
+    records = [_fields(row, columns) for row in ladder]
+    slope = simulator.rms_loglog_slope(ladder) if len(ladder) >= 2 else None
+    payload = {"scenario": scenario.name, "rows": records, "rms_loglog_slope": slope}
+    parameters = {"scenario": scenario.name, "n": n_values, "trials": args.trials}
+    return _emit(
+        args, "lln", parameters, records, payload, seed=seed,
         sampler=simulator.HISTOGRAM_SAMPLER,
     )
-    payload = {
-        "scenario": scenario.name,
-        "rows": [dict(zip(headers, row)) for row in rows],
-        "rms_loglog_slope": slope,
-    }
-    _emit(args, manifest, headers, rows, payload)
-    return EXIT_OK
 
 
 def cmd_ensemble_validate(args) -> int:
@@ -320,13 +275,13 @@ def cmd_ensemble_validate(args) -> int:
         "d": ensemble.dim,
         "uniform_priors": ensemble.has_uniform_priors(),
     }
-    rows = [list(item) for item in payload.items()]
-    manifest = reporting.make_manifest("ensemble validate", {"file": args.file})
-    _emit(args, manifest, ["field", "value"], rows, payload)
-    return EXIT_OK
+    records = [{"field": field, "value": value} for field, value in payload.items()]
+    return _emit(args, "ensemble validate", {"file": args.file}, records, payload)
 
 
-def _add_output_options(parser: argparse.ArgumentParser) -> None:
+def _add_output_options(parser: argparse.ArgumentParser, func) -> None:
+    """Add ``--format`` and ``--out`` to a verb's parser, and route the verb to ``func``."""
+    parser.set_defaults(func=func)
     parser.add_argument(
         "--format",
         choices=reporting.FORMATS,
@@ -349,15 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scenarios", help="list the built-in scenarios")
-    _add_output_options(p)
-    p.set_defaults(func=cmd_scenarios)
+    _add_output_options(p, cmd_scenarios)
 
     p = sub.add_parser("bounds", help="exceedance bound table over run counts")
     p.add_argument("--scenario", required=True)
     p.add_argument("--target", type=float, default=None, help="target fidelity to certify")
     p.add_argument("--n", required=True, help="comma-separated run counts")
-    _add_output_options(p)
-    p.set_defaults(func=cmd_bounds)
+    _add_output_options(p, cmd_bounds)
 
     p = sub.add_parser("simulate", help="Monte Carlo experiment with bound comparison")
     p.add_argument("--scenario", required=True)
@@ -366,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int, default=1, help="at least 1; has no effect")
-    _add_output_options(p)
-    p.set_defaults(func=cmd_simulate)
+    _add_output_options(p, cmd_simulate)
 
     p = sub.add_parser("hypothesis", help="normal-model type I/II error table")
     p.add_argument("--f-qm", dest="f_qm", type=float, required=True)
@@ -375,8 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f-crit", dest="f_crit", type=float, required=True)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--n", required=True, help="comma-separated run counts")
-    _add_output_options(p)
-    p.set_defaults(func=cmd_hypothesis)
+    _add_output_options(p, cmd_hypothesis)
 
     p = sub.add_parser("lln", help="fidelity convergence sweep over run counts")
     p.add_argument("--scenario", required=True)
@@ -384,15 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int, default=1, help="at least 1; has no effect")
-    _add_output_options(p)
-    p.set_defaults(func=cmd_lln)
+    _add_output_options(p, cmd_lln)
 
     p = sub.add_parser("ensemble", help="custom-ensemble utilities")
     ens_sub = p.add_subparsers(dest="ensemble_command", required=True)
     pv = ens_sub.add_parser("validate", help="validate a custom-ensemble document")
     pv.add_argument("file")
-    _add_output_options(pv)
-    pv.set_defaults(func=cmd_ensemble_validate)
+    _add_output_options(pv, cmd_ensemble_validate)
 
     return parser
 

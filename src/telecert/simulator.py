@@ -5,36 +5,16 @@ scenario's POVM, resends the identified state, and verifies it against the
 original with a projective check.  A trial is N such runs; its fidelity is
 the fraction of runs that pass verification.
 
-Runs are never sampled one by one.  With the outcome marginalized out, a
-run on state i passes with probability q_i, so under the fixed schedule
-each trial draws only its pass count per state, Binomial(N/a, q_i).  Under
-multinomial preparation every run passes with probability F = priors @ q,
-so a trial draws Binomial(N, F) passes, and the states of a block's passing
-and failing runs are drawn from their summed counts.  The outcome
-tallies, summed over trials, are drawn once per experiment: the outcomes of
-state i's passing runs are multinomial in its summed pass count, and
-likewise for its failures.  This is the same joint law as sampling every
-run.
-
-Every per-state pass count comes from one windowed Binomial table,
-``_binomial_table``, whose cdf ``_invert`` inverts with one uniform per
-draw through a guide table that returns the index ``searchsorted`` would,
-so the draws are those of the plain search.  ``run_experiment`` builds one
-such table per distinct (m, q_i) before sampling and reuses it for every
-state and every block of trials that draws from that law; the scenario
-supplies q, the outcome split and the one-round law of the exact oracle,
-each computed once per scenario.
-Both samplers keep only histograms of the trials' pass counts:
-``run_experiment`` reduces each block of trials as it is drawn, and
-``lln_sweep`` draws a point's histogram as one multinomial over the law of
-a trial's total.  The README's Notes on numerics give the window, the
-costs and the error contracts.
-
-Randomness is counter based: each fixed-size block of trials draws from a
-Philox stream keyed by (seed, n_runs) at the block's counter offset, so
-results depend only on the configuration.  An exact oracle builds the
-pass-count distribution from the same per-state Binomial law by
-convolution, covering small N without sampling.
+Runs are never sampled one by one.  ``run_experiment`` draws each trial's
+per-state pass counts from windowed Binomial tables (``_binomial_table``,
+inverted by ``_invert``) and the outcome tallies, summed over trials, once
+per experiment; ``lln_sweep`` draws each point's histogram of pass counts
+as one multinomial over the law of a trial's total (``_pass_count_law``).
+Each block of trials draws from a Philox stream keyed by (seed, n_runs) at
+the block's counter offset, so results depend only on the configuration.
+The exact oracle convolves the same per-state law.  The README's account
+of the samplers and its Notes on numerics give the joint law, the guide
+table, the window, the costs and the error contracts.
 """
 
 from __future__ import annotations
@@ -201,12 +181,16 @@ def stream(seed: int, subkey: int = 0, block: int = 0) -> np.random.Generator:
     """Deterministic Philox stream for (seed, subkey) at a block offset.
 
     Blocks are separated by 2**128 counter steps, so streams with different
-    block indices never overlap.
+    block indices never overlap.  A seed, subkey or block outside
+    [0, 2**64) raises ``ValueError`` rather than alias a key in range.
     """
+    for name, value in (("seed", seed), ("subkey", subkey), ("block", block)):
+        if not 0 <= value <= _U64:
+            raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
     # uint64 arrays: a plain list holding a value >= 2**63 becomes float64,
     # which would merge neighbouring keys.
-    key = np.array([seed & _U64, subkey & _U64], dtype=np.uint64)
-    counter = np.array([0, 0, block & _U64, 0], dtype=np.uint64)
+    key = np.array([seed, subkey], dtype=np.uint64)
+    counter = np.array([0, 0, block, 0], dtype=np.uint64)
     bits = getattr(np.random, BIT_GENERATOR)(key=key, counter=counter)
     return np.random.Generator(bits)
 
@@ -217,13 +201,24 @@ def _window(m: int, p: float) -> tuple[int, int]:
     The window is mp +/- sqrt(32 ln2 m), clipped to [0, m]; the mass it
     leaves out is below 2**-64 on each side.  A certain outcome (p = 0 or
     1) is a one-entry window.  A window of more than ``_MAX_TABLE_ENTRIES``
-    entries raises ``PreconditionError``, before anything is allocated.
+    entries raises ``PreconditionError``, before anything is allocated, and
+    so does one too wide for float arithmetic to place.
     """
     if p <= 0.0 or p >= 1.0:
         return (m, m) if p >= 1.0 else (0, 0)
-    half = _WINDOW * math.sqrt(m)
-    lo = max(0, math.floor(m * p - half))
-    hi = min(m, math.ceil(m * p + half))
+    try:
+        half = _WINDOW * math.sqrt(m)
+        lo = max(0, math.floor(m * p - half))
+        hi = min(m, math.ceil(m * p + half))
+    except OverflowError:  # m beyond the float range
+        lo = hi = None
+    if lo == hi:
+        # 0 < p < 1, so the window collapses only where m p +/- half round
+        # to one float, from about m = 2**113
+        raise PreconditionError(
+            f"sampling Binomial({m}, {p!r}) needs a table wider than float "
+            "arithmetic can place; n_runs is too large to simulate"
+        )
     if hi - lo >= _MAX_TABLE_ENTRIES:
         raise PreconditionError(
             f"sampling Binomial({m}, {p!r}) needs a table of {hi - lo + 1} entries, "

@@ -68,6 +68,15 @@ def t_of(f_target: float, f_th_cla: float, a: int) -> float:
     return (f_target - f_th_cla) / (a - 1)
 
 
+def _overflows_float(n: int) -> bool:
+    """Whether ``float(n)`` overflows, as all float arithmetic on ``n`` then does."""
+    try:
+        float(n)
+    except OverflowError:
+        return True
+    return False
+
+
 @dataclass(frozen=True)
 class BoundInput:
     """Everything the specialized exceedance bound consumes.
@@ -87,6 +96,8 @@ class BoundInput:
             raise ValueError(f"a must be at least 2, got {self.a}")
         if self.n_runs < 1:
             raise ValueError(f"n_runs must be positive, got {self.n_runs}")
+        if _overflows_float((self.a - 1) * self.n_runs):
+            raise ValueError("n_runs is too large: (a - 1) * n_runs overflows a float")
         if self.mu == 0.0:
             raise PreconditionError(
                 "classical strategy is already perfect (fidelity 1); "
@@ -242,6 +253,8 @@ class HypothesisConfig:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
         if self.n_runs < 1:
             raise ValueError(f"n_runs must be positive, got {self.n_runs}")
+        if _overflows_float(self.n_runs):
+            raise ValueError("n_runs is too large: it overflows a float")
         if not self.f_cla <= self.f_crit <= self.f_qm:
             raise ValueError(
                 f"critical value {self.f_crit!r} must lie between the "

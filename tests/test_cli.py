@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from reference_values import GOLDEN_BOUNDS, log10_close
-from telecert import cli, simulator
+from telecert import cli, reporting, simulator
 
 
 def run_cli(capsys, argv):
@@ -482,6 +483,41 @@ class TestExitCodes:
         assert "n_runs is too large to simulate" in err
 
 
+    @pytest.mark.parametrize(
+        "argv,code,message",
+        [
+            (BOUNDS[:-1] + [str(10**400)], 2, "validation error: n_runs is too large"),
+            (BOUNDS[:-1] + ["60," + str(10**400)], 2, "validation error: n_runs is too large"),
+            (HYPOTHESIS + ["--sigma", "0.3", "--n", str(10**400)], 2,
+             "validation error: n_runs is too large"),
+            (["simulate", "--scenario", "trine", "--n", str(3 * 10**400)], 3,
+             "precondition error: sampling Binomial("),
+            (["lln", "--scenario", "trine", "--n", "60," + str(3 * 10**400)], 3,
+             "precondition error: sampling Binomial("),
+            # below the float range, where m p +/- the window's half-width
+            # round to one float
+            (["simulate", "--scenario", "trine", "--n", str(3 * 10**300)], 3,
+             "precondition error: sampling Binomial("),
+            (["lln", "--scenario", "trine", "--n", "60," + str(3 * 2**113)], 3,
+             "precondition error: sampling Binomial("),
+        ],
+        ids=["bounds", "bounds-ladder", "hypothesis", "simulate", "lln", "simulate-1e300",
+             "lln-2**113"],
+    )
+    def test_run_counts_beyond_float_refused_before_any_work(self, capsys, monkeypatch, argv, code, message):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(simulator, "stream", no_sampling)
+        got, out, err = run_cli(capsys, argv)
+        assert got == code
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith(message)
+        if code == cli.EXIT_PRECONDITION:
+            assert line.endswith("n_runs is too large to simulate")
+
+
 class TestRepeatedRequests:
     """Requests in one process share a parser that carries nothing over."""
 
@@ -691,3 +727,90 @@ class TestEnsembleValidate:
         code, _, err = run_cli(capsys, ["ensemble", "validate", str(path)])
         assert code == cli.EXIT_VALIDATION
         assert "JSON" in err
+
+
+def _columns(lines):
+    """Cells of a ``reporting.format_table`` rendering, split at its dash line."""
+    header, dashes, *body = lines
+    starts = [0]
+    for dash in dashes.split("  ")[:-1]:
+        starts.append(starts[-1] + len(dash) + 2)
+    bounds = list(zip(starts, starts[1:] + [None]))
+    return [[line[a:b].rstrip() for a, b in bounds] for line in [header, *body]]
+
+
+def _record_rows(argv, doc):
+    """The rows a records document holds, keyed by the table's headers."""
+    if argv[0] == "ensemble":
+        return [{"field": k, "value": v} for k, v in doc.items() if k != "manifest"]
+    if argv[0] != "simulate":
+        return doc["rows"]
+    report, bound = doc["report"], doc["bound"] or {}
+    row = {"scenario": doc["manifest"]["parameters"]["scenario"]}
+    for name in ("n_runs", "n_trials", "seed", "threshold", "mean_fidelity",
+                 "exceedance_count", "exceedance_frequency"):
+        row[name] = report[name]
+    row["exact_exceedance"] = doc["exact_exceedance"]
+    row["log10_bound"] = bound.get("log10_bound")
+    row["bound"] = bound.get("bound")
+    if doc["bound_note"]:
+        row["bound_note"] = doc["bound_note"]
+    return [row]
+
+
+class TestCrossFormat:
+    """The table, csv and records renderings of one request agree cell for cell."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scenarios"],
+            BOUNDS[:-1] + ["12,120,1200"],
+            SIMULATE + ["--seed", "4"],
+            SIMULATE + ["--threshold", "0.5"],  # no bound: a note instead
+            ["simulate", "--scenario", "helstrom", "--n", "4472", "--trials", "100"],
+            HYPOTHESIS + ["--sigma", "0.3", "--n", "10,100"],
+            LLN + ["--n", "60,129,279", "--seed", "3"],
+            ["ensemble", "validate"],
+        ],
+        ids=["scenarios", "bounds", "simulate", "simulate-no-bound", "simulate-no-exact",
+             "hypothesis", "lln", "ensemble-validate"],
+    )
+    def test_cells_and_manifest_agree(self, capsys, tmp_path, argv):
+        if argv[0] == "ensemble":
+            path = tmp_path / "ensemble.json"
+            doc = {"dim": 2, "states": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+                   "priors": [0.25, 0.75], "name": "paar-é-中"}
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            argv = argv + [str(path)]
+        texts = {}
+        for fmt in ("table", "csv", "records"):
+            out_path = tmp_path / f"doc.{fmt}"
+            code, out, _ = run_cli(capsys, argv + ["--format", fmt, "--out", str(out_path)])
+            assert code == 0
+            texts[fmt] = out_path.read_text(encoding="utf-8")
+        assert out == run_cli(capsys, argv)[1]  # stdout does not depend on --out
+        records = json.loads(texts["records"])
+        rows = _record_rows(argv, records)
+        expected = [list(rows[0])] + [[reporting.fmt(v) for v in row.values()] for row in rows]
+
+        if argv[0] == "simulate":  # stdout shows the one row as key/value pairs
+            width = max(map(len, rows[0]))
+            pairs = [[line[:width].rstrip(), line[width + 2:]] for line in out.splitlines()]
+            assert pairs == [list(cells) for cells in zip(*expected)]
+        else:
+            assert _columns(out.splitlines()) == expected
+        tables = {}
+        for fmt in ("table", "csv"):
+            lines = texts[fmt].splitlines()
+            tables[fmt] = [ln for ln in lines if not ln.startswith("# ")]
+            comments = [ln for ln in lines if ln.startswith("# ") and "# timestamp: " not in ln]
+            manifest = dict(records["manifest"])
+            parameters = manifest.pop("parameters")
+            del manifest["timestamp"]
+            assert comments == (
+                [f"# {key}: {reporting.fmt(value)}" for key, value in manifest.items()]
+                + [f"# parameter {key}: {reporting.fmt(value)}" for key, value in parameters.items()]
+            )
+        assert _columns(tables["table"]) == expected
+        assert list(csv.reader(tables["csv"])) == expected

@@ -889,3 +889,20 @@ class TestStreams:
         assert not np.allclose(base, stream(1, 2, 0).random(8))
         # seeds at or above 2**63 must not collapse onto one key
         assert not np.allclose(stream(2**63 + 1).random(8), stream(2**63 + 2).random(8))
+
+    @pytest.mark.parametrize(
+        "key",
+        [{"seed": -1}, {"seed": 2**64}, {"subkey": -1}, {"subkey": 2**64},
+         {"block": -1}, {"block": 2**64}],
+        ids=lambda key: "-".join(f"{k}={v}" for k, v in key.items()),
+    )
+    def test_keys_outside_64_bits_are_refused(self, key):
+        # masked to 64 bits, stream(-1) would draw stream(2**64 - 1)'s numbers
+        with pytest.raises(ValueError, match=f"{next(iter(key))} must lie in"):
+            stream(**{"seed": 0, **key})
+
+    def test_keys_at_the_64_bit_edges_are_kept(self):
+        top = 2**64 - 1
+        draws = stream(top, top, top).random(4)
+        assert np.array_equal(draws, stream(top, top, top).random(4))
+        assert not np.allclose(stream(0).random(8), stream(top).random(8))

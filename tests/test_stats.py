@@ -142,6 +142,14 @@ class TestBoundInput:
         with pytest.raises(PreconditionError, match="trivially 1"):
             BoundInput(mu=-0.125, t=-0.1, a=3, n_runs=10)
 
+    def test_run_counts_beyond_float_rejected(self):
+        # (a - 1) * n_runs is the largest double: still evaluated
+        largest = int(np.finfo(float).max) // 2
+        inp = BoundInput(mu=-0.125, t=0.0575, a=3, n_runs=largest)
+        assert -math.inf < hoeffding_log10_bound(inp) < -1e300
+        with pytest.raises(ValueError, match="too large"):
+            BoundInput(mu=-0.125, t=0.0575, a=3, n_runs=2**1023)
+
     def test_fidelity_consistency(self):
         inp = BoundInput(mu=-0.125, t=0.0575, a=3, n_runs=100)
         assert inp.f_th_cla == pytest.approx(0.75, abs=1e-12)
@@ -327,6 +335,8 @@ class TestHypothesisErrors:
             HypothesisConfig(f_qm=0.8, f_cla=0.7, f_crit=0.75, sigma=0.0, n_runs=10)
         with pytest.raises(ValueError, match="n_runs"):
             HypothesisConfig(f_qm=0.8, f_cla=0.7, f_crit=0.75, sigma=0.3, n_runs=0)
+        with pytest.raises(ValueError, match="n_runs is too large"):
+            HypothesisConfig(f_qm=0.8, f_cla=0.7, f_crit=0.75, sigma=0.3, n_runs=2**1024)
         for means in ((math.inf, 0.7, 0.8), (0.9, math.nan, 0.8), (0.9, 0.7, -math.inf)):
             f_qm, f_cla, f_crit = means
             with pytest.raises(ValueError, match="must be finite"):
