@@ -168,29 +168,25 @@ def cmd_bounds(args) -> int:
     return _emit(args, "bounds", parameters, records, payload)
 
 
-def _rounded_runs(n_runs: int, a: int) -> int:
-    if n_runs < 1:
-        raise ValidationError(f"n_runs must be positive, got {n_runs}")
-    if n_runs % a == 0:
-        return n_runs
-    rounded = n_runs + (a - n_runs % a)
-    print(
-        f"warning: n_runs {n_runs} is not a multiple of the ensemble size {a}; "
-        f"rounded up to {rounded}",
-        file=sys.stderr,
-    )
-    return rounded
-
-
 def cmd_simulate(args) -> int:
     seed = _seed(args)
     scenario = _get_scenario(args.scenario)
-    n_runs = _rounded_runs(args.n, scenario.ensemble.size)
+    if args.n < 1:
+        raise ValidationError(f"n_runs must be positive, got {args.n}")
+    a = scenario.ensemble.size
+    n_runs = -(-args.n // a) * a
     threshold = scenario.target_fidelity if args.threshold is None else args.threshold
     cfg = simulator.SimConfig(
         scenario=scenario, n_runs=n_runs, n_trials=args.trials, seed=seed
     )
     report = simulator.run_experiment(cfg, threshold, workers=args.workers)
+    # warn only once the request is accepted, so a refused one prints one line
+    if n_runs != args.n:
+        print(
+            f"warning: n_runs {args.n} is not a multiple of the ensemble size {a}; "
+            f"rounded up to {n_runs}",
+            file=sys.stderr,
+        )
 
     bound, bound_note = None, ""
     try:

@@ -105,24 +105,18 @@ def format_pairs(pairs: list[tuple[str, object]]) -> str:
     return "\n".join(f"{k.ljust(width)}  {fmt(v)}" for k, v in pairs) + "\n"
 
 
+_MANIFEST_FIELDS = tuple(field.name for field in fields(RunManifest))
+
+
 def _manifest_comment_lines(manifest: RunManifest) -> list[str]:
     lines = [
-        f"# command: {manifest.command}",
-        f"# artifact_version: {manifest.artifact_version}",
-        f"# seed: {'' if manifest.seed is None else manifest.seed}",
-        f"# timestamp: {manifest.timestamp}",
-        f"# python: {manifest.python}",
-        f"# numpy: {manifest.numpy}",
-        f"# platform: {manifest.platform}",
-        f"# bit_generator: {manifest.bit_generator}",
-        f"# sampler: {manifest.sampler}",
+        f"# {name}: {fmt(getattr(manifest, name))}"
+        for name in _MANIFEST_FIELDS
+        if name != "parameters"
     ]
-    for key, value in manifest.parameters.items():
-        lines.append(f"# parameter {key}: {fmt(value)}")
+    lines += [f"# parameter {key}: {fmt(value)}" for key, value in manifest.parameters.items()]
     return lines
 
-
-_MANIFEST_FIELDS = tuple(field.name for field in fields(RunManifest))
 
 _encode_str = json.encoder.encode_basestring_ascii
 

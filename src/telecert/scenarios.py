@@ -108,28 +108,6 @@ class Scenario:
         return frozen(functools.reduce(np.convolve, factors))
 
 
-def trine_scenario() -> Scenario:
-    ens = trine()
-    return Scenario("trine", ens, square_root_povm(ens), "square-root", 0.865)
-
-
-def four_asymmetric_scenario() -> Scenario:
-    ens = four_asymmetric()
-    return Scenario(
-        "four-asymmetric", ens, square_root_povm(ens), "square-root", 0.875
-    )
-
-
-def qubit_mubs_scenario() -> Scenario:
-    ens = qubit_mubs()
-    return Scenario("qubit-mubs", ens, square_root_povm(ens), "square-root", 0.77)
-
-
-def qutrit_mubs_scenario() -> Scenario:
-    ens = qutrit_mubs()
-    return Scenario("qutrit-mubs", ens, square_root_povm(ens), "square-root", 0.751)
-
-
 def helstrom_scenario(theta: float = math.pi / 2.0) -> Scenario:
     # No published target fidelity exists for this pair; 0.98 is a
     # deliberately arbitrary stand-in and is flagged as such.
@@ -159,10 +137,10 @@ def custom_scenario(
 
 #: Constructors of the five built-in scenarios, keyed by scenario name.
 BUILTIN_CONSTRUCTORS = {
-    "trine": trine_scenario,
-    "four-asymmetric": four_asymmetric_scenario,
-    "qubit-mubs": qubit_mubs_scenario,
-    "qutrit-mubs": qutrit_mubs_scenario,
+    "trine": lambda: custom_scenario(trine(), 0.865, name="trine"),
+    "four-asymmetric": lambda: custom_scenario(four_asymmetric(), 0.875, name="four-asymmetric"),
+    "qubit-mubs": lambda: custom_scenario(qubit_mubs(), 0.77, name="qubit-mubs"),
+    "qutrit-mubs": lambda: custom_scenario(qutrit_mubs(), 0.751, name="qutrit-mubs"),
     "helstrom": helstrom_scenario,
 }
 

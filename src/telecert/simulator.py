@@ -5,16 +5,20 @@ scenario's POVM, resends the identified state, and verifies it against the
 original with a projective check.  A trial is N such runs; its fidelity is
 the fraction of runs that pass verification.
 
-Runs are never sampled one by one.  ``run_experiment`` draws each trial's
-per-state pass counts from windowed Binomial tables (``_binomial_table``,
-inverted by ``_invert``) and the outcome tallies, summed over trials, once
-per experiment; ``lln_sweep`` draws each point's histogram of pass counts
-as one multinomial over the law of a trial's total (``_pass_count_law``).
-Each block of trials draws from a Philox stream keyed by (seed, n_runs) at
-the block's counter offset, so results depend only on the configuration.
-The exact oracle convolves the same per-state law.  The README's account
-of the samplers and its Notes on numerics give the joint law, the guide
-table, the window, the costs and the error contracts.
+Runs are never sampled one by one.  A trial's pass count is a sum of
+independent Binomial draws whose (m, p) one list gives, in draw order:
+``_draw_laws``, (N/a, q_i) per state under the fixed schedule and (N, F)
+under multinomial preparation.  ``SimConfig`` checks each law's window;
+``run_experiment`` and ``run_trial`` draw one column per law from its
+inversion table (``_tables``, ``_invert``) and the outcome tallies, summed
+over trials, once per experiment; ``lln_sweep`` draws each point's
+histogram as one multinomial over the laws' convolution
+(``_pass_count_law``).  Each block of trials draws from a Philox stream
+keyed by (seed, n_runs) at the block's counter offset, so results depend
+only on the configuration.  The exact oracle convolves the same per-state
+law.  The README's account of the samplers and its Notes on numerics give
+the joint law, the guide table, the window, the costs and the error
+contracts.
 """
 
 from __future__ import annotations
@@ -54,14 +58,6 @@ _WINDOW = math.sqrt(32.0 * math.log(2.0))
 _MAX_TABLE_ENTRIES = 1 << 20
 
 
-def _laws(scenario: Scenario, n_runs: int, multinomial: bool) -> list:
-    """Distinct (m, p) of the Binomial(m, p) laws a trial draws from."""
-    q = scenario.pass_probabilities
-    if multinomial:
-        return [(n_runs, float(scenario.ensemble.priors @ q))]
-    return [(n_runs // q.size, qi) for qi in dict.fromkeys(q.tolist())]
-
-
 def _check_schedule(scenario: Scenario, n_runs: int, uniform_priors: bool = True):
     """Require a positive multiple of a runs and, if asked, uniform priors."""
     a = scenario.ensemble.size
@@ -75,6 +71,18 @@ def _check_schedule(scenario: Scenario, n_runs: int, uniform_priors: bool = True
             "the fixed preparation schedule requires uniform priors; "
             "multinomial preparation admits non-uniform ones"
         )
+
+
+def _draw_laws(scenario: Scenario, n_runs: int, multinomial: bool) -> list:
+    """(m, p) of the Binomial draws that sum to a trial's passes, in draw order.
+
+    Under the fixed schedule that is one law (n_runs / a, q_i) per state;
+    under multinomial preparation, the one law (n_runs, F).
+    """
+    if multinomial:
+        return [(n_runs, scenario.classical_fidelity)]
+    m = n_runs // scenario.ensemble.size
+    return [(m, qi) for qi in scenario.pass_probabilities.tolist()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,8 +114,9 @@ class SimConfig:
             )
         if not 0 <= self.seed <= _U64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        for m, p in _laws(self.scenario, self.n_runs, self.multinomial_preparation):
-            _window(m, p)
+        laws = _draw_laws(self.scenario, self.n_runs, self.multinomial_preparation)
+        for law in dict.fromkeys(laws):
+            _window(*law)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,11 +207,11 @@ def stream(seed: int, subkey: int = 0, block: int = 0) -> np.random.Generator:
 def _window(m: int, p: float) -> tuple[int, int]:
     """First and last pass count of the Binomial(m, p) table.
 
-    The window is mp +/- sqrt(32 ln2 m), clipped to [0, m]; the mass it
-    leaves out is below 2**-64 on each side.  A certain outcome (p = 0 or
-    1) is a one-entry window.  A window of more than ``_MAX_TABLE_ENTRIES``
-    entries raises ``PreconditionError``, before anything is allocated, and
-    so does one too wide for float arithmetic to place.
+    The window is mp +/- sqrt(32 ln2 m), clipped to [0, m]; a certain
+    outcome (p = 0 or 1) is a one-entry window.  A window of more than
+    ``_MAX_TABLE_ENTRIES`` entries, or one too wide for float arithmetic to
+    place, raises ``PreconditionError`` before anything is allocated.  The
+    README's Notes on numerics bound the mass the window leaves out.
     """
     if p <= 0.0 or p >= 1.0:
         return (m, m) if p >= 1.0 else (0, 0)
@@ -212,9 +221,7 @@ def _window(m: int, p: float) -> tuple[int, int]:
         hi = min(m, math.ceil(m * p + half))
     except OverflowError:  # m beyond the float range
         lo = hi = None
-    if lo == hi:
-        # 0 < p < 1, so the window collapses only where m p +/- half round
-        # to one float, from about m = 2**113
+    if lo == hi:  # 0 < p < 1, so only rounding collapses the window
         raise PreconditionError(
             f"sampling Binomial({m}, {p!r}) needs a table wider than float "
             "arithmetic can place; n_runs is too large to simulate"
@@ -244,11 +251,9 @@ def _binomial_table(m: int, p: float) -> tuple[int, np.ndarray]:
 def _inversion_table(m: int, p: float, draws: int):
     """Window start, normalized cdf and guide table of Binomial(m, p).
 
-    ``guide[j]`` is ``searchsorted(cdf, j / g, 'right')`` for g buckets,
-    the power of two at or above max(64, 4 min(K, draws)) for K entries;
-    ``draws``, the most draws taken at once, only sizes the guide, so the
-    guide never outgrows the block it serves.  A certain outcome has no
-    cdf and no guide.
+    ``draws``, the most draws taken at once, only sizes the guide.  A
+    certain outcome has no cdf and no guide.  The README's Notes on
+    numerics define the guide and its size.
     """
     lo, weights = _binomial_table(m, p)
     if weights.size == 1:
@@ -259,18 +264,21 @@ def _inversion_table(m: int, p: float, draws: int):
     return lo, cdf, np.searchsorted(cdf, np.arange(g) / g, side="right")
 
 
+def _tables(laws: list, draws: int) -> list:
+    """One ``_inversion_table`` per distinct law of ``laws``, listed in draw order."""
+    tables = {law: _inversion_table(*law, draws) for law in dict.fromkeys(laws)}
+    return [tables[law] for law in laws]
+
+
 def _invert(rng, table, size: int) -> np.ndarray:
     """``size`` draws from an ``_inversion_table``, one uniform each.
 
-    A uniform u in bucket j = floor(u g) starts at ``idx = guide[j]``, the
-    count of cdf entries <= j / g <= u.  If ``u < cdf[idx]`` that count is
-    also the count of entries <= u, so idx is ``searchsorted(cdf, u,
-    'right')``; the other draws go to that search.  Every index is the one
-    the plain search returns.
+    Each draw is ``lo + searchsorted(cdf, u, 'right')`` for its uniform u,
+    reached through the guide (README, Notes on numerics, says why the two
+    agree); a certain outcome consumes no uniforms.
     """
     lo, cdf, guide = table
     if cdf is None:
-        # a certain outcome consumes no uniforms
         return np.full(size, lo, dtype=np.int64)
     u = rng.random(size)
     # u * g is exact: g is a power of two
@@ -280,52 +288,39 @@ def _invert(rng, table, size: int) -> np.ndarray:
     return lo + idx
 
 
-def _binomial(rng, m: int, p: float, size: int) -> np.ndarray:
-    """``size`` Binomial(m, p) draws from a table and guide built for them.
+def _pass_count_law(laws: list) -> tuple[int, np.ndarray]:
+    """Window start and pmf of the sum of independent draws from ``laws``.
 
-    Each draw inverts the cdf with one uniform, through ``_invert``; the
-    results equal ``lo + searchsorted(cdf, u, 'right')`` for every u.
+    ``laws`` lists Binomial laws (m, p), as ``_draw_laws`` does.  Every
+    entry lies within 1e-14 of the exact law; the README's Notes on
+    numerics give the FFT convolution, its memory and its error.
     """
-    return _invert(rng, _inversion_table(m, p, size), size)
-
-
-def _pass_count_law(q: np.ndarray, m: int) -> tuple[int, np.ndarray]:
-    """Window start and pmf of the sum of independent Binomial(m, q_i).
-
-    The a windowed tables are convolved in one FFT of power-of-two length,
-    multiplied in state order.  States with equal q_i share one table, and
-    a state whose q_i equals the previous state's reuses its spectrum, so
-    at most one factor spectrum is held at a time.  Rounding leaves
-    entries off by about 1e-16 absolute, so negatives are clipped to 0 and
-    the result is renormalized.
-    """
-    q = q.tolist()
-    tables = {qi: _binomial_table(m, qi) for qi in dict.fromkeys(q)}
-    size = sum(tables[qi][1].size for qi in q) - len(q) + 1
+    tables = {law: _binomial_table(*law) for law in dict.fromkeys(laws)}
+    size = sum(tables[law][1].size for law in laws) - len(laws) + 1
     n_fft = 1 << (size - 1).bit_length()
     spectrum = np.ones(n_fft // 2 + 1, dtype=complex)
     previous = factor = None
-    for qi in q:
-        if qi != previous:
+    for law in laws:
+        if law != previous:
             factor = None  # released before the next one is allocated
-            weights = tables[qi][1]
+            weights = tables[law][1]
             factor = np.fft.rfft(weights / weights.sum(), n_fft)
-            previous = qi
+            previous = law
         spectrum *= factor
     del factor  # and before the inverse FFT
     pmf = np.clip(np.fft.irfft(spectrum, n_fft)[:size], 0.0, None)
-    return sum(tables[qi][0] for qi in q), pmf / pmf.sum()
+    return sum(tables[law][0] for law in laws), pmf / pmf.sum()
 
 
 def _total_histogram(cfg: SimConfig) -> tuple[int, np.ndarray]:
-    """Histogram of the pass counts of ``cfg.n_trials`` fixed-schedule trials.
+    """Window start and pass-count histogram of ``cfg.n_trials`` trials.
 
-    The counts of T iid draws from a discrete law are Multinomial(T, law),
-    so one multinomial over the law's window, passed in ascending order of
-    mass, replaces T draws.  Returns the window start and the counts over it.
+    The histogram is one multinomial over ``_pass_count_law`` of the
+    configuration's laws, drawn from the (seed, n_runs) stream; the README's
+    Notes on numerics say why it replaces the trials' draws.
     """
-    q = cfg.scenario.pass_probabilities
-    lo, pmf = _pass_count_law(q, cfg.n_runs // q.size)
+    laws = _draw_laws(cfg.scenario, cfg.n_runs, cfg.multinomial_preparation)
+    lo, pmf = _pass_count_law(laws)
     order = np.argsort(pmf, kind="stable")
     counts = np.empty(pmf.size, dtype=np.int64)
     counts[order] = stream(cfg.seed, subkey=cfg.n_runs).multinomial(cfg.n_trials, pmf[order])
@@ -338,40 +333,21 @@ def _conditional(weights: np.ndarray) -> np.ndarray:
     return weights / total if total > 0 else weights
 
 
-def _sampling_tables(scenario: Scenario, n_runs: int, draws: int, multinomial: bool) -> list:
-    """The inversion table of each Binomial law a trial draws, in draw order.
-
-    Under the fixed schedule that is one table per state, shared by the
-    states with equal q_i; under multinomial preparation, the one table
-    of Binomial(n_runs, F).  ``draws`` is the largest block to be drawn.
-    """
-    tables = {law: _inversion_table(*law, draws) for law in _laws(scenario, n_runs, multinomial)}
-    if multinomial:
-        return list(tables.values())
-    m = n_runs // scenario.ensemble.size
-    return [tables[m, qi] for qi in scenario.pass_probabilities.tolist()]
-
-
 def _draw_trials(rng, n_trials: int, n_runs: int, q: np.ndarray, tables: list, priors=None):
     """Passes per trial, and per-state prepared and passing counts summed.
 
-    ``tables`` are the ``_sampling_tables`` of the configuration.  Without
-    ``priors`` every state is prepared ``n_runs / a`` times (the fixed
-    schedule) and state i's passes are Binomial(n_runs / a, q_i).  With
-    them each run's state is drawn from the priors, so every run passes
-    with probability F = priors @ q and a trial's passes are
-    Binomial(n_runs, F).  Given the passes summed over the trials, their
-    states are Multinomial(passes, priors * q / F) and the failures'
-    states Multinomial(failures, priors * (1 - q) / (1 - F)).
+    Each trial's passes are the sum of one draw per table of ``tables``,
+    the ``_tables`` of ``_draw_laws``.  Without ``priors`` (the fixed
+    schedule) state i is prepared ``n_runs / a`` times and passes its own
+    column; with them the summed passes and failures are attributed to
+    states by one multinomial each (README, Notes on numerics).
     """
+    columns = [_invert(rng, table, n_trials) for table in tables]
+    passes = sum(columns)
     if priors is None:
-        per_state = n_runs // q.size
-        columns = [_invert(rng, table, n_trials) for table in tables]
         passed = np.array([column.sum() for column in columns], dtype=np.int64)
-        prepared = np.full(q.size, per_state * n_trials, dtype=np.int64)
-        return sum(columns), prepared, passed
-    (table,) = tables
-    passes = _invert(rng, table, n_trials)
+        prepared = np.full(q.size, n_runs // q.size * n_trials, dtype=np.int64)
+        return passes, prepared, passed
     total = int(passes.sum())
     passed = rng.multinomial(total, _conditional(priors * q))
     failed = rng.multinomial(n_runs * n_trials - total, _conditional(priors * (1.0 - q)))
@@ -381,11 +357,9 @@ def _draw_trials(rng, n_trials: int, n_runs: int, q: np.ndarray, tables: list, p
 def _split_outcomes(rng, scenario: Scenario, prepared: np.ndarray, passed: np.ndarray):
     """Outcome and passing counts per (state, outcome) from per-state totals.
 
-    State i's passing runs fall on outcome k in proportion to T[i, k, 1] of
-    the verification table and its failing runs in proportion to T[i, k, 0].
-    A sum of independent multinomials with one probability vector is
-    multinomial in the summed count, so one draw per state covers any
-    number of trials.
+    One multinomial per state and verification result over
+    ``scenario.outcome_split``, whatever number of trials the totals sum
+    (README, Notes on numerics).
     """
     fail_split, pass_split = scenario.outcome_split
     pass_counts = rng.multinomial(passed, pass_split)
@@ -405,8 +379,8 @@ def run_trial(
     the benchmark's tracer wraps it by name, so the API keeps it.
     """
     _check_schedule(scenario, n_runs)
-    q = scenario.pass_probabilities
-    passes, prepared, passed = _draw_trials(rng, 1, n_runs, q, _sampling_tables(scenario, n_runs, 1, False))
+    tables = _tables(_draw_laws(scenario, n_runs, False), 1)
+    passes, prepared, passed = _draw_trials(rng, 1, n_runs, scenario.pass_probabilities, tables)
     outcomes, pass_counts = _split_outcomes(rng, scenario, prepared, passed)
     return TrialTally(prepared, outcomes, pass_counts), int(passes[0]) / n_runs
 
@@ -444,9 +418,8 @@ def run_experiment(cfg: SimConfig, threshold: float, workers: int = 1) -> SimRep
         raise ValueError(f"workers must be at least 1, got {workers}")
     q = cfg.scenario.pass_probabilities
     priors = cfg.scenario.ensemble.priors if cfg.multinomial_preparation else None
-    tables = _sampling_tables(
-        cfg.scenario, cfg.n_runs, min(_MAX_BLOCK_TRIALS, cfg.n_trials), cfg.multinomial_preparation
-    )
+    laws = _draw_laws(cfg.scenario, cfg.n_runs, cfg.multinomial_preparation)
+    tables = _tables(laws, min(_MAX_BLOCK_TRIALS, cfg.n_trials))
     prepared = np.zeros(q.size, dtype=np.int64)
     passed = np.zeros(q.size, dtype=np.int64)
     lo, counts = None, np.zeros(0, dtype=np.int64)

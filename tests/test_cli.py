@@ -427,6 +427,10 @@ class TestExitCodes:
             (LLN + ["--trials", "9223372036854775808"], 2),
             (["simulate", "--scenario", "trine", "--n", "0"], 2),
             (["simulate", "--scenario", "trine", "--n", "-5"], 2),
+            (["simulate", "--scenario", "trine", "--n", "30000000000000001", "--trials", "10"], 3),
+            (["simulate", "--scenario", "trine", "--n", "100", "--trials", "0"], 2),
+            (["simulate", "--scenario", "trine", "--n", "100", "--threshold", "nan"], 2),
+            (["simulate", "--scenario", "trine", "--n", "100", "--workers", "0"], 2),
         ],
     )
     def test_rejected_before_any_output(self, capsys, argv, code):

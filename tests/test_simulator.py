@@ -146,7 +146,7 @@ class TestBinomialKernel:
     @pytest.mark.parametrize("p", [1e-3, 0.02, 0.3, 0.5, 0.75, 0.7499999999999999, 0.999])
     def test_matches_exact_pmf(self, m, p):
         size = 200_000
-        draws = simulator._binomial(stream(m, int(p * 1e6)), m, p, size)
+        draws = simulator._invert(stream(m, int(p * 1e6)), simulator._inversion_table(m, p, size), size)
         assert draws.shape == (size,)
         assert draws.min() >= 0 and draws.max() <= m
         pmf = binomial_pmf(m, p)
@@ -162,8 +162,8 @@ class TestBinomialKernel:
     @pytest.mark.parametrize("m", [1, 7, 2000])
     def test_certain_outcomes_are_constant(self, m):
         rng = stream(0)
-        assert np.array_equal(simulator._binomial(rng, m, 0.0, 5), np.zeros(5))
-        assert np.array_equal(simulator._binomial(rng, m, 1.0, 5), np.full(5, m))
+        assert np.array_equal(simulator._invert(rng, simulator._inversion_table(m, 0.0, 5), 5), np.zeros(5))
+        assert np.array_equal(simulator._invert(rng, simulator._inversion_table(m, 1.0, 5), 5), np.full(5, m))
 
     @pytest.mark.parametrize("block", [1, 7, 32768])
     @pytest.mark.parametrize(
@@ -187,7 +187,9 @@ class TestBinomialKernel:
             chosen = rng.choice(chosen, calls * block, replace=False)
         chosen = np.concatenate((chosen, rng.random(calls * block - chosen.size)))
         stub = ChosenUniforms(chosen)
-        got = np.concatenate([simulator._binomial(stub, m, p, block) for _ in range(calls)])
+        got = np.concatenate(
+            [simulator._invert(stub, simulator._inversion_table(m, p, block), block) for _ in range(calls)]
+        )
         assert stub.taken == chosen.size
         assert np.array_equal(got, searchsorted_reference(m, p, chosen))
         assert g <= guide_bound(cdf.size, block)
@@ -292,7 +294,9 @@ class TestRunExperiment:
         for block, n in blocks:
             rng = stream(15, subkey=n_runs, block=block)
             # one Binomial column per state, in state order
-            passes = sum(simulator._binomial(rng, n_runs // 3, qi, n) for qi in q.tolist())
+            passes = sum(
+                simulator._invert(rng, simulator._inversion_table(n_runs // 3, qi, n), n) for qi in q.tolist()
+            )
             expected += np.bincount(passes, minlength=n_runs + 1)
             exceeding += np.count_nonzero(passes / n_runs >= threshold)
         hist = report.pass_count_histogram
@@ -523,6 +527,89 @@ PINNED_REPORTS = {
 }
 
 
+#: Seeded ``lln_sweep`` ladders recorded with numpy 2.4.6: (scenario, trials,
+#: seed) -> one (n_runs, mean, mean absolute deviation, rms deviation) per N.
+PINNED_LADDERS = {
+    ("trine", 5000, 103): [
+        (60, 0.7502066666666667, 0.04485333333333337, 0.0566097753631532),
+        (600, 0.7497363333333333, 0.01398033333333334, 0.017645852518682996),
+        (6000, 0.7499243333333333, 0.004448466666666661, 0.005579700310550335),
+        (60000, 0.7499984333333333, 0.0014071933333333294, 0.0017602364108898045),
+        (600000, 0.7499950156666667, 0.00044286633333333173, 0.0005553416260885408),
+        (3000000, 0.7500035520666666, 0.00020309900000000064, 0.00025557495978023224),
+    ],
+    ("qutrit-mubs", 4000, 104): [
+        (12, 0.5001249999999999, 0.11458333333333336, 0.1458452376093691),
+        (120, 0.4994333333333334, 0.036412500000000014, 0.04566370124191765),
+        (1200, 0.5003777083333334, 0.011688958333333332, 0.014685954410403306),
+        (12000, 0.5000088333333333, 0.0036122083333333327, 0.004560759942158763),
+    ],
+    ("four-asymmetric", 2000, 109): [
+        (8, 0.774875, 0.1164848179816804, 0.14484358508024098),
+        (80, 0.77609375, 0.0377928145050828, 0.04727835356345485),
+        (800, 0.777226875, 0.011677303266532556, 0.014643979257480604),
+        (8000, 0.77715225, 0.0036786579237041536, 0.00461543916823368),
+    ],
+    ("helstrom", 3000, 105): [
+        (2, 0.9338333333333333, 0.12064480536596883, 0.17584586535543897),
+        (20, 0.9286666666666668, 0.04737765756508039, 0.05780825385705534),
+        (200, 0.9268316666666668, 0.014563731359237499, 0.01809713658032888),
+        (2000, 0.9266785, 0.004616629385141709, 0.005731552733156025),
+    ],
+}
+
+#: Seeded ``run_trial`` tallies on ``stream(seed, n_runs)``, recorded with
+#: numpy 2.4.6: (scenario, n_runs, seed) -> prepared, outcome and pass
+#: counts, and the trial fidelity.
+PINNED_TRIALS = {
+    ("trine", 3000000, 106): (
+        [1000000, 1000000, 1000000],
+        [[666684, 166015, 167301], [166581, 667027, 166392], [167150, 166116, 666734]],
+        [[666684, 41294, 41768], [41706, 667027, 41749], [41493, 41528, 666734]],
+        0.7499943333333333,
+    ),
+    ("qutrit-mubs", 1200, 107): (
+        [100] * 12,
+        [
+            [26, 0, 0, 7, 11, 8, 3, 9, 9, 9, 9, 9],
+            [0, 19, 0, 8, 9, 15, 7, 8, 11, 12, 5, 6],
+            [0, 0, 23, 7, 10, 13, 12, 4, 7, 10, 6, 8],
+            [7, 7, 6, 29, 0, 0, 7, 8, 7, 10, 13, 6],
+            [12, 8, 13, 0, 23, 0, 7, 7, 4, 6, 8, 12],
+            [9, 7, 9, 0, 0, 27, 4, 9, 6, 5, 10, 14],
+            [7, 7, 11, 6, 7, 6, 25, 0, 0, 5, 12, 14],
+            [10, 7, 9, 9, 9, 6, 0, 28, 0, 8, 7, 7],
+            [9, 9, 7, 7, 10, 6, 0, 0, 24, 8, 15, 5],
+            [9, 7, 14, 7, 7, 7, 7, 8, 10, 24, 0, 0],
+            [8, 8, 9, 10, 10, 8, 8, 6, 4, 0, 29, 0],
+            [5, 11, 6, 9, 6, 9, 11, 7, 13, 0, 0, 23],
+        ],
+        [
+            [26, 0, 0, 2, 3, 4, 1, 3, 1, 2, 2, 3],
+            [0, 19, 0, 2, 1, 6, 5, 1, 1, 3, 2, 1],
+            [0, 0, 23, 4, 4, 6, 4, 0, 5, 5, 2, 3],
+            [2, 2, 1, 29, 0, 0, 2, 3, 2, 1, 3, 1],
+            [7, 1, 2, 0, 23, 0, 3, 4, 0, 2, 2, 7],
+            [4, 3, 4, 0, 0, 27, 1, 3, 2, 2, 3, 8],
+            [2, 3, 8, 0, 4, 2, 25, 0, 0, 1, 5, 6],
+            [4, 4, 1, 5, 1, 1, 0, 28, 0, 3, 2, 2],
+            [5, 4, 2, 4, 3, 0, 0, 0, 24, 1, 5, 3],
+            [4, 3, 5, 4, 1, 3, 4, 3, 3, 24, 0, 0],
+            [0, 4, 4, 5, 2, 2, 1, 3, 2, 0, 29, 0],
+            [1, 5, 4, 0, 1, 4, 4, 3, 2, 0, 0, 23],
+        ],
+        0.5075,
+    ),
+    ("four-asymmetric", 4000, 110): (
+        [1000, 1000, 1000, 1000],
+        [[468, 17, 180, 335], [12, 661, 228, 99], [150, 288, 403, 159], [343, 88, 144, 425]],
+        [[468, 0, 83, 277], [0, 661, 115, 29], [67, 134, 403, 81], [266, 17, 72, 425]],
+        0.7745,
+    ),
+    ("helstrom", 200, 108): ([100, 100], [[83, 17], [25, 75]], [[83, 13], [12, 75]], 0.915),
+}
+
+
 class TestPinnedDraws:
     """Seeded reports stay the same draw for draw.
 
@@ -542,6 +629,24 @@ class TestPinnedDraws:
         assert report.prepared_counts.tolist() == prepared
         assert report.outcome_counts.tolist() == outcomes
         assert report.pass_counts.tolist() == passes
+
+    @pytest.mark.parametrize("case", list(PINNED_LADDERS), ids=lambda case: case[0])
+    def test_lln_sweep_matches_the_recorded_draws(self, case):
+        name, n_trials, seed = case
+        expected = PINNED_LADDERS[case]
+        rows = lln_sweep(builtin_scenarios()[name], [row[0] for row in expected], n_trials, seed)
+        got = [(r.n_runs, r.mean_fidelity, r.mean_abs_deviation, r.rms_deviation) for r in rows]
+        assert [tuple(map(repr, row)) for row in got] == [tuple(map(repr, row)) for row in expected]
+
+    @pytest.mark.parametrize("case", list(PINNED_TRIALS), ids=lambda case: case[0])
+    def test_run_trial_matches_the_recorded_draws(self, case):
+        name, n_runs, seed = case
+        prepared, outcomes, passes, fidelity = PINNED_TRIALS[case]
+        tally, got = run_trial(builtin_scenarios()[name], n_runs, stream(seed, n_runs))
+        assert tally.prepared_counts.tolist() == prepared
+        assert tally.outcome_counts.tolist() == outcomes
+        assert tally.pass_counts.tolist() == passes
+        assert repr(got) == repr(fidelity)
 
 
 class TestDerivedOnce:
@@ -584,7 +689,7 @@ class TestDerivedOnce:
     def test_one_table_per_scenario_over_simulates_and_a_ladder(self, calls, monkeypatch, capsys):
         from telecert import cli, scenarios
 
-        fresh = scenarios.trine_scenario()
+        fresh = scenarios.BUILTIN_CONSTRUCTORS["trine"]()
         monkeypatch.setattr(cli, "builtin_scenario", lambda name: fresh)
         ladder = "60,129,279,600,1293,2787,6000"
         for n in ("60", "120"):  # a second request would recompute an uncached value
@@ -833,7 +938,7 @@ class TestPassCountLaw:
         a = scenario.ensemble.size
         q = pass_probabilities(scenario.ensemble, scenario.povm)
         for n_runs in (a, 7 * a, 600 // a * a, 4400 // a * a):
-            lo, pmf = simulator._pass_count_law(q, n_runs // a)
+            lo, pmf = simulator._pass_count_law([(n_runs // a, qi) for qi in q.tolist()])
             dist = pass_count_distribution(scenario, n_runs)
             assert 0 <= lo and lo + pmf.size <= n_runs + 1
             assert np.all(np.abs(pmf - dist[lo : lo + pmf.size]) <= 1e-14)
