@@ -251,7 +251,10 @@ def cmd_lln(args) -> int:
     )
     columns = ("n_runs", "mean_fidelity", "mean_abs_deviation", "rms_deviation")
     records = [_fields(row, columns) for row in ladder]
-    slope = simulator.rms_loglog_slope(ladder) if len(ladder) >= 2 else None
+    try:
+        slope = simulator.rms_loglog_slope(ladder)
+    except ValueError:  # fewer than two distinct N
+        slope = None
     payload = {"scenario": scenario.name, "rows": records, "rms_loglog_slope": slope}
     parameters = {"scenario": scenario.name, "n": n_values, "trials": args.trials}
     return _emit(

@@ -16,7 +16,9 @@ histogram as one multinomial over the laws' convolution
 (``_pass_count_law``).  Each block of trials draws from a Philox stream
 keyed by (seed, n_runs) at the block's counter offset, so results depend
 only on the configuration.  The exact oracle convolves the same per-state
-law.  The README's account of the samplers and its Notes on numerics give
+law.  Inversion tables and exact laws depend on no seed or threshold; they
+are built once per process and kept within a byte budget (``_KEPT``).
+The README's account of the samplers and its Notes on numerics give
 the joint law, the guide table, the window, the costs and the error
 contracts.
 """
@@ -25,11 +27,14 @@ from __future__ import annotations
 
 import bisect
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError
+from .linalg import frozen
 from .scenarios import Scenario
 
 _U64 = (1 << 64) - 1
@@ -56,6 +61,53 @@ _WINDOW = math.sqrt(32.0 * math.log(2.0))
 #: Largest cdf table sampled from, about 9.4 sqrt(m) entries; it caps m
 #: near 1.2e10 runs per law and a table's arrays near 8 MiB each.
 _MAX_TABLE_ENTRIES = 1 << 20
+
+#: Bytes of arrays that ``_KEPT`` holds at most.
+_KEPT_BYTES = 4 << 20
+
+
+class _KeptProducts:
+    """Seed-free products of a configuration, built once and kept per process.
+
+    ``get(build, *args)`` returns ``build(*args)``, built on the first call
+    with those arguments and kept while the arrays of all kept products fit
+    in ``budget`` bytes; the least recently used go first.  A product larger
+    than the whole budget is returned and not kept, and a build that raises
+    keeps nothing.  Keys are the builder and its arguments (numbers and
+    bytes), never a scenario.  Builders return frozen arrays, so no caller
+    can change a kept product.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.nbytes = 0
+        self._entries = OrderedDict()  # key -> (product, its array bytes)
+        self._lock = threading.Lock()
+
+    def get(self, build, *args):
+        key = (build, args)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                return entry[0]
+        product = build(*args)
+        parts = product if isinstance(product, tuple) else (product,)
+        size = sum(part.nbytes for part in parts if isinstance(part, np.ndarray))
+        if size > self.budget:
+            return product
+        with self._lock:
+            if key not in self._entries:
+                self._entries[key] = (product, size)
+                self.nbytes += size
+            while self.nbytes > self.budget:
+                _, (_, dropped) = self._entries.popitem(last=False)
+                self.nbytes -= dropped
+        return product
+
+
+#: The process's inversion tables and exact pass-count laws.
+_KEPT = _KeptProducts(_KEPT_BYTES)
 
 
 def _check_schedule(scenario: Scenario, n_runs: int, uniform_priors: bool = True):
@@ -253,15 +305,23 @@ def _inversion_table(m: int, p: float, draws: int):
 
     ``draws``, the most draws taken at once, only sizes the guide.  A
     certain outcome has no cdf and no guide.  The README's Notes on
-    numerics define the guide and its size.
+    numerics define the guide and its size.  The window is checked before
+    anything is looked up or built; the table is kept in ``_KEPT``, keyed
+    by (m, p, guide size), and its arrays are frozen.
     """
-    lo, weights = _binomial_table(m, p)
-    if weights.size == 1:
+    lo, hi = _window(m, p)
+    if lo == hi:
         return lo, None, None
+    g = 1 << (max(64, 4 * min(hi - lo + 1, draws)) - 1).bit_length()
+    return _KEPT.get(_build_inversion_table, m, p, g)
+
+
+def _build_inversion_table(m: int, p: float, g: int):
+    """``_inversion_table`` of Binomial(m, p) with a guide of ``g`` buckets."""
+    lo, weights = _binomial_table(m, p)
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
-    g = 1 << (max(64, 4 * min(cdf.size, draws)) - 1).bit_length()
-    return lo, cdf, np.searchsorted(cdf, np.arange(g) / g, side="right")
+    return lo, frozen(cdf), frozen(np.searchsorted(cdf, np.arange(g) / g, side="right"))
 
 
 def _tables(laws: list, draws: int) -> list:
@@ -461,8 +521,10 @@ def pass_count_distribution(scenario: Scenario, n_runs: int) -> np.ndarray:
     Under the fixed schedule the pass count is a sum of independent
     Binomial(n_runs / a, q_i), the law the sampler draws.  The trial's law
     is the (n_runs / a)-th convolution power of the scenario's
-    ``round_pass_law`` (one run per state), formed by repeated squaring.  Beyond the work budget a ``BudgetExceededError``
-    points the caller at the Monte Carlo path.
+    ``round_pass_law`` (one run per state), formed by repeated squaring.
+    Beyond the work budget a ``BudgetExceededError`` points the caller at
+    the Monte Carlo path.  The law is kept in ``_KEPT``, keyed by
+    ``round_pass_law`` and n_runs / a, so the array returned is read-only.
     """
     _check_schedule(scenario, n_runs)
     if n_runs * (n_runs + 1) > _EXACT_OPS_BUDGET:
@@ -470,15 +532,20 @@ def pass_count_distribution(scenario: Scenario, n_runs: int) -> np.ndarray:
             f"exact enumeration at n_runs={n_runs} exceeds the work budget; "
             "use the Monte Carlo simulator instead"
         )
-    power = scenario.round_pass_law
-    dist = np.ones(1)
     rounds = n_runs // scenario.ensemble.size
+    return _KEPT.get(_convolution_power, scenario.round_pass_law.tobytes(), rounds)
+
+
+def _convolution_power(law: bytes, rounds: int) -> np.ndarray:
+    """The ``rounds``-th convolution power of the float64 pmf ``law``, frozen."""
+    power = np.frombuffer(law)
+    dist = np.ones(1)
     while True:
         if rounds & 1:
             dist = np.convolve(dist, power)
         rounds >>= 1
         if not rounds:
-            return dist
+            return frozen(dist)
         power = np.convolve(power, power)
 
 
@@ -530,9 +597,12 @@ def lln_sweep(
 
 
 def rms_loglog_slope(rows: list[LlnRow]) -> float:
-    """Least-squares slope of log10(rms deviation) against log10(N)."""
-    if len(rows) < 2:
-        raise ValueError("need at least two ladder points to fit a slope")
+    """Least-squares slope of log10(rms deviation) against log10(N).
+
+    Raises ``ValueError`` unless the rows hold at least two distinct N.
+    """
+    if len({row.n_runs for row in rows}) < 2:
+        raise ValueError("need at least two ladder points with distinct N to fit a slope")
     x = np.log10([row.n_runs for row in rows])
     y = np.log10([row.rms_deviation for row in rows])
     slope, _ = np.polyfit(x, y, 1)

@@ -367,6 +367,14 @@ class TestLln:
         assert len(doc["rows"]) == 1
         assert doc["rms_loglog_slope"] is None
 
+    def test_one_distinct_run_count_has_no_slope(self, capsys):
+        argv = ["lln", "--scenario", "trine", "--n", "60,60", "--trials", "10", "--format", "records"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert [row["n_runs"] for row in doc["rows"]] == [60, 60]
+        assert doc["rms_loglog_slope"] is None
+
     def test_short_ladder_slope(self, capsys, tmp_path):
         out_path = tmp_path / "lln.json"
         code, _, _ = run_cli(
@@ -459,6 +467,7 @@ class TestExitCodes:
         assert target.read_text() == "old document\n"
         assert [p.name for p in tmp_path.iterdir()] == ["sim.json"]
 
+    @pytest.mark.usefixtures("cold_products")
     @pytest.mark.parametrize("argv", [SIMULATE, LLN], ids=["simulate", "lln"])
     def test_tables_out_of_memory(self, capsys, monkeypatch, argv):
         def refuse(m, p):
@@ -540,6 +549,18 @@ class TestRepeatedRequests:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "0"
+
+    def test_warm_products_repeat_the_document_byte_for_byte(self, capsys, tmp_path, cold_products):
+        argv = ["simulate", "--scenario", "qutrit-mubs", "--n", "600", "--trials", "3000",
+                "--seed", "7", "--format", "records", "--out"]
+        texts = []
+        for name in ("cold.json", "warm.json"):
+            assert run_cli(capsys, argv + [str(tmp_path / name)])[0] == 0
+            assert cold_products.nbytes > 0
+            lines = (tmp_path / name).read_bytes().splitlines(keepends=True)
+            texts.append(b"".join(line for line in lines if not line.lstrip().startswith(b'"timestamp"')))
+        assert texts[0] == texts[1]
+        assert b'"exact_exceedance": null' not in texts[0]
 
     def test_documents_repeat_across_other_requests(self, capsys, tmp_path):
         argv = SIMULATE + ["--seed", "7", "--format", "records", "--out"]

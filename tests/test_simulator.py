@@ -1,7 +1,10 @@
+import gc
 import itertools
 import math
 import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -717,6 +720,137 @@ class TestDerivedOnce:
             assert len({id(instance) for instance in seen}) == 3, name
 
 
+def report_fields(report):
+    """Every field of a ``SimReport``, arrays as lists."""
+    return {name: value.tolist() if isinstance(value, np.ndarray) else value
+            for name, value in vars(report).items()}
+
+
+class TestKeptProducts:
+    """Inversion tables and exact laws are kept per process and change no result."""
+
+    #: (scenario, N) of the exact grid: small, mid and the largest N in budget.
+    EXACT_GRID = [(name, n) for name in builtin_scenarios() for n in (12, 600, 4464)]
+
+    def test_warm_products_change_no_result(self, cold_products):
+        thresholds = (0.0, 0.5, 0.75, 0.8, 0.865, 11 / 12, 1.0)
+        passes = []
+        for _ in ("cold", "warm"):
+            reports = {}
+            for case, ((name, n_runs, n_trials, seed, multinomial), *_) in PINNED_REPORTS.items():
+                scenario = nonuniform_trine() if name == "nonuniform-trine" else builtin_scenarios()[name]
+                cfg = SimConfig(scenario, n_runs, n_trials, seed, multinomial_preparation=multinomial)
+                reports[case] = report_fields(run_experiment(cfg, threshold=0.8))
+            exact = {
+                (name, n_runs, t): repr(exact_exceedance(builtin_scenarios()[name], n_runs, t))
+                for name, n_runs in self.EXACT_GRID
+                for t in thresholds
+            }
+            passes.append((reports, exact))
+            assert cold_products.nbytes > 0
+        assert passes[0] == passes[1]
+
+    def test_kept_arrays_are_read_only(self, cold_products):
+        scenario = builtin_scenarios()["trine"]
+        for multinomial in (False, True):
+            run_experiment(SimConfig(scenario, 60, 100, seed=1, multinomial_preparation=multinomial), 0.8)
+        pass_count_distribution(scenario, 600)
+        arrays = [part for product, _ in cold_products._entries.values()
+                  for part in (product if isinstance(product, tuple) else (product,))
+                  if isinstance(part, np.ndarray)]
+        # cdf and guide of (20, q_i) for the two distinct q_i and of (60, F), one exact law
+        assert len(arrays) == 2 * 3 + 1
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.setflags(write=True)
+
+    def test_writing_the_exact_law_moves_no_later_exceedance(self):
+        scenario = builtin_scenarios()["qubit-mubs"]
+        before = exact_exceedance(scenario, 600, 0.8)
+        dist = pass_count_distribution(scenario, 600)
+        with pytest.raises(ValueError):
+            dist[480:] = 1.0
+        with pytest.raises(ValueError):
+            dist.setflags(write=True)
+        assert exact_exceedance(scenario, 600, 0.8) == before
+
+    def test_failed_build_keeps_nothing(self, cold_products, monkeypatch):
+        def refuse(*args):
+            raise MemoryError("Unable to allocate")
+
+        scenario = builtin_scenarios()["trine"]
+        cfg = SimConfig(scenario, 600, 100, seed=3)
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "_binomial_table", refuse)
+            patch.setattr(simulator.np, "convolve", refuse)
+            with pytest.raises(MemoryError):
+                run_experiment(cfg, 0.8)
+            with pytest.raises(MemoryError):
+                pass_count_distribution(scenario, 600)
+            # an oversized table is refused before it is looked up or built
+            with pytest.raises(PreconditionError, match="too large"):
+                simulator._inversion_table(10**16, 0.75, 10)
+            assert not cold_products._entries and cold_products.nbytes == 0
+        assert report_fields(run_experiment(cfg, 0.8))["n_runs"] == 600
+        assert pass_count_distribution(scenario, 600).sum() == pytest.approx(1.0)
+        assert len(cold_products._entries) == 2 + 1  # two distinct q_i, one exact law
+
+    def test_bytes_stay_within_the_budget(self, cold_products, monkeypatch):
+        monkeypatch.setattr(cold_products, "budget", 64 * 1024)
+        scenario = builtin_scenarios()["four-asymmetric"]
+        built = 0
+        for n_runs in range(40, 4400, 88):
+            run_experiment(SimConfig(scenario, n_runs, 2000, seed=n_runs), 0.8)
+            exact_exceedance(scenario, n_runs, 0.8)
+            built += 4 + 1
+            held = sum(size for _, size in cold_products._entries.values())
+            assert cold_products.nbytes == held <= cold_products.budget
+        assert len(cold_products._entries) < built
+        # a table larger than the whole budget is used, not kept, and evicts nothing
+        kept = list(cold_products._entries)
+        table = simulator._inversion_table(10**6, 0.3, 32768)
+        assert table[1].nbytes > cold_products.budget
+        assert list(cold_products._entries) == kept
+
+    def test_threads_keep_the_byte_count(self, cold_products, monkeypatch):
+        monkeypatch.setattr(cold_products, "budget", 32 * 1024)
+        errors = []
+
+        def work(offset):
+            try:
+                for m in range(20 + offset, 600, 3):
+                    simulator._inversion_table(m, 0.3, 100)
+            except BaseException as exc:
+                errors.append(exc)
+
+        # four threads, two of them on the same keys
+        threads = [threading.Thread(target=work, args=(offset,)) for offset in (0, 3, 1, 2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        held = sum(size for _, size in cold_products._entries.values())
+        assert cold_products.nbytes == held <= cold_products.budget
+
+    def test_no_scenario_is_held(self, cold_products):
+        scenario = custom_scenario(ensembles.trine(), 0.865)
+        run_experiment(SimConfig(scenario, 60, 100, seed=1), 0.8)
+        exact_exceedance(scenario, 60, 0.8)
+        assert cold_products._entries
+        ref = weakref.ref(scenario)
+        del scenario
+        gc.collect()
+        assert ref() is None
+
+
 class TestExactOracle:
     def test_orthonormal_scenario_certain(self):
         scenario = orthonormal_scenario()
@@ -890,9 +1024,10 @@ class TestLlnSweep:
         predicted = math.sqrt(float(np.mean(q * (1 - q))) / 40.0)
         assert rows[0].rms_deviation == pytest.approx(predicted, rel=0.05)
 
-    def test_slope_fit_requires_two_points(self):
+    @pytest.mark.parametrize("ladder", [[30], [60, 60]], ids=["one-point", "one-distinct-n"])
+    def test_slope_fit_requires_two_points(self, ladder):
         scenario = builtin_scenarios()["trine"]
-        rows = lln_sweep(scenario, [30], n_trials=500, seed=5)
+        rows = lln_sweep(scenario, ladder, n_trials=500, seed=5)
         with pytest.raises(ValueError, match="two ladder points"):
             rms_loglog_slope(rows)
 
