@@ -64,17 +64,18 @@ class Ensemble:
             )
         if not np.isfinite(priors).all():
             raise PriorSumError(f"priors must be finite, got {priors.tolist()!r}")
-        norms = np.linalg.norm(states, axis=1)
+        with np.errstate(over="ignore"):  # a huge amplitude's norm is inf
+            norms = np.linalg.norm(states, axis=1)
         if np.max(np.abs(norms - 1.0)) > NORM_TOL:
             worst = int(np.argmax(np.abs(norms - 1.0)))
             raise StateNormalizationError(
-                f"state {worst} has norm {norms[worst]!r}, expected 1 within {NORM_TOL}"
+                f"state {worst} has norm {float(norms[worst])!r}, expected 1 within {NORM_TOL}"
             )
         if np.any(priors < 0.0):
             raise PriorSumError("priors must be nonnegative")
         if abs(float(priors.sum()) - 1.0) > PRIOR_TOL:
             raise PriorSumError(
-                f"priors sum to {priors.sum()!r}, expected 1 within {PRIOR_TOL}"
+                f"priors sum to {float(priors.sum())!r}, expected 1 within {PRIOR_TOL}"
             )
         object.__setattr__(self, "states", frozen(states))
         object.__setattr__(self, "priors", frozen(priors))
@@ -227,6 +228,8 @@ def load_ensemble(document) -> Ensemble:
             document = json.loads(document)
         except json.JSONDecodeError as exc:
             raise EnsembleFormatError(f"document is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise EnsembleFormatError(f"document nests too deeply: {exc}") from exc
     if not isinstance(document, dict):
         raise EnsembleFormatError("document root must be a JSON object")
 
@@ -262,12 +265,13 @@ def load_ensemble(document) -> Ensemble:
         rows.append(amps)
     states = np.array(rows, dtype=complex)
 
-    norms = np.linalg.norm(states, axis=1)
+    with np.errstate(over="ignore"):  # a huge amplitude's norm is inf
+        norms = np.linalg.norm(states, axis=1)
     off = np.abs(norms - 1.0)
     if np.max(off) > LOAD_TOL:
         worst = int(np.argmax(off))
         raise StateNormalizationError(
-            f"state {worst} has norm {norms[worst]!r}, "
+            f"state {worst} has norm {float(norms[worst])!r}, "
             f"expected 1 within {LOAD_TOL}"
         )
     states /= norms[:, None]

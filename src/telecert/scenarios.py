@@ -48,9 +48,9 @@ class Scenario:
 
     The values every request derives from the ensemble and the POVM,
     ``verification_table``, ``pass_probabilities`` (q),
-    ``classical_fidelity``, ``outcome_split`` and ``round_pass_law``, are
-    computed on first use and kept, so a scenario computes each at most
-    once, whatever N, trial count, seed or threshold a request asks for.
+    ``classical_fidelity`` and ``outcome_split``, are computed on first use
+    and kept, so a scenario computes each at most once, whatever N, trial
+    count, seed or threshold a request asks for.
     The arrays sit on immutable buffers like the ensemble's.
     """
 
@@ -100,12 +100,6 @@ class Scenario:
         total = table.sum(axis=1, keepdims=True)
         split = np.divide(table, total, out=np.zeros_like(table), where=total > 0)
         return frozen(np.moveaxis(split, 2, 0))
-
-    @functools.cached_property
-    def round_pass_law(self) -> np.ndarray:
-        """Pass-count law of one round, one run per state: ``[1 - q_i, q_i]`` convolved."""
-        factors = ([1.0 - qi, qi] for qi in self.pass_probabilities)
-        return frozen(functools.reduce(np.convolve, factors))
 
 
 def helstrom_scenario(theta: float = math.pi / 2.0) -> Scenario:

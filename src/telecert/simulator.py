@@ -15,9 +15,11 @@ over trials, once per experiment; ``lln_sweep`` draws each point's
 histogram as one multinomial over the laws' convolution
 (``_pass_count_law``).  Each block of trials draws from a Philox stream
 keyed by (seed, n_runs) at the block's counter offset, so results depend
-only on the configuration.  The exact oracle convolves the same per-state
-law.  Inversion tables and exact laws depend on no seed or threshold; they
-are built once per process and kept within a byte budget (``_KEPT``).
+only on the configuration.  The exact oracle convolves the same laws.
+``_draw_laws`` also checks the schedule, so every consumer of the laws
+refuses the same configurations.  Inversion tables and exact laws depend
+on no seed or threshold; they are built once per process and kept within
+a byte budget (``_KEPT``).
 The README's account of the samplers and its Notes on numerics give
 the joint law, the guide table, the window, the costs and the error
 contracts.
@@ -26,7 +28,9 @@ contracts.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
+import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -74,8 +78,8 @@ class _KeptProducts:
     in ``budget`` bytes; the least recently used go first.  A product larger
     than the whole budget is returned and not kept, and a build that raises
     keeps nothing.  Keys are the builder and its arguments (numbers and
-    bytes), never a scenario.  Builders return frozen arrays, so no caller
-    can change a kept product.
+    tuples of numbers), never a scenario.  Builders return frozen arrays, so
+    no caller can change a kept product.
     """
 
     def __init__(self, budget: int):
@@ -110,31 +114,30 @@ class _KeptProducts:
 _KEPT = _KeptProducts(_KEPT_BYTES)
 
 
-def _check_schedule(scenario: Scenario, n_runs: int, uniform_priors: bool = True):
-    """Require a positive multiple of a runs and, if asked, uniform priors."""
+def _draw_laws(scenario: Scenario, n_runs: int, multinomial: bool) -> list:
+    """(m, p) of the Binomial draws that sum to a trial's passes, in draw order.
+
+    Under the fixed schedule that is one law (n_runs / a, q_i) per state;
+    under multinomial preparation, the one law (n_runs, F).  This is the
+    one check of a schedule: ``n_runs`` must be an integer (``TypeError``
+    otherwise) and a positive multiple of a, and the fixed schedule needs
+    uniform priors (``PreconditionError`` otherwise).
+    """
+    n_runs = operator.index(n_runs)
     a = scenario.ensemble.size
     if n_runs < 1 or n_runs % a != 0:
         raise PreconditionError(
             f"n_runs must be a positive multiple of the ensemble size {a}, "
             f"got {n_runs}"
         )
-    if uniform_priors and not scenario.ensemble.has_uniform_priors():
+    if multinomial:
+        return [(n_runs, scenario.classical_fidelity)]
+    if not scenario.ensemble.has_uniform_priors():
         raise PreconditionError(
             "the fixed preparation schedule requires uniform priors; "
             "multinomial preparation admits non-uniform ones"
         )
-
-
-def _draw_laws(scenario: Scenario, n_runs: int, multinomial: bool) -> list:
-    """(m, p) of the Binomial draws that sum to a trial's passes, in draw order.
-
-    Under the fixed schedule that is one law (n_runs / a, q_i) per state;
-    under multinomial preparation, the one law (n_runs, F).
-    """
-    if multinomial:
-        return [(n_runs, scenario.classical_fidelity)]
-    m = n_runs // scenario.ensemble.size
-    return [(m, qi) for qi in scenario.pass_probabilities.tolist()]
+    return [(n_runs // a, qi) for qi in scenario.pass_probabilities.tolist()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,14 +162,13 @@ class SimConfig:
     def __post_init__(self):
         if self.n_runs < 1:
             raise ValueError(f"n_runs must be positive, got {self.n_runs}")
-        _check_schedule(self.scenario, self.n_runs, not self.multinomial_preparation)
+        laws = _draw_laws(self.scenario, self.n_runs, self.multinomial_preparation)
         if not 1 <= self.n_trials <= _I64:
             raise ValueError(
                 f"n_trials must be between 1 and 2**63 - 1, got {self.n_trials}"
             )
         if not 0 <= self.seed <= _U64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        laws = _draw_laws(self.scenario, self.n_runs, self.multinomial_preparation)
         for law in dict.fromkeys(laws):
             _window(*law)
 
@@ -438,7 +440,6 @@ def run_trial(
     the public entry point for a caller that supplies its own stream, and
     the benchmark's tracer wraps it by name, so the API keeps it.
     """
-    _check_schedule(scenario, n_runs)
     tables = _tables(_draw_laws(scenario, n_runs, False), 1)
     passes, prepared, passed = _draw_trials(rng, 1, n_runs, scenario.pass_probabilities, tables)
     outcomes, pass_counts = _split_outcomes(rng, scenario, prepared, passed)
@@ -519,26 +520,27 @@ def pass_count_distribution(scenario: Scenario, n_runs: int) -> np.ndarray:
     """Exact distribution of the number of passing runs in a trial.
 
     Under the fixed schedule the pass count is a sum of independent
-    Binomial(n_runs / a, q_i), the law the sampler draws.  The trial's law
-    is the (n_runs / a)-th convolution power of the scenario's
-    ``round_pass_law`` (one run per state), formed by repeated squaring.
+    Binomial(n_runs / a, q_i), the laws ``_draw_laws`` lists for the
+    sampler.  The trial's law is the (n_runs / a)-th convolution power of
+    one round's law (one run per state), formed by repeated squaring.
     Beyond the work budget a ``BudgetExceededError`` points the caller at
-    the Monte Carlo path.  The law is kept in ``_KEPT``, keyed by
-    ``round_pass_law`` and n_runs / a, so the array returned is read-only.
+    the Monte Carlo path.  The law is kept in ``_KEPT``, keyed by those
+    laws, so the array returned is read-only.
     """
-    _check_schedule(scenario, n_runs)
+    laws = tuple(_draw_laws(scenario, n_runs, False))
+    n_runs = operator.index(n_runs)  # a numpy integer would wrap in the product
     if n_runs * (n_runs + 1) > _EXACT_OPS_BUDGET:
         raise BudgetExceededError(
             f"exact enumeration at n_runs={n_runs} exceeds the work budget; "
             "use the Monte Carlo simulator instead"
         )
-    rounds = n_runs // scenario.ensemble.size
-    return _KEPT.get(_convolution_power, scenario.round_pass_law.tobytes(), rounds)
+    return _KEPT.get(_convolution_power, laws)
 
 
-def _convolution_power(law: bytes, rounds: int) -> np.ndarray:
-    """The ``rounds``-th convolution power of the float64 pmf ``law``, frozen."""
-    power = np.frombuffer(law)
+def _convolution_power(laws: tuple) -> np.ndarray:
+    """Pmf of the sum of draws from ``laws``, Binomial laws of one m, frozen."""
+    power = functools.reduce(np.convolve, ([1.0 - p, p] for _, p in laws))
+    rounds = laws[0][0]
     dist = np.ones(1)
     while True:
         if rounds & 1:
@@ -577,7 +579,7 @@ def lln_sweep(
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     configs = [
-        SimConfig(scenario=scenario, n_runs=int(n_runs), n_trials=n_trials, seed=seed)
+        SimConfig(scenario=scenario, n_runs=operator.index(n_runs), n_trials=n_trials, seed=seed)
         for n_runs in n_values
     ]
     f_th = scenario.classical_fidelity

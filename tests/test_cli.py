@@ -753,6 +753,23 @@ class TestEnsembleValidate:
         assert code == cli.EXIT_VALIDATION
         assert "JSON" in err
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[" * 200_000, "validation error: document nests too deeply: "),
+            ('{"dim":2,"states":[[[1e200,0],[0,0]],[[0,0],[1,0]]]}',
+             "validation error: state 0 has norm inf, expected 1 within 1e-06\n"),
+        ],
+        ids=["deep-nesting", "huge-amplitude"],
+    )
+    def test_refused_with_one_line_on_stderr(self, capsys, tmp_path, text, message):
+        path = tmp_path / "ensemble.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, ["ensemble", "validate", str(path)])
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith(message) and err.count("\n") == 1 and err.endswith("\n")
+
 
 def _columns(lines):
     """Cells of a ``reporting.format_table`` rendering, split at its dash line."""

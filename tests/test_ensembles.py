@@ -102,6 +102,18 @@ class TestLoadEnsemble:
         with pytest.raises(StateNormalizationError, match="norm"):
             ensembles.load_ensemble(json.dumps(doc))
 
+    def test_deep_nesting_is_a_format_error(self):
+        with pytest.raises(EnsembleFormatError, match="nests too deeply"):
+            ensembles.load_ensemble("[" * 200_000)
+
+    def test_huge_amplitude_is_refused_without_a_warning(self):
+        doc = '{"dim":2,"states":[[[1e200,0],[0,0]],[[0,0],[1,0]]]}'
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StateNormalizationError) as info:
+                ensembles.load_ensemble(doc)
+        assert str(info.value) == "state 0 has norm inf, expected 1 within 1e-06"
+
     def test_bad_prior_sum_rejected(self):
         doc = {
             "dim": 2,
@@ -262,3 +274,15 @@ def test_direct_construction_rejects_non_finite_values(bad):
         if np.isreal(bad):
             with pytest.raises(PriorSumError, match="finite"):
                 ensembles.Ensemble(good, np.array([bad.real, 0.5]))
+
+
+def test_direct_construction_messages_print_plain_numbers():
+    good = np.array([[1, 0], [0, 1]], complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateNormalizationError) as info:
+            ensembles.Ensemble(good * 1e200, np.array([0.5, 0.5]))
+    assert str(info.value) == "state 0 has norm inf, expected 1 within 1e-10"
+    with pytest.raises(PriorSumError) as info:
+        ensembles.Ensemble(good, np.array([0.5, 0.75]))
+    assert str(info.value) == "priors sum to 1.25, expected 1 within 1e-12"

@@ -42,7 +42,7 @@ class TestSharedBuiltins:
         "array",
         [
             "ensemble.states", "ensemble.priors", "povm.elements", "verification_table",
-            "pass_probabilities", "outcome_split", "round_pass_law",
+            "pass_probabilities", "outcome_split",
         ],
     )
     def test_shared_arrays_cannot_be_made_writable(self, name, array):
@@ -82,12 +82,3 @@ class TestDerivedValues:
             want = np.divide(table[:, :, v], total, out=np.zeros_like(table[:, :, v]), where=total > 0)
             np.testing.assert_allclose(split[v], want, rtol=1e-15, atol=0)
             np.testing.assert_allclose(split[v].sum(axis=1), np.where(total[:, 0] > 0, 1.0, 0.0), rtol=1e-14)
-
-    @pytest.mark.parametrize("name", NAMES)
-    def test_round_pass_law_is_one_run_per_state(self, name):
-        scenario = builtin_scenario(name)
-        law = np.ones(1)
-        for qi in scenario.pass_probabilities:
-            law = np.convolve(law, [1.0 - qi, qi])
-        assert law.shape == scenario.round_pass_law.shape
-        np.testing.assert_allclose(scenario.round_pass_law, law, rtol=0, atol=1e-15)

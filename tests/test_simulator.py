@@ -94,6 +94,26 @@ class TestConfigValidation:
         cfg = SimConfig(scenario=scenario, n_runs=12, n_trials=(1 << 63) - 1, seed=0)
         assert cfg.n_trials == (1 << 63) - 1
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda scenario: SimConfig(scenario, 60.0, 10, 0),
+            lambda scenario: exact_exceedance(scenario, 60.0, 0.8),
+            lambda scenario: lln_sweep(scenario, [60, 60.9], 10, 0),
+            lambda scenario: run_trial(scenario, 60.0, stream(0)),
+        ],
+        ids=["SimConfig", "exact_exceedance", "lln_sweep", "run_trial"],
+    )
+    def test_non_integral_run_count_is_refused_before_any_work(self, call, cold_products, monkeypatch):
+        def untouched(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(simulator, "_binomial_table", untouched)
+        monkeypatch.setattr(simulator, "_total_histogram", untouched)
+        with pytest.raises(TypeError, match="integer"):
+            call(builtin_scenarios()["trine"])
+        assert not cold_products._entries
+
     def test_non_uniform_priors_need_multinomial_mode(self):
         states = np.eye(2, dtype=complex)
         ens = ensembles.Ensemble(states, np.array([0.7, 0.3]))
@@ -613,6 +633,117 @@ PINNED_TRIALS = {
 }
 
 
+#: ``exact_exceedance`` reprs, recorded with numpy 2.4.6: (scenario, n_runs)
+#: -> one per threshold of ``PINNED_EXACT_THRESHOLDS``, the scenario's target
+#: standing in for ``None``.  n_runs is a, 7a and the largest multiples of a
+#: up to 600, 4400 and 4470, the last near the top of the work budget.
+PINNED_EXACT_THRESHOLDS = (0.0, 0.5, 0.6, 0.75, 0.8, None, 1.0)
+PINNED_EXACT = {
+    ("trine", 3): (
+        '0.9999999999999999', '0.8437499999999999', '0.8437499999999999', '0.4218749999999999',
+        '0.4218749999999999', '0.4218749999999999', '0.4218749999999999',
+    ),
+    ("trine", 21): (
+        '0.9999999999999996', '0.9935772895159967', '0.94385315998943', '0.566589866422873',
+        '0.3674201388137132', '0.07452348056494874', '0.002378408954200491',
+    ),
+    ("trine", 600): (
+        '0.9999999999999878', '0.9999999999999879', '0.9999999999999876', '0.5219220945068574',
+        '0.0022511164849508243', '2.9393423334861243e-12', '1.0883235704008321e-75',
+    ),
+    ("trine", 4398): (
+        '0.9999999999999117', '0.9999999999999117', '0.9999999999999118', '0.5011578704946953',
+        '2.1051986147711734e-15', '2.956869220180351e-79', '0.0',
+    ),
+    ("trine", 4470): (
+        '0.9999999999999105', '0.9999999999999103', '0.9999999999999104', '0.5011485049765727',
+        '1.5029499971321978e-15', '2.0065305651660415e-80', '0.0',
+    ),
+    ("four-asymmetric", 4): (
+        '1.0', '0.9641507439189438', '0.784005246024726', '0.784005246024726',
+        '0.36229768180803595', '0.36229768180803595', '0.36229768180803595',
+    ),
+    ("four-asymmetric", 28): (
+        '1.0', '0.9997195814408837', '0.9882620705384126', '0.7260864482736673',
+        '0.38202254207492237', '0.09932943735712924', '0.0008193300551852216',
+    ),
+    ("four-asymmetric", 600): (
+        '1.0', '1.0', '1.0', '0.9489496889289518', '0.09407520485611494', '4.813069209290564e-10',
+        '7.241579053889136e-67',
+    ),
+    ("four-asymmetric", 4400): (
+        '1.0', '1.0', '1.0', '0.9999912489254041', '0.00010621783593878833',
+        '4.837800966631523e-63', '0.0',
+    ),
+    ("four-asymmetric", 4468): (
+        '1.0', '1.0', '1.0', '0.9999924533120504', '8.672378371922164e-05',
+        '3.867513261791787e-64', '0.0',
+    ),
+    ("qubit-mubs", 6): (
+        '1.0', '0.8998628257887515', '0.6803840877914948', '0.35116598079561007',
+        '0.35116598079561007', '0.35116598079561007', '0.08779149519890246',
+    ),
+    ("qubit-mubs", 42): (
+        '0.9999999999999999', '0.9916434639311474', '0.7950530987179387', '0.12447763202614767',
+        '0.03171511419870686', '0.06671983790717508', '4.019454526140676e-08',
+    ),
+    ("qubit-mubs", 600): (
+        '0.9999999999999991', '0.9999999999999991', '0.9997302216807515', '5.739571654547352e-06',
+        '3.31260843434139e-13', '1.990266333404657e-08', '2.214341332527414e-106',
+    ),
+    ("qubit-mubs", 4398): (
+        '0.9999999999999937', '0.9999999999999937', '0.9999999999999936', '1.4877164802389513e-33',
+        '6.971910888254702e-86', '3.212244515460202e-51', '0.0',
+    ),
+    ("qubit-mubs", 4470): (
+        '0.9999999999999937', '0.9999999999999936', '0.9999999999999936', '4.525856181391762e-34',
+        '4.514466573655279e-87', '6.327549509708578e-52', '0.0',
+    ),
+    ("qutrit-mubs", 12): (
+        '1.0', '0.6127929687500003', '0.19384765625000022', '0.07299804687500011',
+        '0.019287109375000035', '0.019287109375000035', '0.00024414062500000065',
+    ),
+    ("qutrit-mubs", 84): (
+        '0.9999999999999999', '0.5433988188877024', '0.031486128518084994',
+        '2.4840075709565086e-06', '4.271170476862144e-09', '7.924627824846588e-07',
+        '5.169878828456519e-26',
+    ),
+    ("qutrit-mubs", 600): (
+        '0.9999999999999994', '0.5162799656674918', '5.478412821936053e-07',
+        '4.60441588737444e-36', '3.2270956361265858e-52', '1.5247386819320264e-36',
+        '2.409919865103205e-181',
+    ),
+    ("qutrit-mubs", 4392): (
+        '0.999999999999995', '0.5060194135191577', '1.037738685517972e-40',
+        '6.386522580236986e-252', '0.0', '2.5846937813476568e-254', '0.0',
+    ),
+    ("qutrit-mubs", 4464): (
+        '0.9999999999999949', '0.50597067800817', '2.6206307786339596e-41',
+        '5.1445715021694294e-256', '0.0', '2.082623372007735e-258', '0.0',
+    ),
+    ("helstrom", 2): (
+        '1.0', '0.9946383476483184', '0.8589150429449552', '0.8589150429449552',
+        '0.8589150429449552', '0.8589150429449552', '0.8589150429449552',
+    ),
+    ("helstrom", 14): (
+        '0.9999999999999997', '0.9999983412669117', '0.9997236806786776', '0.984146193063896',
+        '0.9222340966987177', '0.34486686011137047', '0.34486686011137047',
+    ),
+    ("helstrom", 600): (
+        '0.9999999999999846', '0.9999999999999846', '0.9999999999999847', '0.9999999999999847',
+        '0.9999999999999847', '4.919853957394926e-09', '1.5313085179493422e-20',
+    ),
+    ("helstrom", 4400): (
+        '0.9999999999998871', '0.9999999999998871', '0.9999999999998871', '0.999999999999887',
+        '0.9999999999998871', '6.167267283112256e-57', '4.902976227797166e-146',
+    ),
+    ("helstrom", 4470): (
+        '0.9999999999998853', '0.9999999999998853', '0.9999999999998855', '0.9999999999998854',
+        '0.9999999999998854', '4.7517536863643526e-58', '2.3917572680446757e-148',
+    ),
+}
+
+
 class TestPinnedDraws:
     """Seeded reports stay the same draw for draw.
 
@@ -652,6 +783,24 @@ class TestPinnedDraws:
         assert repr(got) == repr(fidelity)
 
 
+class TestPinnedExact:
+    """The exact oracle's values stay the same bit for bit.
+
+    Every ``simulate`` document carries them.  numpy does not promise the
+    same floating-point rounding across versions (as with ``Generator``
+    streams, NEP 19), so a failure on another numpy says that documents
+    differ there; on the recorded version it says the oracle changed.
+    """
+
+    @pytest.mark.parametrize("case", list(PINNED_EXACT), ids=lambda case: f"{case[0]}-{case[1]}")
+    def test_exact_exceedance_matches_the_recorded_values(self, case, cold_products):
+        name, n_runs = case
+        scenario = builtin_scenarios()[name]
+        thresholds = [scenario.target_fidelity if t is None else t for t in PINNED_EXACT_THRESHOLDS]
+        got = tuple(repr(exact_exceedance(scenario, n_runs, t)) for t in thresholds)
+        assert got == PINNED_EXACT[case]
+
+
 class TestDerivedOnce:
     """A scenario computes each of its derived values once, whatever uses it."""
 
@@ -659,7 +808,6 @@ class TestDerivedOnce:
     #: ensemble besides the verification table.
     PROPERTIES = [
         ("Scenario", "outcome_split"),
-        ("Scenario", "round_pass_law"),
         ("Ensemble", "_uniform_priors"),
     ]
 
@@ -703,7 +851,6 @@ class TestDerivedOnce:
         assert calls == {
             "verification_table": [fresh.ensemble],
             "outcome_split": [fresh],
-            "round_pass_law": [fresh],
             "_uniform_priors": [fresh.ensemble],
         }
 
@@ -840,6 +987,12 @@ class TestKeptProducts:
         held = sum(size for _, size in cold_products._entries.values())
         assert cold_products.nbytes == held <= cold_products.budget
 
+    def test_equal_laws_share_one_exact_law(self, cold_products):
+        kept = pass_count_distribution(builtin_scenarios()["trine"], 600)
+        fresh = custom_scenario(ensembles.trine(), 0.865)
+        assert pass_count_distribution(fresh, 600) is kept
+        assert len(cold_products._entries) == 1
+
     def test_no_scenario_is_held(self, cold_products):
         scenario = custom_scenario(ensembles.trine(), 0.865)
         run_experiment(SimConfig(scenario, 60, 100, seed=1), 0.8)
@@ -934,6 +1087,12 @@ class TestExactOracle:
         scenario = builtin_scenarios()["trine"]
         with pytest.raises(BudgetExceededError, match="Monte Carlo"):
             pass_count_distribution(scenario, 300000)
+
+    def test_budget_guard_takes_numpy_integers(self):
+        # n_runs * (n_runs + 1) would wrap around in int64 arithmetic
+        scenario = builtin_scenarios()["trine"]
+        with pytest.raises(BudgetExceededError, match="n_runs=6000000000 "):
+            pass_count_distribution(scenario, np.int64(6 * 10**9))
 
     def test_monte_carlo_agrees_with_oracle(self):
         scenario = builtin_scenarios()["trine"]
