@@ -18,8 +18,8 @@ keyed by (seed, n_runs) at the block's counter offset, so results depend
 only on the configuration.  The exact oracle convolves the same laws.
 ``_draw_laws`` also checks the schedule, so every consumer of the laws
 refuses the same configurations.  Inversion tables and exact laws depend
-on no seed or threshold; they are built once per process and kept within
-a byte budget (``_KEPT``).
+on no seed or threshold; they are built once per process and the last
+``_KEPT_PRODUCTS`` used are kept (``_kept``), each at most about 35 KiB.
 The README's account of the samplers and its Notes on numerics give
 the joint law, the guide table, the window, the costs and the error
 contracts.
@@ -31,8 +31,6 @@ import bisect
 import functools
 import math
 import operator
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,52 +64,25 @@ _WINDOW = math.sqrt(32.0 * math.log(2.0))
 #: near 1.2e10 runs per law and a table's arrays near 8 MiB each.
 _MAX_TABLE_ENTRIES = 1 << 20
 
-#: Bytes of arrays that ``_KEPT`` holds at most.
-_KEPT_BYTES = 4 << 20
+#: Products ``_kept`` holds at most, and the widest window whose inversion
+#: table it keeps.  An exact law has at most 4472 float64 entries under the
+#: N(N+1) <= 2e7 budget, 34.9 KiB; a kept table has a cdf of at most 512
+#: float64 entries and a guide of at most 4 * 512 = 2048 intp entries,
+#: 4 + 16 = 20 KiB.  So 128 kept products hold at most 128 * 34.9 KiB,
+#: about 4.4 MiB; a wider table is built, used and not kept.
+_KEPT_PRODUCTS = 128
+_KEPT_WINDOW = 512
 
 
-class _KeptProducts:
-    """Seed-free products of a configuration, built once and kept per process.
+@functools.lru_cache(maxsize=_KEPT_PRODUCTS)
+def _kept(build, *args):
+    """``build(*args)``, kept while among the last ``_KEPT_PRODUCTS`` built or used.
 
-    ``get(build, *args)`` returns ``build(*args)``, built on the first call
-    with those arguments and kept while the arrays of all kept products fit
-    in ``budget`` bytes; the least recently used go first.  A product larger
-    than the whole budget is returned and not kept, and a build that raises
-    keeps nothing.  Keys are the builder and its arguments (numbers and
-    tuples of numbers), never a scenario.  Builders return frozen arrays, so
-    no caller can change a kept product.
+    Keys are the builder and its arguments (numbers and tuples of numbers),
+    never a scenario; a build that raises keeps nothing.  Builders return
+    frozen arrays, so no caller can change a kept product.
     """
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.nbytes = 0
-        self._entries = OrderedDict()  # key -> (product, its array bytes)
-        self._lock = threading.Lock()
-
-    def get(self, build, *args):
-        key = (build, args)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                return entry[0]
-        product = build(*args)
-        parts = product if isinstance(product, tuple) else (product,)
-        size = sum(part.nbytes for part in parts if isinstance(part, np.ndarray))
-        if size > self.budget:
-            return product
-        with self._lock:
-            if key not in self._entries:
-                self._entries[key] = (product, size)
-                self.nbytes += size
-            while self.nbytes > self.budget:
-                _, (_, dropped) = self._entries.popitem(last=False)
-                self.nbytes -= dropped
-        return product
-
-
-#: The process's inversion tables and exact pass-count laws.
-_KEPT = _KeptProducts(_KEPT_BYTES)
+    return build(*args)
 
 
 def _draw_laws(scenario: Scenario, n_runs: int, multinomial: bool) -> list:
@@ -308,14 +279,17 @@ def _inversion_table(m: int, p: float, draws: int):
     ``draws``, the most draws taken at once, only sizes the guide.  A
     certain outcome has no cdf and no guide.  The README's Notes on
     numerics define the guide and its size.  The window is checked before
-    anything is looked up or built; the table is kept in ``_KEPT``, keyed
-    by (m, p, guide size), and its arrays are frozen.
+    anything is looked up or built; a table whose window has at most
+    ``_KEPT_WINDOW`` entries is kept by ``_kept``, keyed by (m, p, guide
+    size), and a wider one is built each time.  Its arrays are frozen.
     """
     lo, hi = _window(m, p)
     if lo == hi:
         return lo, None, None
     g = 1 << (max(64, 4 * min(hi - lo + 1, draws)) - 1).bit_length()
-    return _KEPT.get(_build_inversion_table, m, p, g)
+    if hi - lo >= _KEPT_WINDOW:
+        return _build_inversion_table(m, p, g)
+    return _kept(_build_inversion_table, m, p, g)
 
 
 def _build_inversion_table(m: int, p: float, g: int):
@@ -461,9 +435,14 @@ def min_passes(threshold: float, n_runs: int) -> int:
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be positive, got {n_runs}")
+    _check_threshold(threshold)
+    return bisect.bisect_left(range(n_runs + 1), threshold, key=lambda s: s / n_runs)
+
+
+def _check_threshold(threshold: float) -> None:
+    """Refuse a non-finite ``threshold`` with ``ValueError``, as ``min_passes`` does."""
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold!r}")
-    return bisect.bisect_left(range(n_runs + 1), threshold, key=lambda s: s / n_runs)
 
 
 def run_experiment(cfg: SimConfig, threshold: float, workers: int = 1) -> SimReport:
@@ -524,7 +503,7 @@ def pass_count_distribution(scenario: Scenario, n_runs: int) -> np.ndarray:
     sampler.  The trial's law is the (n_runs / a)-th convolution power of
     one round's law (one run per state), formed by repeated squaring.
     Beyond the work budget a ``BudgetExceededError`` points the caller at
-    the Monte Carlo path.  The law is kept in ``_KEPT``, keyed by those
+    the Monte Carlo path.  The law is kept by ``_kept``, keyed by those
     laws, so the array returned is read-only.
     """
     laws = tuple(_draw_laws(scenario, n_runs, False))
@@ -534,7 +513,7 @@ def pass_count_distribution(scenario: Scenario, n_runs: int) -> np.ndarray:
             f"exact enumeration at n_runs={n_runs} exceeds the work budget; "
             "use the Monte Carlo simulator instead"
         )
-    return _KEPT.get(_convolution_power, laws)
+    return _kept(_convolution_power, laws)
 
 
 def _convolution_power(laws: tuple) -> np.ndarray:
@@ -552,7 +531,11 @@ def _convolution_power(laws: tuple) -> np.ndarray:
 
 
 def exact_exceedance(scenario: Scenario, n_runs: int, threshold: float) -> float:
-    """Exact probability that a trial reaches ``threshold`` (rounding clamped to 1)."""
+    """Exact probability that a trial reaches ``threshold`` (rounding clamped to 1).
+
+    A non-finite ``threshold`` is refused before the law is looked up or built.
+    """
+    _check_threshold(threshold)
     dist = pass_count_distribution(scenario, n_runs)
     return min(1.0, float(dist[min_passes(threshold, n_runs):].sum()))
 

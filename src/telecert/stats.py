@@ -13,6 +13,7 @@ e0 = -mu with ``log1p``, so the bound is finite on exactly the domain
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .discrimination import Povm, pass_probabilities
@@ -83,7 +84,7 @@ class BoundInput:
 
     ``mu`` is the per-variable mean in (-1, 0), ``t`` the exceedance offset
     with ``0 < t < -mu``, ``a`` the ensemble size, and ``n_runs`` the number
-    of experiment repetitions.
+    of experiment repetitions, an integer (``TypeError`` otherwise).
     """
 
     mu: float
@@ -94,6 +95,7 @@ class BoundInput:
     def __post_init__(self):
         if self.a < 2:
             raise ValueError(f"a must be at least 2, got {self.a}")
+        object.__setattr__(self, "n_runs", operator.index(self.n_runs))
         if self.n_runs < 1:
             raise ValueError(f"n_runs must be positive, got {self.n_runs}")
         if _overflows_float((self.a - 1) * self.n_runs):
@@ -168,10 +170,12 @@ def hoeffding_generic(mu_prime: float, t_prime: float, m: int) -> float:
 
     ``mu_prime`` is the normalized mean in (0, 1) and ``t_prime`` the
     normalized offset with ``0 < t_prime < 1 - mu_prime``; ``m`` is the
-    number of independent variables.  The tail is evaluated in the
-    complement rates ``1 - mu_prime - t_prime`` and ``1 - mu_prime``, so a
-    mean too small for ``1 - mu_prime`` to fall below 1 is refused.
+    number of independent variables, an integer (``TypeError`` otherwise).
+    The tail is evaluated in the complement rates ``1 - mu_prime - t_prime``
+    and ``1 - mu_prime``, so a mean too small for ``1 - mu_prime`` to fall
+    below 1 is refused.
     """
+    m = operator.index(m)
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     e0 = 1.0 - mu_prime
@@ -231,8 +235,9 @@ class HypothesisConfig:
     ``f_qm`` and ``f_cla`` are the means of the primary (quantum) and
     secondary (classical) hypotheses, ``f_crit`` the decision threshold
     between them, ``sigma`` the per-run standard deviation, and ``n_runs``
-    the number of repetitions.  Typical use keeps ``f_cla < f_crit < f_qm``
-    strictly; the boundary equalities are admitted for degenerate checks.
+    the number of repetitions, an integer (``TypeError`` otherwise).
+    Typical use keeps ``f_cla < f_crit < f_qm`` strictly; the boundary
+    equalities are admitted for degenerate checks.
     ``sigma`` must be supplied by the caller; for pass/fail verification
     outcomes the per-run standard deviation is at most 1/2, so that value
     is a safe ceiling when nothing better is known.
@@ -251,6 +256,7 @@ class HypothesisConfig:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
+        object.__setattr__(self, "n_runs", operator.index(self.n_runs))
         if self.n_runs < 1:
             raise ValueError(f"n_runs must be positive, got {self.n_runs}")
         if _overflows_float(self.n_runs):

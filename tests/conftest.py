@@ -4,12 +4,12 @@ from telecert import simulator
 
 
 @pytest.fixture
-def cold_products(monkeypatch):
-    """An empty store of kept inversion tables and exact laws for one test.
+def cold_products():
+    """The cache of kept inversion tables and exact laws, empty for one test.
 
     A test that needs a table or a law to be built, not found, starts cold
-    whatever ran before it in the process.
+    whatever ran before it in the process, and leaves nothing behind.
     """
-    kept = simulator._KeptProducts(simulator._KEPT_BYTES)
-    monkeypatch.setattr(simulator, "_KEPT", kept)
-    return kept
+    simulator._kept.cache_clear()
+    yield simulator._kept
+    simulator._kept.cache_clear()

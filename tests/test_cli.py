@@ -556,7 +556,7 @@ class TestRepeatedRequests:
         texts = []
         for name in ("cold.json", "warm.json"):
             assert run_cli(capsys, argv + [str(tmp_path / name)])[0] == 0
-            assert cold_products.nbytes > 0
+            assert cold_products.cache_info().currsize > 0
             lines = (tmp_path / name).read_bytes().splitlines(keepends=True)
             texts.append(b"".join(line for line in lines if not line.lstrip().startswith(b'"timestamp"')))
         assert texts[0] == texts[1]

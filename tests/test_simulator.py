@@ -112,7 +112,27 @@ class TestConfigValidation:
         monkeypatch.setattr(simulator, "_total_histogram", untouched)
         with pytest.raises(TypeError, match="integer"):
             call(builtin_scenarios()["trine"])
-        assert not cold_products._entries
+        assert cold_products.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("n_runs", [4470, 4473], ids=["in-budget", "past-budget"])
+    def test_non_finite_threshold_is_refused_before_any_work(self, n_runs, threshold, cold_products):
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            exact_exceedance(builtin_scenarios()["trine"], n_runs, threshold)
+        assert cold_products.cache_info().currsize == 0
+
+    @pytest.mark.parametrize(
+        "n_runs, error, message",
+        [
+            (60.0, TypeError, "cannot be interpreted as an integer"),
+            (0, PreconditionError, "positive multiple of the ensemble size 3, got 0"),
+            (4473, BudgetExceededError, "n_runs=4473 exceeds the work budget"),
+        ],
+        ids=["float", "zero", "past-budget"],
+    )
+    def test_a_bad_run_count_keeps_its_refusal_under_a_finite_threshold(self, n_runs, error, message):
+        with pytest.raises(error, match=message):
+            exact_exceedance(builtin_scenarios()["trine"], n_runs, 0.8)
 
     def test_non_uniform_priors_need_multinomial_mode(self):
         states = np.eye(2, dtype=complex)
@@ -894,7 +914,7 @@ class TestKeptProducts:
                 for t in thresholds
             }
             passes.append((reports, exact))
-            assert cold_products.nbytes > 0
+            assert cold_products.cache_info().currsize > 0
         assert passes[0] == passes[1]
 
     def test_kept_arrays_are_read_only(self, cold_products):
@@ -902,10 +922,16 @@ class TestKeptProducts:
         for multinomial in (False, True):
             run_experiment(SimConfig(scenario, 60, 100, seed=1, multinomial_preparation=multinomial), 0.8)
         pass_count_distribution(scenario, 600)
-        arrays = [part for product, _ in cold_products._entries.values()
-                  for part in (product if isinstance(product, tuple) else (product,))
-                  if isinstance(part, np.ndarray)]
-        # cdf and guide of (20, q_i) for the two distinct q_i and of (60, F), one exact law
+        # tables of (20, q_i) for the two distinct q_i and of (60, F), one exact law
+        assert cold_products.cache_info().currsize == 3 + 1
+        built = cold_products.cache_info().misses
+        tables = [table for multinomial in (False, True)
+                  for table in simulator._tables(simulator._draw_laws(scenario, 60, multinomial), 100)]
+        arrays = [part for _, *parts in tables for part in parts]
+        arrays.append(pass_count_distribution(scenario, 600))
+        assert cold_products.cache_info().misses == built  # every product was kept
+        # cdf and guide of each table, and the exact law
+        arrays = list({id(array): array for array in arrays}.values())
         assert len(arrays) == 2 * 3 + 1
         for array in arrays:
             assert not array.flags.writeable
@@ -938,30 +964,51 @@ class TestKeptProducts:
             # an oversized table is refused before it is looked up or built
             with pytest.raises(PreconditionError, match="too large"):
                 simulator._inversion_table(10**16, 0.75, 10)
-            assert not cold_products._entries and cold_products.nbytes == 0
+            assert cold_products.cache_info().currsize == 0
         assert report_fields(run_experiment(cfg, 0.8))["n_runs"] == 600
         assert pass_count_distribution(scenario, 600).sum() == pytest.approx(1.0)
-        assert len(cold_products._entries) == 2 + 1  # two distinct q_i, one exact law
+        assert cold_products.cache_info().currsize == 2 + 1  # two distinct q_i, one exact law
 
-    def test_bytes_stay_within_the_budget(self, cold_products, monkeypatch):
-        monkeypatch.setattr(cold_products, "budget", 64 * 1024)
+    def test_at_most_maxsize_products_are_kept(self, cold_products):
+        assert cold_products.cache_info().maxsize == simulator._KEPT_PRODUCTS
         scenario = builtin_scenarios()["four-asymmetric"]
-        built = 0
         for n_runs in range(40, 4400, 88):
             run_experiment(SimConfig(scenario, n_runs, 2000, seed=n_runs), 0.8)
             exact_exceedance(scenario, n_runs, 0.8)
-            built += 4 + 1
-            held = sum(size for _, size in cold_products._entries.values())
-            assert cold_products.nbytes == held <= cold_products.budget
-        assert len(cold_products._entries) < built
-        # a table larger than the whole budget is used, not kept, and evicts nothing
-        kept = list(cold_products._entries)
-        table = simulator._inversion_table(10**6, 0.3, 32768)
-        assert table[1].nbytes > cold_products.budget
-        assert list(cold_products._entries) == kept
+        assert cold_products.cache_info().misses > simulator._KEPT_PRODUCTS
+        assert cold_products.cache_info().currsize == simulator._KEPT_PRODUCTS
 
-    def test_threads_keep_the_byte_count(self, cold_products, monkeypatch):
-        monkeypatch.setattr(cold_products, "budget", 32 * 1024)
+    @staticmethod
+    def table_of_width(entries):
+        """The inversion table of the first Binomial(m, 1/2) whose window has ``entries`` entries."""
+
+        def width(m):
+            lo, hi = simulator._window(m, 0.5)
+            return hi - lo + 1
+
+        m = next(m for m in itertools.count(1) if width(m) == entries)
+        return simulator._inversion_table(m, 0.5, 32768)
+
+    def test_a_table_past_the_window_cap_is_used_not_kept(self, cold_products):
+        widest = self.table_of_width(simulator._KEPT_WINDOW)
+        assert cold_products.cache_info().currsize == 1
+        wider = self.table_of_width(simulator._KEPT_WINDOW + 1)
+        assert wider[1].size == widest[1].size + 1
+        assert cold_products.cache_info().currsize == 1
+        assert self.table_of_width(simulator._KEPT_WINDOW + 1) is not wider
+        assert self.table_of_width(simulator._KEPT_WINDOW) is widest  # and it evicted nothing
+
+    def test_kept_products_fit_in_about_4_5_mib(self, cold_products):
+        # the largest exact law is that of the largest N in the work budget
+        n_max = max(n for n in range(1, 5000) if n * (n + 1) <= simulator._EXACT_OPS_BUDGET)
+        law = pass_count_distribution(builtin_scenarios()["helstrom"], n_max - n_max % 2)
+        _, cdf, guide = self.table_of_width(simulator._KEPT_WINDOW)
+        assert cold_products.cache_info().currsize == 2
+        largest = max(8 * (n_max + 1), law.nbytes, cdf.nbytes + guide.nbytes)
+        assert largest <= 35 * 1024
+        assert simulator._KEPT_PRODUCTS * largest <= 4.5 * 2**20
+
+    def test_threads_keep_the_cache_whole(self, cold_products):
         errors = []
 
         def work(offset):
@@ -971,7 +1018,7 @@ class TestKeptProducts:
             except BaseException as exc:
                 errors.append(exc)
 
-        # four threads, two of them on the same keys
+        # four threads, two of them on the same keys, over more keys than are kept
         threads = [threading.Thread(target=work, args=(offset,)) for offset in (0, 3, 1, 2)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -984,20 +1031,25 @@ class TestKeptProducts:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        held = sum(size for _, size in cold_products._entries.values())
-        assert cold_products.nbytes == held <= cold_products.budget
+        info = cold_products.cache_info()
+        assert 0 < info.currsize <= info.maxsize
 
     def test_equal_laws_share_one_exact_law(self, cold_products):
         kept = pass_count_distribution(builtin_scenarios()["trine"], 600)
         fresh = custom_scenario(ensembles.trine(), 0.865)
         assert pass_count_distribution(fresh, 600) is kept
-        assert len(cold_products._entries) == 1
+        assert cold_products.cache_info().currsize == 1
+
+    def test_lln_keeps_nothing(self, cold_products):
+        ladder = [60, 129, 279, 600, 1293, 2787, 6000]
+        lln_sweep(custom_scenario(ensembles.trine(), 0.865), ladder, 1000, seed=1)
+        assert cold_products.cache_info().currsize == 0
 
     def test_no_scenario_is_held(self, cold_products):
         scenario = custom_scenario(ensembles.trine(), 0.865)
         run_experiment(SimConfig(scenario, 60, 100, seed=1), 0.8)
         exact_exceedance(scenario, 60, 0.8)
-        assert cold_products._entries
+        assert cold_products.cache_info().currsize > 0
         ref = weakref.ref(scenario)
         del scenario
         gc.collect()

@@ -248,6 +248,18 @@ class TestHoeffdingBound:
         with pytest.raises(PreconditionError, match="uniform priors"):
             scenario_bound_report(scenario, 100)
 
+    @pytest.mark.parametrize("n_runs", [math.nan, math.inf, 60.5, 60.0])
+    def test_non_integral_run_count_is_refused(self, n_runs):
+        with pytest.raises(TypeError, match="integer"):
+            bound_report(0.75, 0.865, 3, n_runs)
+        with pytest.raises(TypeError, match="integer"):
+            BoundInput(mu=-0.125, t=0.0575, a=3, n_runs=n_runs)
+
+    def test_numpy_integer_run_count_does_not_wrap(self):
+        # (a - 1) * N in int64 would wrap past 2**63
+        row = bound_report(0.75, 0.865, 3, np.int64(2**62))
+        assert row.log10_bound == bound_report(0.75, 0.865, 3, 2**62).log10_bound
+
 
 class TestHoeffdingGeneric:
     def test_specialization_identity(self):
@@ -281,6 +293,11 @@ class TestHoeffdingGeneric:
             hoeffding_generic(1e-20, 0.5, 10)
         with pytest.raises(ValueError):
             hoeffding_generic(0.5, 0.1, -1)
+
+    @pytest.mark.parametrize("m", [math.nan, math.inf, 10.5, 10.0])
+    def test_non_integral_variable_count_is_refused(self, m):
+        with pytest.raises(TypeError, match="integer"):
+            hoeffding_generic(0.5, 0.25, m)
 
 
 class TestHypothesisErrors:
@@ -341,3 +358,8 @@ class TestHypothesisErrors:
             f_qm, f_cla, f_crit = means
             with pytest.raises(ValueError, match="must be finite"):
                 HypothesisConfig(f_qm=f_qm, f_cla=f_cla, f_crit=f_crit, sigma=0.3, n_runs=10)
+
+    @pytest.mark.parametrize("n_runs", [math.nan, math.inf, 60.5, 60.0])
+    def test_non_integral_run_count_is_refused(self, n_runs):
+        with pytest.raises(TypeError, match="integer"):
+            HypothesisConfig(f_qm=0.9, f_cla=0.7, f_crit=0.8, sigma=0.5, n_runs=n_runs)
