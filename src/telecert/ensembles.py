@@ -33,6 +33,29 @@ UNIFORM_PRIOR_TOL = 1e-9
 LOAD_TOL = 1e-6
 
 
+def _unit_norms(states: np.ndarray, tol: float) -> np.ndarray:
+    """Row norms of ``states``; one further than ``tol`` from 1 raises."""
+    with np.errstate(over="ignore"):  # a huge amplitude's norm is inf
+        norms = np.linalg.norm(states, axis=1)
+    off = np.abs(norms - 1.0)
+    if np.max(off) > tol:
+        worst = int(np.argmax(off))
+        raise StateNormalizationError(
+            f"state {worst} has norm {float(norms[worst])!r}, expected 1 within {tol}"
+        )
+    return norms
+
+
+def _prior_total(priors: np.ndarray, tol: float) -> float:
+    """Sum of ``priors``; a negative prior or a sum further than ``tol`` from 1 raises."""
+    if np.any(priors < 0.0):
+        raise PriorSumError("priors must be nonnegative")
+    total = float(priors.sum())
+    if abs(total - 1.0) > tol:
+        raise PriorSumError(f"priors sum to {total!r}, expected 1 within {tol}")
+    return total
+
+
 @dataclass(frozen=True, eq=False)
 class Ensemble:
     """A set of ``a >= 2`` normalized pure states with prior probabilities.
@@ -64,19 +87,8 @@ class Ensemble:
             )
         if not np.isfinite(priors).all():
             raise PriorSumError(f"priors must be finite, got {priors.tolist()!r}")
-        with np.errstate(over="ignore"):  # a huge amplitude's norm is inf
-            norms = np.linalg.norm(states, axis=1)
-        if np.max(np.abs(norms - 1.0)) > NORM_TOL:
-            worst = int(np.argmax(np.abs(norms - 1.0)))
-            raise StateNormalizationError(
-                f"state {worst} has norm {float(norms[worst])!r}, expected 1 within {NORM_TOL}"
-            )
-        if np.any(priors < 0.0):
-            raise PriorSumError("priors must be nonnegative")
-        if abs(float(priors.sum()) - 1.0) > PRIOR_TOL:
-            raise PriorSumError(
-                f"priors sum to {float(priors.sum())!r}, expected 1 within {PRIOR_TOL}"
-            )
+        _unit_norms(states, NORM_TOL)
+        _prior_total(priors, PRIOR_TOL)
         object.__setattr__(self, "states", frozen(states))
         object.__setattr__(self, "priors", frozen(priors))
 
@@ -265,16 +277,7 @@ def load_ensemble(document) -> Ensemble:
         rows.append(amps)
     states = np.array(rows, dtype=complex)
 
-    with np.errstate(over="ignore"):  # a huge amplitude's norm is inf
-        norms = np.linalg.norm(states, axis=1)
-    off = np.abs(norms - 1.0)
-    if np.max(off) > LOAD_TOL:
-        worst = int(np.argmax(off))
-        raise StateNormalizationError(
-            f"state {worst} has norm {float(norms[worst])!r}, "
-            f"expected 1 within {LOAD_TOL}"
-        )
-    states /= norms[:, None]
+    states /= _unit_norms(states, LOAD_TOL)[:, None]
 
     raw_priors = document.get("priors")
     if raw_priors is None:
@@ -290,14 +293,7 @@ def load_ensemble(document) -> Ensemble:
                 f"got {len(values)} priors for {len(raw_states)} states"
             )
         priors = np.array(values)
-        if np.any(priors < 0.0):
-            raise PriorSumError("priors must be nonnegative")
-        total = float(priors.sum())
-        if abs(total - 1.0) > LOAD_TOL:
-            raise PriorSumError(
-                f"priors sum to {total!r}, expected 1 within {LOAD_TOL}"
-            )
-        priors = priors / total
+        priors /= _prior_total(priors, LOAD_TOL)
 
     name = document.get("name", "")
     if not isinstance(name, str):

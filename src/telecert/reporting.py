@@ -1,8 +1,9 @@
 """Result documents: run manifests plus table, CSV, and JSON renderings.
 
 Every document written to disk embeds the manifest of the command that
-produced it.  Numbers are rendered with shortest round-trip precision so
-structured output carries full double precision.
+produced it.  A manifest is a plain dict, and its key order is the order
+in which documents write its fields.  Numbers are rendered with shortest
+round-trip precision so structured output carries full double precision.
 
 A records document is byte for byte ``json.dumps(doc, indent=2) + "\n"``.
 ``json`` renders an indented document with its pure-Python encoder, so
@@ -18,7 +19,6 @@ import io
 import json
 import math
 import platform
-from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -29,47 +29,31 @@ from ._version import __version__
 FORMATS = ("table", "records", "csv")
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """What produced a document.
+def make_manifest(
+    command: str,
+    parameters: dict,
+    seed: int | None = None,
+    sampler: str = simulator.SAMPLER,
+) -> dict:
+    """Manifest of one command; ``sampler`` names what drew its seeded numbers.
 
     Seeded numbers depend on the sampler and on numpy's bit generator,
     whose streams numpy does not promise to keep across versions (NEP 19),
     so the manifest names both along with the Python and numpy versions
     and the platform.
     """
-
-    command: str
-    parameters: dict
-    artifact_version: str
-    seed: int | None
-    timestamp: str
-    python: str
-    numpy: str
-    platform: str
-    bit_generator: str
-    sampler: str
-
-
-def make_manifest(
-    command: str,
-    parameters: dict,
-    seed: int | None = None,
-    sampler: str = simulator.SAMPLER,
-) -> RunManifest:
-    """Manifest of one command; ``sampler`` names what drew its seeded numbers."""
-    return RunManifest(
-        command=command,
-        parameters=parameters,
-        artifact_version=__version__,
-        seed=seed,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-        python=platform.python_version(),
-        numpy=np.__version__,
-        platform=platform.platform(),
-        bit_generator=simulator.BIT_GENERATOR,
-        sampler=sampler,
-    )
+    return {
+        "command": command,
+        "parameters": parameters,
+        "artifact_version": __version__,
+        "seed": seed,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "bit_generator": simulator.BIT_GENERATOR,
+        "sampler": sampler,
+    }
 
 
 def fmt(value) -> str:
@@ -105,16 +89,9 @@ def format_pairs(pairs: list[tuple[str, object]]) -> str:
     return "\n".join(f"{k.ljust(width)}  {fmt(v)}" for k, v in pairs) + "\n"
 
 
-_MANIFEST_FIELDS = tuple(field.name for field in fields(RunManifest))
-
-
-def _manifest_comment_lines(manifest: RunManifest) -> list[str]:
-    lines = [
-        f"# {name}: {fmt(getattr(manifest, name))}"
-        for name in _MANIFEST_FIELDS
-        if name != "parameters"
-    ]
-    lines += [f"# parameter {key}: {fmt(value)}" for key, value in manifest.parameters.items()]
+def _manifest_comment_lines(manifest: dict) -> list[str]:
+    lines = [f"# {name}: {fmt(value)}" for name, value in manifest.items() if name != "parameters"]
+    lines += [f"# parameter {key}: {fmt(value)}" for key, value in manifest["parameters"].items()]
     return lines
 
 
@@ -152,13 +129,12 @@ def _render(value, pad: str) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
-def records_document(manifest: RunManifest, payload: dict) -> str:
+def records_document(manifest: dict, payload: dict) -> str:
     """``json.dumps({"manifest": ..., **payload}, indent=2) + "\\n"``, byte for byte."""
-    head = {name: getattr(manifest, name) for name in _MANIFEST_FIELDS}
-    return _render({"manifest": head, **payload}, "") + "\n"
+    return _render({"manifest": manifest, **payload}, "") + "\n"
 
 
-def csv_document(manifest: RunManifest, headers: list[str], rows: list[list]) -> str:
+def csv_document(manifest: dict, headers: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
     for line in _manifest_comment_lines(manifest):
         buf.write(line + "\n")
@@ -169,6 +145,6 @@ def csv_document(manifest: RunManifest, headers: list[str], rows: list[list]) ->
     return buf.getvalue()
 
 
-def table_document(manifest: RunManifest, headers: list[str], rows: list[list]) -> str:
+def table_document(manifest: dict, headers: list[str], rows: list[list]) -> str:
     lines = _manifest_comment_lines(manifest)
     return "\n".join(lines) + "\n" + format_table(headers, rows)

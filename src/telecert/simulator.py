@@ -121,7 +121,9 @@ class SimConfig:
     each run's state from the priors instead, a sensitivity mode that goes
     beyond that fixed-schedule assumption.  A configuration whose sampling
     tables would span more than ``_MAX_TABLE_ENTRIES`` entries raises
-    ``PreconditionError`` here, before anything is allocated.
+    ``PreconditionError`` here, before anything is allocated.  ``n_runs``,
+    ``n_trials`` and ``seed`` are integers (``TypeError`` otherwise) and
+    are stored as ``int``.
     """
 
     scenario: Scenario
@@ -131,6 +133,8 @@ class SimConfig:
     multinomial_preparation: bool = False
 
     def __post_init__(self):
+        for name in ("n_runs", "n_trials", "seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.n_runs < 1:
             raise ValueError(f"n_runs must be positive, got {self.n_runs}")
         laws = _draw_laws(self.scenario, self.n_runs, self.multinomial_preparation)
@@ -215,9 +219,11 @@ def stream(seed: int, subkey: int = 0, block: int = 0) -> np.random.Generator:
     """Deterministic Philox stream for (seed, subkey) at a block offset.
 
     Blocks are separated by 2**128 counter steps, so streams with different
-    block indices never overlap.  A seed, subkey or block outside
-    [0, 2**64) raises ``ValueError`` rather than alias a key in range.
+    block indices never overlap.  Seed, subkey and block are integers
+    (``TypeError`` otherwise), and one outside [0, 2**64) raises
+    ``ValueError`` rather than alias a key in range.
     """
+    seed, subkey, block = map(operator.index, (seed, subkey, block))
     for name, value in (("seed", seed), ("subkey", subkey), ("block", block)):
         if not 0 <= value <= _U64:
             raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
@@ -562,7 +568,7 @@ def lln_sweep(
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     configs = [
-        SimConfig(scenario=scenario, n_runs=operator.index(n_runs), n_trials=n_trials, seed=seed)
+        SimConfig(scenario=scenario, n_runs=n_runs, n_trials=n_trials, seed=seed)
         for n_runs in n_values
     ]
     f_th = scenario.classical_fidelity

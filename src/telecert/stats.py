@@ -47,7 +47,11 @@ def fidelity_from_pass_rates(priors, q) -> float:
 
 
 def mu_of(f_th_cla: float, a: int) -> float:
-    """Per-variable mean implied by a classical fidelity for ``a`` states."""
+    """Per-variable mean implied by a classical fidelity for ``a`` states.
+
+    ``a`` is an integer (``TypeError`` otherwise).
+    """
+    a = operator.index(a)
     if a < 2:
         raise ValueError(f"a must be at least 2, got {a}")
     if not -1e-9 <= f_th_cla <= 1.0 + 1e-9:
@@ -56,7 +60,11 @@ def mu_of(f_th_cla: float, a: int) -> float:
 
 
 def t_of(f_target: float, f_th_cla: float, a: int) -> float:
-    """Per-variable exceedance offset needed to reach ``f_target``."""
+    """Per-variable exceedance offset needed to reach ``f_target``.
+
+    ``a`` is an integer (``TypeError`` otherwise).
+    """
+    a = operator.index(a)
     if a < 2:
         raise ValueError(f"a must be at least 2, got {a}")
     if not math.isfinite(f_target):
@@ -84,7 +92,8 @@ class BoundInput:
 
     ``mu`` is the per-variable mean in (-1, 0), ``t`` the exceedance offset
     with ``0 < t < -mu``, ``a`` the ensemble size, and ``n_runs`` the number
-    of experiment repetitions, an integer (``TypeError`` otherwise).
+    of experiment repetitions.  ``a`` and ``n_runs`` are integers
+    (``TypeError`` otherwise) and are stored as ``int``.
     """
 
     mu: float
@@ -93,6 +102,7 @@ class BoundInput:
     n_runs: int
 
     def __post_init__(self):
+        object.__setattr__(self, "a", operator.index(self.a))
         if self.a < 2:
             raise ValueError(f"a must be at least 2, got {self.a}")
         object.__setattr__(self, "n_runs", operator.index(self.n_runs))
@@ -196,7 +206,10 @@ def hoeffding_generic(mu_prime: float, t_prime: float, m: int) -> float:
 def bound_report(
     f_th_cla: float, f_target: float, a: int, n_runs: int
 ) -> BoundReport:
-    """Evaluate the exceedance bound for one (scenario, target, N) row."""
+    """Evaluate the exceedance bound for one (scenario, target, N) row.
+
+    ``a`` and ``n_runs`` are integers (``TypeError`` otherwise).
+    """
     mu = mu_of(f_th_cla, a)
     t = t_of(f_target, f_th_cla, a)
     inp = BoundInput(mu=mu, t=t, a=a, n_runs=n_runs)
@@ -205,8 +218,8 @@ def bound_report(
         f_th_cla=f_th_cla,
         mu=mu,
         t=t,
-        a=a,
-        n_runs=n_runs,
+        a=inp.a,
+        n_runs=inp.n_runs,
         log10_bound=log10_bound,
         bound=10.0**log10_bound,
     )

@@ -606,6 +606,25 @@ class TestSeedEnvironment:
 
 
 class TestManifest:
+    #: The manifest's fields in the order every document writes them.
+    KEYS = ["command", "parameters", "artifact_version", "seed", "timestamp",
+            "python", "numpy", "platform", "bit_generator", "sampler"]
+
+    def test_key_order(self, capsys, tmp_path):
+        texts = {}
+        for fmt in ("records", "csv", "table"):
+            path = tmp_path / f"sim.{fmt}"
+            assert run_cli(capsys, SIMULATE + ["--format", fmt, "--out", str(path)])[0] == 0
+            texts[fmt] = path.read_text(encoding="utf-8")
+        manifest = json.loads(texts["records"])["manifest"]
+        assert list(manifest) == self.KEYS
+        for fmt in ("csv", "table"):
+            comments = [ln[2:] for ln in texts[fmt].splitlines() if ln.startswith("# ")]
+            names = [ln.split(":", 1)[0].split(" ", 1)[0] for ln in comments]
+            assert names == [k for k in self.KEYS if k != "parameters"] + ["parameter"] * len(
+                manifest["parameters"]
+            )
+
     def test_records_sampler_and_platform(self, capsys, tmp_path):
         path = tmp_path / "sim.json"
         assert run_cli(capsys, SIMULATE + ["--format", "records", "--out", str(path)])[0] == 0

@@ -114,6 +114,38 @@ class TestConfigValidation:
             call(builtin_scenarios()["trine"])
         assert cold_products.cache_info().currsize == 0
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda scenario: SimConfig(scenario, 60, 1000.0, 1),
+            lambda scenario: SimConfig(scenario, 60, 1000, 1.5),
+            lambda scenario: run_experiment(SimConfig(scenario, 60, 1000, 1.5), 0.8),
+            lambda scenario: lln_sweep(scenario, [60], 1000.0, 1),
+            lambda scenario: lln_sweep(scenario, [60], 1000, 2.7),
+            lambda scenario: stream(1.5),
+            lambda scenario: stream(1, 0.0),
+            lambda scenario: stream(1, 0, 2.0),
+        ],
+        ids=[
+            "SimConfig-trials", "SimConfig-seed", "run_experiment-seed", "lln_sweep-trials",
+            "lln_sweep-seed", "stream-seed", "stream-subkey", "stream-block",
+        ],
+    )
+    def test_non_integral_trial_count_or_seed_is_refused_before_any_work(self, call, cold_products, monkeypatch):
+        def untouched(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(simulator, "_binomial_table", untouched)
+        monkeypatch.setattr(simulator, "_total_histogram", untouched)
+        with pytest.raises(TypeError, match="integer"):
+            call(builtin_scenarios()["trine"])
+        assert cold_products.cache_info().currsize == 0
+
+    def test_numpy_integer_counts_and_seed_are_stored_as_int(self):
+        cfg = SimConfig(builtin_scenarios()["trine"], np.int64(60), np.int64(10), np.uint64(2**64 - 1))
+        assert [type(v) for v in (cfg.n_runs, cfg.n_trials, cfg.seed)] == [int, int, int]
+        assert cfg.seed == 2**64 - 1
+
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("n_runs", [4470, 4473], ids=["in-budget", "past-budget"])
     def test_non_finite_threshold_is_refused_before_any_work(self, n_runs, threshold, cold_products):

@@ -255,6 +255,26 @@ class TestHoeffdingBound:
         with pytest.raises(TypeError, match="integer"):
             BoundInput(mu=-0.125, t=0.0575, a=3, n_runs=n_runs)
 
+    @pytest.mark.parametrize("a", [2.5, 3.0, math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda a: mu_of(0.75, a),
+            lambda a: t_of(0.865, 0.75, a),
+            lambda a: BoundInput(mu=-0.125, t=0.0575, a=a, n_runs=100),
+            lambda a: bound_report(0.75, 0.865, a, 100),
+        ],
+        ids=["mu_of", "t_of", "BoundInput", "bound_report"],
+    )
+    def test_non_integral_ensemble_size_is_refused(self, call, a):
+        with pytest.raises(TypeError, match="integer"):
+            call(a)
+
+    def test_numpy_integer_ensemble_size_is_stored_as_int(self):
+        report = bound_report(0.75, 0.865, np.int64(3), np.int64(100))
+        assert type(report.a) is int and type(report.n_runs) is int
+        assert report == bound_report(0.75, 0.865, 3, 100)
+
     def test_numpy_integer_run_count_does_not_wrap(self):
         # (a - 1) * N in int64 would wrap past 2**63
         row = bound_report(0.75, 0.865, 3, np.int64(2**62))
