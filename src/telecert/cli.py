@@ -348,6 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        out = args.out  # refused before any work when no write could create it
+        if out is not None and (
+            not out or os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or os.curdir)
+        ):
+            raise OSError(f"--out must name a file in an existing directory, got {out!r}")
         return args.func(args)
     except (ValidationError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Named experiment configurations: ensemble + strategy + target fidelity.
+"""Named experiment configurations: ensemble + POVM + target fidelity.
 
 A scenario pins down everything the bound and the simulator need: which
 states are teleported, how the sender discriminates them, and which
@@ -39,12 +39,9 @@ from .ensembles import (
 from .linalg import frozen
 from .stats import fidelity_from_pass_rates
 
-STRATEGIES = ("square-root", "helstrom", "custom")
-
-
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """An ensemble, the strategy measuring it, and the target to certify.
+    """An ensemble, the POVM measuring it, and the target to certify.
 
     The values every request derives from the ensemble and the POVM,
     ``verification_table``, ``pass_probabilities`` (q),
@@ -57,15 +54,10 @@ class Scenario:
     name: str
     ensemble: Ensemble
     povm: Povm
-    strategy: str
     target_fidelity: float
     target_note: str = ""
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(
-                f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
-            )
         if not 0.0 < self.target_fidelity <= 1.0:
             raise ValueError(
                 f"target fidelity must lie in (0, 1], got {self.target_fidelity!r}"
@@ -109,7 +101,6 @@ def helstrom_scenario(theta: float = math.pi / 2.0) -> Scenario:
         "helstrom",
         helstrom_pair(theta),
         helstrom_povm(theta),
-        "helstrom",
         0.98,
         target_note="target arbitrarily set",
     )
@@ -122,11 +113,8 @@ def custom_scenario(
     name: str = "custom",
 ) -> Scenario:
     """Wrap a user ensemble into a scenario, defaulting to the square-root POVM."""
-    if povm is None:
-        return Scenario(
-            name, ensemble, square_root_povm(ensemble), "square-root", target_fidelity
-        )
-    return Scenario(name, ensemble, povm, "custom", target_fidelity)
+    povm = square_root_povm(ensemble) if povm is None else povm
+    return Scenario(name, ensemble, povm, target_fidelity)
 
 
 #: Constructors of the five built-in scenarios, keyed by scenario name.

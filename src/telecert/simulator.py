@@ -8,21 +8,21 @@ the fraction of runs that pass verification.
 Runs are never sampled one by one.  A trial's pass count is a sum of
 independent Binomial draws whose (m, p) one list gives, in draw order:
 ``_draw_laws``, (N/a, q_i) per state under the fixed schedule and (N, F)
-under multinomial preparation.  ``SimConfig`` checks each law's window;
-``run_experiment`` and ``run_trial`` draw one column per law from its
-inversion table (``_tables``, ``_invert``) and the outcome tallies, summed
-over trials, once per experiment; ``lln_sweep`` draws each point's
-histogram as one multinomial over the laws' convolution
-(``_pass_count_law``).  Each block of trials draws from a Philox stream
-keyed by (seed, n_runs) at the block's counter offset, so results depend
-only on the configuration.  The exact oracle convolves the same laws.
-``_draw_laws`` also checks the schedule, so every consumer of the laws
-refuses the same configurations.  Inversion tables and exact laws depend
-on no seed or threshold; they are built once per process and the last
+under multinomial preparation.  ``SimConfig`` derives them once
+(``laws``) and checks each law's window; ``run_experiment`` and
+``run_trial`` draw one column per law from its inversion table
+(``_tables``, ``_invert``) and the outcome tallies, summed over trials,
+once per experiment; ``lln_sweep`` draws each point's histogram as one
+multinomial over the laws' convolution (``_pass_count_law``).  Each
+block of trials draws from a Philox stream keyed by (seed, n_runs) at
+the block's counter offset, so results depend only on the configuration.
+The exact oracle convolves the same laws.  ``_draw_laws`` also checks
+the run count and the schedule, so every consumer of the laws refuses
+the same configurations.  Inversion tables and exact laws depend on no
+seed or threshold; they are built once per process and the last
 ``_KEPT_PRODUCTS`` used are kept (``_kept``), each at most about 35 KiB.
-The README's account of the samplers and its Notes on numerics give
-the joint law, the guide table, the window, the costs and the error
-contracts.
+The README's account of the samplers and its Notes on numerics give the
+joint law, the guide table, the window, the costs and the error contracts.
 """
 
 from __future__ import annotations
@@ -85,30 +85,33 @@ def _kept(build, *args):
     return build(*args)
 
 
-def _draw_laws(scenario: Scenario, n_runs: int, multinomial: bool) -> list:
+def _draw_laws(scenario: Scenario, n_runs: int, multinomial: bool) -> tuple:
     """(m, p) of the Binomial draws that sum to a trial's passes, in draw order.
 
     Under the fixed schedule that is one law (n_runs / a, q_i) per state;
     under multinomial preparation, the one law (n_runs, F).  This is the
-    one check of a schedule: ``n_runs`` must be an integer (``TypeError``
-    otherwise) and a positive multiple of a, and the fixed schedule needs
-    uniform priors (``PreconditionError`` otherwise).
+    one check of a run count and a schedule: ``n_runs`` must be an integer
+    (``TypeError`` otherwise), positive (``ValueError`` otherwise) and a
+    multiple of a, and the fixed schedule needs uniform priors
+    (``PreconditionError`` otherwise).
     """
     n_runs = operator.index(n_runs)
+    if n_runs < 1:
+        raise ValueError(f"n_runs must be positive, got {n_runs}")
     a = scenario.ensemble.size
-    if n_runs < 1 or n_runs % a != 0:
+    if n_runs % a != 0:
         raise PreconditionError(
             f"n_runs must be a positive multiple of the ensemble size {a}, "
             f"got {n_runs}"
         )
     if multinomial:
-        return [(n_runs, scenario.classical_fidelity)]
+        return ((n_runs, scenario.classical_fidelity),)
     if not scenario.ensemble.has_uniform_priors():
         raise PreconditionError(
             "the fixed preparation schedule requires uniform priors; "
             "multinomial preparation admits non-uniform ones"
         )
-    return [(n_runs // a, qi) for qi in scenario.pass_probabilities.tolist()]
+    return tuple((n_runs // a, qi) for qi in scenario.pass_probabilities.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +126,7 @@ class SimConfig:
     tables would span more than ``_MAX_TABLE_ENTRIES`` entries raises
     ``PreconditionError`` here, before anything is allocated.  ``n_runs``,
     ``n_trials`` and ``seed`` are integers (``TypeError`` otherwise) and
-    are stored as ``int``.
+    are stored as ``int``; ``n_runs < 1`` raises ``ValueError``.
     """
 
     scenario: Scenario
@@ -135,9 +138,7 @@ class SimConfig:
     def __post_init__(self):
         for name in ("n_runs", "n_trials", "seed"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
-        if self.n_runs < 1:
-            raise ValueError(f"n_runs must be positive, got {self.n_runs}")
-        laws = _draw_laws(self.scenario, self.n_runs, self.multinomial_preparation)
+        laws = self.laws
         if not 1 <= self.n_trials <= _I64:
             raise ValueError(
                 f"n_trials must be between 1 and 2**63 - 1, got {self.n_trials}"
@@ -146,6 +147,11 @@ class SimConfig:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         for law in dict.fromkeys(laws):
             _window(*law)
+
+    @functools.cached_property
+    def laws(self) -> tuple:
+        """``_draw_laws`` of the configuration, derived once."""
+        return _draw_laws(self.scenario, self.n_runs, self.multinomial_preparation)
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,7 +312,7 @@ def _build_inversion_table(m: int, p: float, g: int):
     return lo, frozen(cdf), frozen(np.searchsorted(cdf, np.arange(g) / g, side="right"))
 
 
-def _tables(laws: list, draws: int) -> list:
+def _tables(laws: tuple, draws: int) -> list:
     """One ``_inversion_table`` per distinct law of ``laws``, listed in draw order."""
     tables = {law: _inversion_table(*law, draws) for law in dict.fromkeys(laws)}
     return [tables[law] for law in laws]
@@ -330,7 +336,7 @@ def _invert(rng, table, size: int) -> np.ndarray:
     return lo + idx
 
 
-def _pass_count_law(laws: list) -> tuple[int, np.ndarray]:
+def _pass_count_law(laws: tuple) -> tuple[int, np.ndarray]:
     """Window start and pmf of the sum of independent draws from ``laws``.
 
     ``laws`` lists Binomial laws (m, p), as ``_draw_laws`` does.  Every
@@ -361,8 +367,7 @@ def _total_histogram(cfg: SimConfig) -> tuple[int, np.ndarray]:
     configuration's laws, drawn from the (seed, n_runs) stream; the README's
     Notes on numerics say why it replaces the trials' draws.
     """
-    laws = _draw_laws(cfg.scenario, cfg.n_runs, cfg.multinomial_preparation)
-    lo, pmf = _pass_count_law(laws)
+    lo, pmf = _pass_count_law(cfg.laws)
     order = np.argsort(pmf, kind="stable")
     counts = np.empty(pmf.size, dtype=np.int64)
     counts[order] = stream(cfg.seed, subkey=cfg.n_runs).multinomial(cfg.n_trials, pmf[order])
@@ -419,6 +424,7 @@ def run_trial(
     fidelity.  ``run_experiment`` derives its streams from a seed; this is
     the public entry point for a caller that supplies its own stream, and
     the benchmark's tracer wraps it by name, so the API keeps it.
+    ``n_runs < 1`` raises ``ValueError``.
     """
     tables = _tables(_draw_laws(scenario, n_runs, False), 1)
     passes, prepared, passed = _draw_trials(rng, 1, n_runs, scenario.pass_probabilities, tables)
@@ -441,14 +447,9 @@ def min_passes(threshold: float, n_runs: int) -> int:
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be positive, got {n_runs}")
-    _check_threshold(threshold)
-    return bisect.bisect_left(range(n_runs + 1), threshold, key=lambda s: s / n_runs)
-
-
-def _check_threshold(threshold: float) -> None:
-    """Refuse a non-finite ``threshold`` with ``ValueError``, as ``min_passes`` does."""
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold!r}")
+    return bisect.bisect_left(range(n_runs + 1), threshold, key=lambda s: s / n_runs)
 
 
 def run_experiment(cfg: SimConfig, threshold: float, workers: int = 1) -> SimReport:
@@ -464,8 +465,7 @@ def run_experiment(cfg: SimConfig, threshold: float, workers: int = 1) -> SimRep
         raise ValueError(f"workers must be at least 1, got {workers}")
     q = cfg.scenario.pass_probabilities
     priors = cfg.scenario.ensemble.priors if cfg.multinomial_preparation else None
-    laws = _draw_laws(cfg.scenario, cfg.n_runs, cfg.multinomial_preparation)
-    tables = _tables(laws, min(_MAX_BLOCK_TRIALS, cfg.n_trials))
+    tables = _tables(cfg.laws, min(_MAX_BLOCK_TRIALS, cfg.n_trials))
     prepared = np.zeros(q.size, dtype=np.int64)
     passed = np.zeros(q.size, dtype=np.int64)
     lo, counts = None, np.zeros(0, dtype=np.int64)
@@ -509,10 +509,10 @@ def pass_count_distribution(scenario: Scenario, n_runs: int) -> np.ndarray:
     sampler.  The trial's law is the (n_runs / a)-th convolution power of
     one round's law (one run per state), formed by repeated squaring.
     Beyond the work budget a ``BudgetExceededError`` points the caller at
-    the Monte Carlo path.  The law is kept by ``_kept``, keyed by those
-    laws, so the array returned is read-only.
+    the Monte Carlo path; ``n_runs < 1`` raises ``ValueError``.  The law
+    is kept by ``_kept``, keyed by those laws, so it is read-only.
     """
-    laws = tuple(_draw_laws(scenario, n_runs, False))
+    laws = _draw_laws(scenario, n_runs, False)
     n_runs = operator.index(n_runs)  # a numpy integer would wrap in the product
     if n_runs * (n_runs + 1) > _EXACT_OPS_BUDGET:
         raise BudgetExceededError(
@@ -539,11 +539,11 @@ def _convolution_power(laws: tuple) -> np.ndarray:
 def exact_exceedance(scenario: Scenario, n_runs: int, threshold: float) -> float:
     """Exact probability that a trial reaches ``threshold`` (rounding clamped to 1).
 
-    A non-finite ``threshold`` is refused before the law is looked up or built.
+    The cut is taken first, so ``n_runs < 1`` and a non-finite
+    ``threshold`` raise ``ValueError`` before the law is looked up or built.
     """
-    _check_threshold(threshold)
-    dist = pass_count_distribution(scenario, n_runs)
-    return min(1.0, float(dist[min_passes(threshold, n_runs):].sum()))
+    s_min = min_passes(threshold, n_runs)
+    return min(1.0, float(pass_count_distribution(scenario, n_runs)[s_min:].sum()))
 
 
 def lln_sweep(

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from reference_values import GOLDEN_BOUNDS, log10_close
-from telecert import cli, reporting, simulator
+from telecert import cli, reporting, simulator, stats
+from telecert.ensembles import to_document, trine
 
 
 def run_cli(capsys, argv):
@@ -447,6 +448,16 @@ class TestExitCodes:
         assert out == ""
         assert "rounded up" not in err
 
+    @pytest.mark.parametrize(
+        "argv", [SIMULATE[:3], LLN[:3], BOUNDS[:3], HYPOTHESIS + ["--sigma", "0.3"]],
+        ids=["simulate", "lln", "bounds", "hypothesis"],
+    )
+    def test_zero_runs_refused_with_one_line(self, capsys, argv):
+        got, out, err = run_cli(capsys, argv + ["--n", "0"])
+        assert got == cli.EXIT_VALIDATION
+        assert out == ""
+        assert err.splitlines() == ["validation error: n_runs must be positive, got 0"]
+
     @pytest.mark.parametrize("n", ["0", "-5"])
     def test_nonpositive_runs_named_as_given(self, capsys, n):
         _, _, err = run_cli(capsys, ["simulate", "--scenario", "trine", "--n", n])
@@ -529,6 +540,41 @@ class TestExitCodes:
         assert line.startswith(message)
         if code == cli.EXIT_PRECONDITION:
             assert line.endswith("n_runs is too large to simulate")
+
+
+class TestBadOutRefusedBeforeWork:
+    """An ``--out`` that no write could create is refused before the verb computes anything."""
+
+    #: Each verb's arguments, and the (module, attribute) of the computation it runs.
+    VERBS = {
+        "scenarios": (["scenarios"], cli, "builtin_scenarios"),
+        "bounds": (BOUNDS, stats, "scenario_bound_report"),
+        "simulate": (SIMULATE, simulator, "run_experiment"),
+        "hypothesis": (HYPOTHESIS + ["--sigma", "0.3", "--n", "12"], stats, "type_one_error"),
+        "lln": (LLN, simulator, "lln_sweep"),
+        "ensemble-validate": (["ensemble", "validate", "ensemble.json"], cli, "load_ensemble"),
+    }
+
+    @pytest.mark.parametrize("out", ["", "folder", os.path.join("missing", "x.json")],
+                             ids=["empty", "directory", "missing-directory"])
+    @pytest.mark.parametrize("verb", list(VERBS))
+    def test_exit_4_before_any_work(self, capsys, tmp_path, monkeypatch, verb, out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "folder").mkdir()
+        (tmp_path / "ensemble.json").write_text(json.dumps(to_document(trine())))
+        argv, module, name = self.VERBS[verb]
+        calls = []
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+        got, stdout, err = run_cli(capsys, argv + ["--out", out])
+        assert got == cli.EXIT_IO
+        assert stdout == ""
+        assert calls == []
+        assert err.splitlines() == [
+            f"i/o error: --out must name a file in an existing directory, got {out!r}"
+        ]
+        assert not list(tmp_path.rglob("*.tmp"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ensemble.json", "folder"]
 
 
 class TestRepeatedRequests:

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from telecert import cli
+from telecert.discrimination import helstrom_povm, square_root_povm
+from telecert.ensembles import trine
 from telecert.scenarios import (
     BUILTIN_CONSTRUCTORS,
+    Scenario,
     builtin_scenario,
     builtin_scenarios,
+    custom_scenario,
     helstrom_scenario,
 )
 
@@ -82,3 +86,17 @@ class TestDerivedValues:
             want = np.divide(table[:, :, v], total, out=np.zeros_like(table[:, :, v]), where=total > 0)
             np.testing.assert_allclose(split[v], want, rtol=1e-15, atol=0)
             np.testing.assert_allclose(split[v].sum(axis=1), np.where(total[:, 0] > 0, 1.0, 0.0), rtol=1e-14)
+
+
+class TestConstruction:
+    def test_fields(self):
+        names = [field.name for field in dataclasses.fields(Scenario)]
+        assert names == ["name", "ensemble", "povm", "target_fidelity", "target_note"]
+
+    def test_custom_scenario_takes_a_given_povm_or_the_square_root_one(self):
+        povm = helstrom_povm(1.0)
+        scenario = custom_scenario(helstrom_scenario(1.0).ensemble, 0.9, povm=povm)
+        assert scenario.povm is povm
+        assert scenario.name == "custom" and scenario.target_note == ""
+        ensemble = trine()
+        assert np.array_equal(custom_scenario(ensemble, 0.9).povm.elements, square_root_povm(ensemble).elements)

@@ -114,6 +114,25 @@ class TestConfigValidation:
             call(builtin_scenarios()["trine"])
         assert cold_products.cache_info().currsize == 0
 
+    @pytest.mark.parametrize("n_runs", [0, -3])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda scenario, n_runs: SimConfig(scenario, n_runs, 10, 0),
+            lambda scenario, n_runs: run_trial(scenario, n_runs, stream(0)),
+            lambda scenario, n_runs: pass_count_distribution(scenario, n_runs),
+            lambda scenario, n_runs: exact_exceedance(scenario, n_runs, 0.8),
+            lambda scenario, n_runs: lln_sweep(scenario, [60, n_runs], 10, 0),
+            lambda scenario, n_runs: min_passes(0.8, n_runs),
+        ],
+        ids=["SimConfig", "run_trial", "pass_count_distribution", "exact_exceedance", "lln_sweep",
+             "min_passes"],
+    )
+    def test_nonpositive_run_count_is_one_value_error(self, call, n_runs, cold_products):
+        with pytest.raises(ValueError, match=f"^n_runs must be positive, got {n_runs}$"):
+            call(builtin_scenarios()["trine"], n_runs)
+        assert cold_products.cache_info().currsize == 0
+
     @pytest.mark.parametrize(
         "call",
         [
@@ -157,7 +176,7 @@ class TestConfigValidation:
         "n_runs, error, message",
         [
             (60.0, TypeError, "cannot be interpreted as an integer"),
-            (0, PreconditionError, "positive multiple of the ensemble size 3, got 0"),
+            (0, ValueError, "n_runs must be positive, got 0"),
             (4473, BudgetExceededError, "n_runs=4473 exceeds the work budget"),
         ],
         ids=["float", "zero", "past-budget"],
@@ -854,7 +873,8 @@ class TestPinnedExact:
 
 
 class TestDerivedOnce:
-    """A scenario computes each of its derived values once, whatever uses it."""
+    """A scenario computes each of its derived values once, whatever uses it,
+    and a configuration derives its laws once."""
 
     #: (class, cached property) of every value derived once per scenario or
     #: ensemble besides the verification table.
@@ -905,6 +925,21 @@ class TestDerivedOnce:
             "outcome_split": [fresh],
             "_uniform_priors": [fresh.ensemble],
         }
+
+    def test_one_law_derivation_per_configuration(self, monkeypatch):
+        derived = []
+        original = simulator._draw_laws
+
+        def counted(scenario, n_runs, multinomial):
+            derived.append((n_runs, multinomial))
+            return original(scenario, n_runs, multinomial)
+
+        monkeypatch.setattr(simulator, "_draw_laws", counted)
+        scenario = builtin_scenarios()["trine"]
+        for multinomial in (False, True):
+            run_experiment(SimConfig(scenario, 60, 100, 1, multinomial_preparation=multinomial), 0.8)
+        lln_sweep(scenario, [60, 120, 600], 100, 1)
+        assert derived == [(60, False), (60, True), (60, False), (120, False), (600, False)]
 
     def test_nothing_is_shared_across_scenarios(self, calls):
         from telecert.scenarios import helstrom_scenario
@@ -1163,8 +1198,7 @@ class TestExactOracle:
     def test_nonpositive_runs_rejected(self, n_runs):
         with pytest.raises(ValueError, match="n_runs must be positive"):
             min_passes(0.5, n_runs)
-        # the schedule is checked before the cut, as in pass_count_distribution
-        with pytest.raises(PreconditionError, match="positive multiple"):
+        with pytest.raises(ValueError, match="n_runs must be positive"):
             exact_exceedance(builtin_scenarios()["trine"], n_runs, 0.8)
 
     def test_budget_guard(self):
