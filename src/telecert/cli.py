@@ -27,7 +27,7 @@ import sys
 from . import reporting, simulator, stats
 from ._version import __version__
 from .ensembles import load_ensemble
-from .errors import PreconditionError, ValidationError
+from .errors import PreconditionError, ValidationError, _integer
 from .scenarios import BUILTIN_CONSTRUCTORS, builtin_scenario, builtin_scenarios
 
 EXIT_OK = 0
@@ -50,11 +50,8 @@ def _seed(args) -> int:
 
 
 def _parse_n_list(raw: str) -> list[int]:
-    items = [chunk.strip() for chunk in raw.split(",")]
     values = []
-    for item in items:
-        if not item:
-            continue
+    for item in filter(None, (chunk.strip() for chunk in raw.split(","))):
         try:
             values.append(int(item))
         except ValueError as exc:
@@ -105,9 +102,9 @@ def _emit(
     chosen format (``text`` for the table format).  With ``--out`` the file
     receives the structured document before anything is printed, so a
     failed write leaves stdout empty, and stdout then receives ``text``.
-    The document is written to a sibling file that is then renamed over the
-    target, so a failed write leaves an existing target untouched and no
-    partial file behind.
+    The document is written to a randomly named sibling file that is then
+    renamed over the target, so a failed write leaves an existing target
+    untouched and no partial file behind.
     """
     manifest = reporting.make_manifest(command, parameters, seed=seed, sampler=sampler)
     headers = list(records[0])
@@ -123,7 +120,7 @@ def _emit(
     else:
         document = reporting.table_document(manifest, headers, rows)
     if args.out is not None:
-        partial = f"{args.out}.{os.getpid()}.tmp"
+        partial = f"{args.out}.{os.urandom(4).hex()}.tmp"
         fh = open(partial, "x", encoding="utf-8")
         try:
             with fh:
@@ -171,8 +168,7 @@ def cmd_bounds(args) -> int:
 def cmd_simulate(args) -> int:
     seed = _seed(args)
     scenario = _get_scenario(args.scenario)
-    if args.n < 1:
-        raise ValidationError(f"n_runs must be positive, got {args.n}")
+    _integer(args.n, "n_runs", 1)  # before rounding, so a refusal names the N given
     a = scenario.ensemble.size
     n_runs = -(-args.n // a) * a
     threshold = scenario.target_fidelity if args.threshold is None else args.threshold
@@ -253,7 +249,7 @@ def cmd_lln(args) -> int:
     records = [_fields(row, columns) for row in ladder]
     try:
         slope = simulator.rms_loglog_slope(ladder)
-    except ValueError:  # fewer than two distinct N
+    except ValueError:  # fewer than two distinct N, or a zero rms deviation
         slope = None
     payload = {"scenario": scenario.name, "rows": records, "rms_loglog_slope": slope}
     parameters = {"scenario": scenario.name, "n": n_values, "trials": args.trials}

@@ -5,6 +5,9 @@ precondition failures, and I/O failures are kept apart so scripted callers
 can react to each differently.
 """
 
+import math
+import operator
+
 
 class TelecertError(Exception):
     """Base class for every error raised by this package."""
@@ -32,3 +35,24 @@ class PreconditionError(TelecertError):
 
 class BudgetExceededError(PreconditionError):
     """An exact computation would exceed its configured work budget."""
+
+
+def _integer(value, name: str, low: int, bits: int | None = None) -> int:
+    """``value`` as an ``int`` in [low, 2**bits), or at least ``low`` without ``bits``.
+
+    A non-integer, a float included, raises ``TypeError`` (``operator.index``),
+    and an integer out of range ``ValueError``.
+    """
+    value = operator.index(value)
+    if value < low or bits is not None and value >= 1 << bits:
+        rule = {0: "be nonnegative", 1: "be positive"}.get(low, f"be at least {low}")
+        rule = rule if bits is None else f"lie in [{low}, 2**{bits})"
+        raise ValueError(f"{name} must {rule}, got {value}")
+    return value
+
+
+def _finite(value: float, name: str) -> float:
+    """``value`` unchanged, or ``ValueError`` when it is nan or infinite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value

@@ -35,12 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError, PreconditionError, _finite, _integer
 from .linalg import frozen
 from .scenarios import Scenario
 
 _U64 = (1 << 64) - 1
-_I64 = (1 << 63) - 1
 
 #: Trials per sampling block; keeps memory bounded in the trial count.
 _MAX_BLOCK_TRIALS = 32_768
@@ -95,9 +94,7 @@ def _draw_laws(scenario: Scenario, n_runs: int, multinomial: bool) -> tuple:
     multiple of a, and the fixed schedule needs uniform priors
     (``PreconditionError`` otherwise).
     """
-    n_runs = operator.index(n_runs)
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be positive, got {n_runs}")
+    n_runs = _integer(n_runs, "n_runs", 1)
     a = scenario.ensemble.size
     if n_runs % a != 0:
         raise PreconditionError(
@@ -126,7 +123,8 @@ class SimConfig:
     tables would span more than ``_MAX_TABLE_ENTRIES`` entries raises
     ``PreconditionError`` here, before anything is allocated.  ``n_runs``,
     ``n_trials`` and ``seed`` are integers (``TypeError`` otherwise) and
-    are stored as ``int``; ``n_runs < 1`` raises ``ValueError``.
+    are stored as ``int``; ``n_runs < 1``, ``n_trials`` outside
+    [1, 2**63) and ``seed`` outside [0, 2**64) raise ``ValueError``.
     """
 
     scenario: Scenario
@@ -139,12 +137,8 @@ class SimConfig:
         for name in ("n_runs", "n_trials", "seed"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
         laws = self.laws
-        if not 1 <= self.n_trials <= _I64:
-            raise ValueError(
-                f"n_trials must be between 1 and 2**63 - 1, got {self.n_trials}"
-            )
-        if not 0 <= self.seed <= _U64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        _integer(self.n_trials, "n_trials", 1, bits=63)
+        _integer(self.seed, "seed", 0, bits=64)
         for law in dict.fromkeys(laws):
             _window(*law)
 
@@ -231,8 +225,7 @@ def stream(seed: int, subkey: int = 0, block: int = 0) -> np.random.Generator:
     """
     seed, subkey, block = map(operator.index, (seed, subkey, block))
     for name, value in (("seed", seed), ("subkey", subkey), ("block", block)):
-        if not 0 <= value <= _U64:
-            raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
+        _integer(value, name, 0, bits=64)
     # uint64 arrays: a plain list holding a value >= 2**63 becomes float64,
     # which would merge neighbouring keys.
     key = np.array([seed, subkey], dtype=np.uint64)
@@ -445,10 +438,8 @@ def min_passes(threshold: float, n_runs: int) -> int:
     count reaches it; a non-finite threshold or ``n_runs < 1`` raises
     ``ValueError``.
     """
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be positive, got {n_runs}")
-    if not math.isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold!r}")
+    n_runs = _integer(n_runs, "n_runs", 1)
+    _finite(threshold, "threshold")
     return bisect.bisect_left(range(n_runs + 1), threshold, key=lambda s: s / n_runs)
 
 
@@ -461,8 +452,7 @@ def run_experiment(cfg: SimConfig, threshold: float, workers: int = 1) -> SimRep
     each block of trials is reduced to its pass-count histogram once drawn.
     """
     s_min = min_passes(threshold, cfg.n_runs)
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    _integer(workers, "workers", 1)
     q = cfg.scenario.pass_probabilities
     priors = cfg.scenario.ensemble.priors if cfg.multinomial_preparation else None
     tables = _tables(cfg.laws, min(_MAX_BLOCK_TRIALS, cfg.n_trials))
@@ -565,8 +555,7 @@ def lln_sweep(
     ladder exposes as a slope near -1/2.  ``workers`` must be at least 1
     and changes nothing: sampling runs on one thread.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    _integer(workers, "workers", 1)
     configs = [
         SimConfig(scenario=scenario, n_runs=n_runs, n_trials=n_trials, seed=seed)
         for n_runs in n_values
@@ -590,10 +579,11 @@ def lln_sweep(
 def rms_loglog_slope(rows: list[LlnRow]) -> float:
     """Least-squares slope of log10(rms deviation) against log10(N).
 
-    Raises ``ValueError`` unless the rows hold at least two distinct N.
+    Raises ``ValueError`` unless the rows hold at least two distinct N and
+    every rms deviation is positive (a deterministic pass count has none).
     """
-    if len({row.n_runs for row in rows}) < 2:
-        raise ValueError("need at least two ladder points with distinct N to fit a slope")
+    if len({row.n_runs for row in rows}) < 2 or min(row.rms_deviation for row in rows) <= 0.0:
+        raise ValueError("need two ladder points of distinct N and nonzero rms to fit a slope")
     x = np.log10([row.n_runs for row in rows])
     y = np.log10([row.rms_deviation for row in rows])
     slope, _ = np.polyfit(x, y, 1)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .discrimination import Povm, pass_probabilities
 from .ensembles import Ensemble
-from .errors import PreconditionError
+from .errors import PreconditionError, _finite, _integer
 
 _LN10 = math.log(10.0)
 
@@ -49,11 +49,10 @@ def fidelity_from_pass_rates(priors, q) -> float:
 def mu_of(f_th_cla: float, a: int) -> float:
     """Per-variable mean implied by a classical fidelity for ``a`` states.
 
-    ``a`` is an integer (``TypeError`` otherwise).
+    ``a`` is an integer (``TypeError`` otherwise) of at least 2, and
+    ``f_th_cla`` lies in [0, 1] (``ValueError`` otherwise, nan included).
     """
-    a = operator.index(a)
-    if a < 2:
-        raise ValueError(f"a must be at least 2, got {a}")
+    a = _integer(a, "a", 2)
     if not -1e-9 <= f_th_cla <= 1.0 + 1e-9:
         raise ValueError(f"fidelity must lie in [0, 1], got {f_th_cla!r}")
     return (f_th_cla - 1.0) / (a - 1)
@@ -62,19 +61,16 @@ def mu_of(f_th_cla: float, a: int) -> float:
 def t_of(f_target: float, f_th_cla: float, a: int) -> float:
     """Per-variable exceedance offset needed to reach ``f_target``.
 
-    ``a`` is an integer (``TypeError`` otherwise).
+    ``a`` and ``f_th_cla`` are checked as in ``mu_of``; a non-finite
+    ``f_target`` raises ``ValueError``.
     """
-    a = operator.index(a)
-    if a < 2:
-        raise ValueError(f"a must be at least 2, got {a}")
-    if not math.isfinite(f_target):
-        raise ValueError(f"target fidelity must be finite, got {f_target!r}")
-    if f_target <= f_th_cla:
+    mu_of(f_th_cla, a)
+    if _finite(f_target, "target fidelity") <= f_th_cla:
         raise PreconditionError(
             f"target fidelity {f_target!r} does not exceed the classical "
             f"fidelity {f_th_cla!r}; the exceedance probability is trivially 1"
         )
-    return (f_target - f_th_cla) / (a - 1)
+    return (f_target - f_th_cla) / (operator.index(a) - 1)
 
 
 def _overflows_float(n: int) -> bool:
@@ -93,7 +89,8 @@ class BoundInput:
     ``mu`` is the per-variable mean in (-1, 0), ``t`` the exceedance offset
     with ``0 < t < -mu``, ``a`` the ensemble size, and ``n_runs`` the number
     of experiment repetitions.  ``a`` and ``n_runs`` are integers
-    (``TypeError`` otherwise) and are stored as ``int``.
+    (``TypeError`` otherwise) and are stored as ``int``; a non-finite ``t``
+    raises ``ValueError``.
     """
 
     mu: float
@@ -102,12 +99,8 @@ class BoundInput:
     n_runs: int
 
     def __post_init__(self):
-        object.__setattr__(self, "a", operator.index(self.a))
-        if self.a < 2:
-            raise ValueError(f"a must be at least 2, got {self.a}")
-        object.__setattr__(self, "n_runs", operator.index(self.n_runs))
-        if self.n_runs < 1:
-            raise ValueError(f"n_runs must be positive, got {self.n_runs}")
+        object.__setattr__(self, "a", _integer(self.a, "a", 2))
+        object.__setattr__(self, "n_runs", _integer(self.n_runs, "n_runs", 1))
         if _overflows_float((self.a - 1) * self.n_runs):
             raise ValueError("n_runs is too large: (a - 1) * n_runs overflows a float")
         if self.mu == 0.0:
@@ -123,7 +116,7 @@ class BoundInput:
                 f"mu={self.mu!r} with a={self.a} implies a fidelity of {f!r}, "
                 "outside [0, 1]"
             )
-        if self.t <= 0.0:
+        if _finite(self.t, "t") <= 0.0:
             raise PreconditionError(
                 f"exceedance offset t must be positive, got {self.t!r}; "
                 "for t <= 0 the bound is trivially 1"
@@ -180,15 +173,15 @@ def hoeffding_generic(mu_prime: float, t_prime: float, m: int) -> float:
 
     ``mu_prime`` is the normalized mean in (0, 1) and ``t_prime`` the
     normalized offset with ``0 < t_prime < 1 - mu_prime``; ``m`` is the
-    number of independent variables, an integer (``TypeError`` otherwise).
-    The tail is evaluated in the complement rates ``1 - mu_prime - t_prime``
-    and ``1 - mu_prime``, so a mean too small for ``1 - mu_prime`` to fall
-    below 1 is refused.
+    number of independent variables, a nonnegative integer (``TypeError`` or
+    ``ValueError`` otherwise); a non-finite ``mu_prime`` or ``t_prime``
+    raises ``ValueError``.  The tail is evaluated in the complement rates
+    ``1 - mu_prime - t_prime`` and ``1 - mu_prime``, so a mean too small
+    for ``1 - mu_prime`` to fall below 1 is refused.
     """
-    m = operator.index(m)
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
-    e0 = 1.0 - mu_prime
+    m = _integer(m, "m", 0)
+    e0 = 1.0 - _finite(mu_prime, "mu'")
+    _finite(t_prime, "t'")
     if not 0.0 < e0 < 1.0:
         raise PreconditionError(
             f"normalized mean {mu_prime!r} must lie in (0, 1) and leave "
@@ -264,14 +257,10 @@ class HypothesisConfig:
 
     def __post_init__(self):
         for name in ("f_qm", "f_cla", "f_crit"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            _finite(getattr(self, name), name)
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
-        object.__setattr__(self, "n_runs", operator.index(self.n_runs))
-        if self.n_runs < 1:
-            raise ValueError(f"n_runs must be positive, got {self.n_runs}")
+        object.__setattr__(self, "n_runs", _integer(self.n_runs, "n_runs", 1))
         if _overflows_float(self.n_runs):
             raise ValueError("n_runs is too large: it overflows a float")
         if not self.f_cla <= self.f_crit <= self.f_qm:

@@ -478,6 +478,17 @@ class TestExitCodes:
         assert target.read_text() == "old document\n"
         assert [p.name for p in tmp_path.iterdir()] == ["sim.json"]
 
+    def test_stale_temp_file_does_not_block_the_write(self, capsys, tmp_path):
+        # a run killed between its open and its rename leaves the sibling behind
+        target = tmp_path / "bounds.json"
+        stale = tmp_path / f"bounds.json.{os.getpid()}.tmp"
+        stale.write_text("left by a killed run\n")
+        got, out, _ = run_cli(capsys, BOUNDS + ["--format", "records", "--out", str(target)])
+        assert got == cli.EXIT_OK and out != ""
+        assert load_records(target)["manifest"]["command"] == "bounds"
+        assert stale.read_text() == "left by a killed run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bounds.json", stale.name]
+
     @pytest.mark.usefixtures("cold_products")
     @pytest.mark.parametrize("argv", [SIMULATE, LLN], ids=["simulate", "lln"])
     def test_tables_out_of_memory(self, capsys, monkeypatch, argv):

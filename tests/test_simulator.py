@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from telecert import ensembles, simulator, stats
-from telecert.discrimination import pass_probabilities
+from telecert.discrimination import Povm, pass_probabilities
 from telecert.errors import BudgetExceededError, PreconditionError
 from telecert.scenarios import builtin_scenarios, custom_scenario
 from telecert.simulator import (
@@ -80,11 +81,14 @@ class TestConfigValidation:
             SimConfig(scenario=scenario, n_runs=100, n_trials=10, seed=0)
 
     def test_seed_range(self):
+        # SimConfig and stream refuse a seed with one message
         scenario = builtin_scenarios()["trine"]
-        with pytest.raises(ValueError, match="seed"):
-            SimConfig(scenario=scenario, n_runs=12, n_trials=10, seed=-1)
-        with pytest.raises(ValueError, match="seed"):
-            SimConfig(scenario=scenario, n_runs=12, n_trials=10, seed=1 << 64)
+        for seed in (-1, 1 << 64):
+            message = "^" + re.escape(f"seed must lie in [0, 2**64), got {seed}") + "$"
+            with pytest.raises(ValueError, match=message):
+                SimConfig(scenario=scenario, n_runs=12, n_trials=10, seed=seed)
+            with pytest.raises(ValueError, match=message):
+                stream(seed)
 
     def test_trial_count_range(self):
         scenario = builtin_scenarios()["trine"]
@@ -124,9 +128,12 @@ class TestConfigValidation:
             lambda scenario, n_runs: exact_exceedance(scenario, n_runs, 0.8),
             lambda scenario, n_runs: lln_sweep(scenario, [60, n_runs], 10, 0),
             lambda scenario, n_runs: min_passes(0.8, n_runs),
+            lambda scenario, n_runs: stats.BoundInput(-0.125, 0.0575, 3, n_runs),
+            lambda scenario, n_runs: stats.bound_report(0.75, 0.865, 3, n_runs),
+            lambda scenario, n_runs: stats.HypothesisConfig(0.9, 0.7, 0.8, 0.5, n_runs),
         ],
         ids=["SimConfig", "run_trial", "pass_count_distribution", "exact_exceedance", "lln_sweep",
-             "min_passes"],
+             "min_passes", "BoundInput", "bound_report", "HypothesisConfig"],
     )
     def test_nonpositive_run_count_is_one_value_error(self, call, n_runs, cold_products):
         with pytest.raises(ValueError, match=f"^n_runs must be positive, got {n_runs}$"):
@@ -1306,6 +1313,15 @@ class TestLlnSweep:
         scenario = builtin_scenarios()["trine"]
         rows = lln_sweep(scenario, ladder, n_trials=500, seed=5)
         with pytest.raises(ValueError, match="two ladder points"):
+            rms_loglog_slope(rows)
+
+    def test_zero_rms_has_no_slope(self):
+        # the swapped measurement never passes (q = [0, 0]): log10(0) has no fit
+        swapped = Povm(np.array([np.diag([0.0, 1.0]), np.diag([1.0, 0.0])]))
+        scenario = custom_scenario(orthonormal_scenario().ensemble, 1.0, swapped)
+        rows = lln_sweep(scenario, [2, 4, 8], n_trials=100, seed=5)
+        assert [row.rms_deviation for row in rows] == [0.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match="nonzero rms"):
             rms_loglog_slope(rows)
 
     def test_rejects_indivisible_ladder(self):

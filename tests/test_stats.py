@@ -124,6 +124,22 @@ class TestMuAndT:
         with pytest.raises(PreconditionError, match="does not exceed"):
             t_of(0.75, 0.75, 3)
 
+    @pytest.mark.parametrize(
+        "f_target, f_th_cla, message",
+        [
+            (1.6, math.nan, "fidelity must lie in"),
+            (1.6, math.inf, "fidelity must lie in"),
+            (1.6, -math.inf, "fidelity must lie in"),
+            (1.6, 1.5, "fidelity must lie in"),
+            (math.nan, 0.75, "target fidelity must be finite"),
+            (-math.inf, 0.75, "target fidelity must be finite"),
+        ],
+    )
+    def test_t_rejects_bad_fidelities_with_value_error(self, f_target, f_th_cla, message):
+        # mu_of's check of the classical fidelity is t_of's
+        with pytest.raises(ValueError, match=message):
+            t_of(f_target, f_th_cla, 3)
+
 
 class TestBoundInput:
     def test_perfect_classical_fidelity_rejected(self):
@@ -141,6 +157,11 @@ class TestBoundInput:
             BoundInput(mu=-0.125, t=0.0, a=3, n_runs=10)
         with pytest.raises(PreconditionError, match="trivially 1"):
             BoundInput(mu=-0.125, t=-0.1, a=3, n_runs=10)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_is_a_value_error(self, t):
+        with pytest.raises(ValueError, match="^t must be finite"):
+            BoundInput(mu=-0.125, t=t, a=3, n_runs=10)
 
     def test_run_counts_beyond_float_rejected(self):
         # (a - 1) * n_runs is the largest double: still evaluated
@@ -313,6 +334,14 @@ class TestHoeffdingGeneric:
             hoeffding_generic(1e-20, 0.5, 10)
         with pytest.raises(ValueError):
             hoeffding_generic(0.5, 0.1, -1)
+
+    @pytest.mark.parametrize(
+        "mu_prime, t_prime",
+        [(math.nan, 0.25), (0.5, math.nan), (math.inf, 0.25), (0.5, -math.inf)],
+    )
+    def test_non_finite_mean_or_offset_is_a_value_error(self, mu_prime, t_prime):
+        with pytest.raises(ValueError, match="must be finite"):
+            hoeffding_generic(mu_prime, t_prime, 10)
 
     @pytest.mark.parametrize("m", [math.nan, math.inf, 10.5, 10.0])
     def test_non_integral_variable_count_is_refused(self, m):
