@@ -39,14 +39,15 @@ SEED_ENV_VAR = "TELECERT_SEED"
 
 
 def _seed(args) -> int:
-    """``--seed`` if given, else the environment default, else 0."""
+    """``--seed`` if given, else the environment default (refused under its own name), else 0."""
     if args.seed is not None:
         return args.seed
     raw = os.environ.get(SEED_ENV_VAR, "0")
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError as exc:
         raise ValidationError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
+    return _integer(seed, SEED_ENV_VAR, 0, bits=64)
 
 
 def _parse_n_list(raw: str) -> list[int]:

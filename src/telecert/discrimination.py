@@ -157,8 +157,8 @@ def pass_probabilities(ensemble: Ensemble, povm: Povm) -> np.ndarray:
 
 
 def pass_rates(table: np.ndarray) -> np.ndarray:
-    """``q_i = sum_k T[i, k, 1]`` of a verification table, capped at 1."""
-    return np.minimum(table[:, :, 1].sum(axis=1), 1.0)
+    """``q_i = sum_k T[i, k, 1]`` of a verification table, capped at 1, and 1 if no run fails."""
+    return np.where(table[:, :, 0].any(axis=1), np.minimum(table[:, :, 1].sum(axis=1), 1.0), 1.0)
 
 
 def error_probability(ensemble: Ensemble, povm: Povm) -> float:

@@ -15,12 +15,13 @@ under multinomial preparation.  ``SimConfig`` derives them once
 once per experiment; ``lln_sweep`` draws each point's histogram as one
 multinomial over the laws' convolution (``_pass_count_law``).  Each
 block of trials draws from a Philox stream keyed by (seed, n_runs) at
-the block's counter offset, so results depend only on the configuration.
-The exact oracle convolves the same laws.  ``_draw_laws`` also checks
-the run count and the schedule, so every consumer of the laws refuses
-the same configurations.  Inversion tables and exact laws depend on no
-seed or threshold; they are built once per process and the last
-``_KEPT_PRODUCTS`` used are kept (``_kept``), each at most about 35 KiB.
+the block's counter offset (``stream``), so results depend only on the
+configuration.  The exact oracle convolves the same laws.
+``_draw_laws`` also checks the run count and the schedule, so every
+consumer of the laws refuses the same configurations.  Inversion tables
+and exact laws depend on no seed, threshold or trial count; they are
+built once per process and the last ``_KEPT_PRODUCTS`` used are kept
+(``_kept``), one per law, each at most about 35 KiB.
 The README's account of the samplers and its Notes on numerics give the
 joint law, the guide table, the window, the costs and the error contracts.
 """
@@ -218,19 +219,15 @@ BIT_GENERATOR = "Philox"
 def stream(seed: int, subkey: int = 0, block: int = 0) -> np.random.Generator:
     """Deterministic Philox stream for (seed, subkey) at a block offset.
 
-    Blocks are separated by 2**128 counter steps, so streams with different
-    block indices never overlap.  Seed, subkey and block are integers
-    (``TypeError`` otherwise), and one outside [0, 2**64) raises
-    ``ValueError`` rather than alias a key in range.
+    Philox's 128-bit key is ``seed | subkey << 64`` and its 256-bit counter
+    starts at ``block << 128``, so streams with different block indices
+    never overlap.  Seed, subkey and block are integers (``TypeError``
+    otherwise), and one outside [0, 2**64) raises ``ValueError`` rather
+    than alias a key in range.
     """
-    seed, subkey, block = map(operator.index, (seed, subkey, block))
-    for name, value in (("seed", seed), ("subkey", subkey), ("block", block)):
-        _integer(value, name, 0, bits=64)
-    # uint64 arrays: a plain list holding a value >= 2**63 becomes float64,
-    # which would merge neighbouring keys.
-    key = np.array([seed, subkey], dtype=np.uint64)
-    counter = np.array([0, 0, block, 0], dtype=np.uint64)
-    bits = getattr(np.random, BIT_GENERATOR)(key=key, counter=counter)
+    keys = {"seed": seed, "subkey": subkey, "block": block}
+    seed, subkey, block = (_integer(value, name, 0, bits=64) for name, value in keys.items())
+    bits = getattr(np.random, BIT_GENERATOR)(key=seed | subkey << 64, counter=block << 128)
     return np.random.Generator(bits)
 
 
@@ -278,36 +275,36 @@ def _binomial_table(m: int, p: float) -> tuple[int, np.ndarray]:
     return lo, np.exp(log_pmf - log_pmf.max())
 
 
-def _inversion_table(m: int, p: float, draws: int):
+def _inversion_table(m: int, p: float):
     """Window start, normalized cdf and guide table of Binomial(m, p).
 
-    ``draws``, the most draws taken at once, only sizes the guide.  A
-    certain outcome has no cdf and no guide.  The README's Notes on
-    numerics define the guide and its size.  The window is checked before
-    anything is looked up or built; a table whose window has at most
-    ``_KEPT_WINDOW`` entries is kept by ``_kept``, keyed by (m, p, guide
-    size), and a wider one is built each time.  Its arrays are frozen.
+    A certain outcome has no cdf and no guide.  The guide has the power of
+    two at or above max(64, 4 min(K, ``_MAX_BLOCK_TRIALS``)) buckets for a
+    window of K entries; the README's Notes on numerics define it.  The
+    window is checked before anything is looked up or built; a table whose
+    window has at most ``_KEPT_WINDOW`` entries is kept by ``_kept``, keyed
+    by (m, p), and a wider one is built each time.  Its arrays are frozen.
     """
     lo, hi = _window(m, p)
     if lo == hi:
         return lo, None, None
-    g = 1 << (max(64, 4 * min(hi - lo + 1, draws)) - 1).bit_length()
     if hi - lo >= _KEPT_WINDOW:
-        return _build_inversion_table(m, p, g)
-    return _kept(_build_inversion_table, m, p, g)
+        return _build_inversion_table(m, p)
+    return _kept(_build_inversion_table, m, p)
 
 
-def _build_inversion_table(m: int, p: float, g: int):
-    """``_inversion_table`` of Binomial(m, p) with a guide of ``g`` buckets."""
+def _build_inversion_table(m: int, p: float):
+    """``_inversion_table`` of Binomial(m, p), built afresh."""
     lo, weights = _binomial_table(m, p)
+    g = 1 << (max(64, 4 * min(weights.size, _MAX_BLOCK_TRIALS)) - 1).bit_length()
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
     return lo, frozen(cdf), frozen(np.searchsorted(cdf, np.arange(g) / g, side="right"))
 
 
-def _tables(laws: tuple, draws: int) -> list:
+def _tables(laws: tuple) -> list:
     """One ``_inversion_table`` per distinct law of ``laws``, listed in draw order."""
-    tables = {law: _inversion_table(*law, draws) for law in dict.fromkeys(laws)}
+    tables = {law: _inversion_table(*law) for law in dict.fromkeys(laws)}
     return [tables[law] for law in laws]
 
 
@@ -419,7 +416,7 @@ def run_trial(
     the benchmark's tracer wraps it by name, so the API keeps it.
     ``n_runs < 1`` raises ``ValueError``.
     """
-    tables = _tables(_draw_laws(scenario, n_runs, False), 1)
+    tables = _tables(_draw_laws(scenario, n_runs, False))
     passes, prepared, passed = _draw_trials(rng, 1, n_runs, scenario.pass_probabilities, tables)
     outcomes, pass_counts = _split_outcomes(rng, scenario, prepared, passed)
     return TrialTally(prepared, outcomes, pass_counts), int(passes[0]) / n_runs
@@ -455,7 +452,7 @@ def run_experiment(cfg: SimConfig, threshold: float, workers: int = 1) -> SimRep
     _integer(workers, "workers", 1)
     q = cfg.scenario.pass_probabilities
     priors = cfg.scenario.ensemble.priors if cfg.multinomial_preparation else None
-    tables = _tables(cfg.laws, min(_MAX_BLOCK_TRIALS, cfg.n_trials))
+    tables = _tables(cfg.laws)
     prepared = np.zeros(q.size, dtype=np.int64)
     passed = np.zeros(q.size, dtype=np.int64)
     lo, counts = None, np.zeros(0, dtype=np.int64)
@@ -547,10 +544,10 @@ def lln_sweep(
 
     Every N in ``n_values`` must be a multiple of the ensemble size and
     small enough to sample; the whole ladder is validated before any point
-    is sampled.  Each point
-    draws the histogram of its trials' pass counts as one multinomial over
-    the fixed-schedule law (``_total_histogram``) and reduces it, so its
-    cost and memory grow like sqrt(N), whatever ``n_trials`` is.  The
+    is sampled.  Each point draws the histogram of its trials' pass counts
+    as one multinomial over the fixed-schedule law (``_total_histogram``)
+    and reduces it, so its cost and memory grow like sqrt(N), whatever
+    ``n_trials`` is.  The
     RMS column shrinks like 1/sqrt(N), which a log-log fit over a geometric
     ladder exposes as a slope near -1/2.  ``workers`` must be at least 1
     and changes nothing: sampling runs on one thread.

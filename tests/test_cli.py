@@ -661,6 +661,17 @@ class TestSeedEnvironment:
         assert out == ""
         assert "validation error: TELECERT_SEED must be an integer, got 'abc'" in err
 
+    @pytest.mark.parametrize("raw", ["-1", str(2**64)])
+    @pytest.mark.parametrize("argv", [SIMULATE, LLN])
+    def test_out_of_range_is_refused_under_its_own_name(self, monkeypatch, capsys, argv, raw):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, raw)
+        code, out, err = run_cli(capsys, argv)
+        assert code == cli.EXIT_VALIDATION
+        assert out == ""
+        assert err == f"validation error: TELECERT_SEED must lie in [0, 2**64), got {raw}\n"
+        # and it is still read only where it would be the seed
+        assert run_cli(capsys, argv + ["--seed", "5"])[0] == 0
+
 
 class TestManifest:
     #: The manifest's fields in the order every document writes them.

@@ -9,6 +9,7 @@ from telecert.discrimination import (
     born_matrix,
     error_probability,
     helstrom_povm,
+    pass_rates,
     square_root_povm,
 )
 from telecert.errors import PreconditionError
@@ -151,6 +152,10 @@ class TestErrorProbability:
 
 
 class TestPovmType:
+    def test_rejects_elements_not_of_shape_a_d_d(self):
+        with pytest.raises(ValueError, match=r"^elements must have shape \(a, d, d\), got \(2, 2, 3\)$"):
+            Povm(np.zeros((2, 2, 3)))
+
     def test_rejects_non_hermitian_element(self):
         bad = np.zeros((2, 2, 2), complex)
         bad[0] = [[0.5, 0.5j], [0.0, 0.5]]
@@ -167,3 +172,19 @@ class TestPovmType:
         bad = np.array([np.diag([0.5, 0.5]), np.diag([0.4, 0.4])], dtype=complex)
         with pytest.raises(ValueError, match="resolve the identity"):
             Povm(bad)
+
+
+class TestPassRates:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_orthonormal_states_pass_for_certain(self, k):
+        # roundoff in the square-root POVM leaves B[i, i] = 1 - 2**-52 at k = 2
+        scenario = custom_scenario(ensembles.Ensemble(np.eye(k), np.full(k, 1 / k)), 1.0)
+        assert scenario.pass_probabilities.tolist() == [1.0] * k
+        assert scenario.classical_fidelity == 1.0
+
+    @pytest.mark.parametrize("name", list(builtin_scenarios()))
+    def test_builtin_rates_are_the_capped_sums(self, name):
+        # every built-in state fails with positive probability, so no q bit moves
+        table = builtin_scenarios()[name].verification_table
+        assert np.all(table[:, :, 0].sum(axis=1) > 0.0)
+        assert np.array_equal(pass_rates(table), np.minimum(table[:, :, 1].sum(axis=1), 1.0))

@@ -102,6 +102,12 @@ class TestLoadEnsemble:
         with pytest.raises(StateNormalizationError, match="norm"):
             ensembles.load_ensemble(json.dumps(doc))
 
+    def test_name_must_be_a_string(self):
+        doc = ensembles.to_document(ensembles.trine())
+        doc["name"] = 5
+        with pytest.raises(EnsembleFormatError, match="^name must be a string$"):
+            ensembles.load_ensemble(json.dumps(doc))
+
     def test_deep_nesting_is_a_format_error(self):
         with pytest.raises(EnsembleFormatError, match="nests too deeply"):
             ensembles.load_ensemble("[" * 200_000)
@@ -260,6 +266,8 @@ def test_direct_construction_enforces_invariants():
         ensembles.Ensemble(good[:1], np.array([1.0]))
     with pytest.raises(ValueError, match="priors shape"):
         ensembles.Ensemble(good, np.array([1.0]))
+    with pytest.raises(ValueError, match=r"^states must be a 2-D array, got shape \(2,\)$"):
+        ensembles.Ensemble(np.array([1, 0], complex), np.array([0.5, 0.5]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])

@@ -89,6 +89,11 @@ class TestDerivedValues:
 
 
 class TestConstruction:
+    @pytest.mark.parametrize("target", [0.0, 1.5])
+    def test_target_outside_the_unit_interval_is_refused(self, target):
+        with pytest.raises(ValueError, match=rf"^target fidelity must lie in \(0, 1\], got {target}$"):
+            custom_scenario(trine(), target)
+
     def test_fields(self):
         names = [field.name for field in dataclasses.fields(Scenario)]
         assert names == ["name", "ensemble", "povm", "target_fidelity", "target_note"]

@@ -237,9 +237,9 @@ class ChosenUniforms:
         return chunk.copy()
 
 
-def guide_bound(entries, draws):
-    """The largest guide the sampler may build: 2**ceil(log2(max(64, 4 min(K, draws))))."""
-    return 2 ** math.ceil(math.log2(max(64, 4 * min(entries, draws))))
+def guide_bound(entries):
+    """The largest guide the sampler may build: 2**ceil(log2(max(64, 4 min(K, block))))."""
+    return 2 ** math.ceil(math.log2(max(64, 4 * min(entries, simulator._MAX_BLOCK_TRIALS))))
 
 
 class TestBinomialKernel:
@@ -247,7 +247,7 @@ class TestBinomialKernel:
     @pytest.mark.parametrize("p", [1e-3, 0.02, 0.3, 0.5, 0.75, 0.7499999999999999, 0.999])
     def test_matches_exact_pmf(self, m, p):
         size = 200_000
-        draws = simulator._invert(stream(m, int(p * 1e6)), simulator._inversion_table(m, p, size), size)
+        draws = simulator._invert(stream(m, int(p * 1e6)), simulator._inversion_table(m, p), size)
         assert draws.shape == (size,)
         assert draws.min() >= 0 and draws.max() <= m
         pmf = binomial_pmf(m, p)
@@ -263,8 +263,8 @@ class TestBinomialKernel:
     @pytest.mark.parametrize("m", [1, 7, 2000])
     def test_certain_outcomes_are_constant(self, m):
         rng = stream(0)
-        assert np.array_equal(simulator._invert(rng, simulator._inversion_table(m, 0.0, 5), 5), np.zeros(5))
-        assert np.array_equal(simulator._invert(rng, simulator._inversion_table(m, 1.0, 5), 5), np.full(5, m))
+        assert np.array_equal(simulator._invert(rng, simulator._inversion_table(m, 0.0), 5), np.zeros(5))
+        assert np.array_equal(simulator._invert(rng, simulator._inversion_table(m, 1.0), 5), np.full(5, m))
 
     @pytest.mark.parametrize("block", [1, 7, 32768])
     @pytest.mark.parametrize(
@@ -276,7 +276,7 @@ class TestBinomialKernel:
         # uniforms exactly at every bucket edge j/g and every cdf entry, one
         # ulp below each, the extremes of [0, 1), and random ones, drawn in
         # calls of ``block`` uniforms each
-        lo, cdf, guide = simulator._inversion_table(m, p, block)
+        lo, cdf, guide = simulator._inversion_table(m, p)
         g = guide.size
         rng = np.random.default_rng(m + block)
         edges = np.arange(g) / g
@@ -289,24 +289,28 @@ class TestBinomialKernel:
         chosen = np.concatenate((chosen, rng.random(calls * block - chosen.size)))
         stub = ChosenUniforms(chosen)
         got = np.concatenate(
-            [simulator._invert(stub, simulator._inversion_table(m, p, block), block) for _ in range(calls)]
+            [simulator._invert(stub, simulator._inversion_table(m, p), block) for _ in range(calls)]
         )
         assert stub.taken == chosen.size
         assert np.array_equal(got, searchsorted_reference(m, p, chosen))
-        assert g <= guide_bound(cdf.size, block)
+        assert g <= guide_bound(cdf.size)
 
     def test_tied_cdf_entries_are_covered(self):
         # underflowed weights leave runs of equal cdf entries at the top
-        _, cdf, _ = simulator._inversion_table(2000, 1e-3, 7)
+        _, cdf, _ = simulator._inversion_table(2000, 1e-3)
         assert np.count_nonzero(np.diff(cdf) == 0.0) > 10
 
     @pytest.mark.parametrize("m", [1, 4, 20, 2000, 10**6, 10**9])
     @pytest.mark.parametrize("draws", [1, 7, 100, 32768, 10**6])
     def test_guide_stays_within_its_bound(self, m, draws):
-        _, cdf, guide = simulator._inversion_table(m, 0.3, draws)
+        # the guide follows the window alone, whatever number of draws it serves
+        table = simulator._inversion_table(m, 0.3)
+        lo, cdf, guide = table
         assert guide.size & (guide.size - 1) == 0
-        assert 4 * min(cdf.size, draws) <= guide.size <= guide_bound(cdf.size, draws)
+        assert 4 * min(cdf.size, simulator._MAX_BLOCK_TRIALS) <= guide.size <= guide_bound(cdf.size)
         assert guide.size >= 64
+        sample = simulator._invert(stream(m, draws), table, draws)
+        assert lo <= sample.min() and sample.max() < lo + cdf.size
 
     def test_oversized_table_refused_before_allocation(self):
         # 3e16 runs on trine would need a 9.4e8-entry table (7 GiB)
@@ -330,6 +334,26 @@ class TestBinomialKernel:
         assert peak < 64 * 2**20
         se = math.sqrt(0.75 * 0.25 / n_runs / n_trials)
         assert abs(row.mean_fidelity - 0.75) < 5 * se
+
+
+class TestTrialTally:
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"prepared_counts": [2, 3], "outcome_counts": [[2, 0], [1, 2]]},
+             "prepared counts do not sum to n_runs"),
+            ({"outcome_counts": [[1, 0], [1, 1]]}, "outcome counts do not sum to prepared counts"),
+            ({"pass_counts": [[2, 1], [0, 1]]}, "pass counts exceed outcome counts"),
+            ({"prepared_counts": [5, -1], "outcome_counts": [[5, 0], [0, -1]], "pass_counts": [[0, 0], [0, -1]]},
+             "negative counts"),
+        ],
+        ids=["prepared", "outcomes", "passes", "negative"],
+    )
+    def test_validate_refuses_inconsistent_counts(self, change, message):
+        fields = {"prepared_counts": [2, 2], "outcome_counts": [[2, 0], [1, 1]], "pass_counts": [[2, 0], [0, 1]]}
+        tally = simulator.TrialTally(**{name: np.array(value) for name, value in {**fields, **change}.items()})
+        with pytest.raises(AssertionError, match=f"^{message}$"):
+            tally.validate(4)
 
 
 class TestRunTrial:
@@ -396,7 +420,7 @@ class TestRunExperiment:
             rng = stream(15, subkey=n_runs, block=block)
             # one Binomial column per state, in state order
             passes = sum(
-                simulator._invert(rng, simulator._inversion_table(n_runs // 3, qi, n), n) for qi in q.tolist()
+                simulator._invert(rng, simulator._inversion_table(n_runs // 3, qi), n) for qi in q.tolist()
             )
             expected += np.bincount(passes, minlength=n_runs + 1)
             exceeding += np.count_nonzero(passes / n_runs >= threshold)
@@ -991,6 +1015,14 @@ class TestKeptProducts:
             assert cold_products.cache_info().currsize > 0
         assert passes[0] == passes[1]
 
+    def test_one_law_keeps_one_table_whatever_the_trial_count(self, cold_products):
+        scenario = builtin_scenarios()["helstrom"]  # both states draw from one law (30, q)
+        run_trial(scenario, 60, stream(1))
+        for n_trials in (1, 100, 3000):
+            run_experiment(SimConfig(scenario, 60, n_trials, seed=n_trials), 0.95)
+        info = cold_products.cache_info()
+        assert (info.currsize, info.misses) == (1, 1)
+
     def test_kept_arrays_are_read_only(self, cold_products):
         scenario = builtin_scenarios()["trine"]
         for multinomial in (False, True):
@@ -1000,7 +1032,7 @@ class TestKeptProducts:
         assert cold_products.cache_info().currsize == 3 + 1
         built = cold_products.cache_info().misses
         tables = [table for multinomial in (False, True)
-                  for table in simulator._tables(simulator._draw_laws(scenario, 60, multinomial), 100)]
+                  for table in simulator._tables(simulator._draw_laws(scenario, 60, multinomial))]
         arrays = [part for _, *parts in tables for part in parts]
         arrays.append(pass_count_distribution(scenario, 600))
         assert cold_products.cache_info().misses == built  # every product was kept
@@ -1037,7 +1069,7 @@ class TestKeptProducts:
                 pass_count_distribution(scenario, 600)
             # an oversized table is refused before it is looked up or built
             with pytest.raises(PreconditionError, match="too large"):
-                simulator._inversion_table(10**16, 0.75, 10)
+                simulator._inversion_table(10**16, 0.75)
             assert cold_products.cache_info().currsize == 0
         assert report_fields(run_experiment(cfg, 0.8))["n_runs"] == 600
         assert pass_count_distribution(scenario, 600).sum() == pytest.approx(1.0)
@@ -1061,7 +1093,7 @@ class TestKeptProducts:
             return hi - lo + 1
 
         m = next(m for m in itertools.count(1) if width(m) == entries)
-        return simulator._inversion_table(m, 0.5, 32768)
+        return simulator._inversion_table(m, 0.5)
 
     def test_a_table_past_the_window_cap_is_used_not_kept(self, cold_products):
         widest = self.table_of_width(simulator._KEPT_WINDOW)
@@ -1088,7 +1120,7 @@ class TestKeptProducts:
         def work(offset):
             try:
                 for m in range(20 + offset, 600, 3):
-                    simulator._inversion_table(m, 0.3, 100)
+                    simulator._inversion_table(m, 0.3)
             except BaseException as exc:
                 errors.append(exc)
 
@@ -1278,6 +1310,12 @@ class TestExactOracle:
 
 
 class TestLlnSweep:
+    def test_orthonormal_ladder_has_no_slope(self):
+        rows = lln_sweep(orthonormal_scenario(), [60, 600, 6000], n_trials=100, seed=1)
+        assert [(row.mean_fidelity, row.rms_deviation) for row in rows] == [(1.0, 0.0)] * 3
+        with pytest.raises(ValueError, match="nonzero rms"):
+            rms_loglog_slope(rows)
+
     def test_single_point(self):
         scenario = builtin_scenarios()["trine"]
         rows = lln_sweep(scenario, [30], n_trials=2000, seed=1)
@@ -1433,6 +1471,22 @@ class TestStreams:
         # masked to 64 bits, stream(-1) would draw stream(2**64 - 1)'s numbers
         with pytest.raises(ValueError, match=f"{next(iter(key))} must lie in"):
             stream(**{"seed": 0, **key})
+
+    @pytest.mark.parametrize(
+        "keys,pinned",
+        [
+            ((2**64 - 1, 2**64 - 1, 2**64 - 1),
+             ["0x1.5b62ee8f7696dp-1", "0x1.cb1c762e370b2p-2", "0x1.1d030cf020998p-3", "0x1.26d277a797054p-2"]),
+            ((2**63 + 1,),
+             ["0x1.ac31ef3cd5505p-1", "0x1.1cb49945699c0p-3", "0x1.058f985acf858p-4", "0x1.fa25970c46c5ep-1"]),
+            ((5, 600, 3),
+             ["0x1.1921c9d3bb7a6p-1", "0x1.a45a57e55d1d8p-4", "0x1.b58bb715b72ccp-1", "0x1.4ab0206ccf1e0p-4"]),
+        ],
+        ids=["all-top", "seed-2**63+1", "5-600-3"],
+    )
+    def test_pinned_draws_at_the_key_edges(self, keys, pinned):
+        # a swapped key or counter word, or a lost high bit, moves these
+        assert [float.hex(u) for u in stream(*keys).random(4).tolist()] == pinned
 
     def test_keys_at_the_64_bit_edges_are_kept(self):
         top = 2**64 - 1

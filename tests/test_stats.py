@@ -171,6 +171,10 @@ class TestBoundInput:
         with pytest.raises(ValueError, match="too large"):
             BoundInput(mu=-0.125, t=0.0575, a=3, n_runs=2**1023)
 
+    def test_mu_outside_its_range_rejected(self):
+        with pytest.raises(ValueError, match=r"^mu must lie in \(-1, 0\], got -1.0$"):
+            BoundInput(mu=-1.0, t=0.05, a=3, n_runs=10)
+
     def test_fidelity_consistency(self):
         inp = BoundInput(mu=-0.125, t=0.0575, a=3, n_runs=100)
         assert inp.f_th_cla == pytest.approx(0.75, abs=1e-12)
@@ -267,6 +271,12 @@ class TestHoeffdingBound:
         ens = ensembles.Ensemble(states, np.array([0.7, 0.3]))
         scenario = custom_scenario(ens, target_fidelity=0.999)
         with pytest.raises(PreconditionError, match="uniform priors"):
+            scenario_bound_report(scenario, 100)
+
+    def test_orthonormal_states_leave_no_target_above_the_classical_fidelity(self):
+        # q = 1 exactly for both states, so F = 1 and the refusal is not a validity-range one
+        scenario = custom_scenario(ensembles.Ensemble(np.eye(2), np.array([0.5, 0.5])), 1.0)
+        with pytest.raises(PreconditionError, match="^target fidelity 1.0 does not exceed the classical fidelity 1.0;"):
             scenario_bound_report(scenario, 100)
 
     @pytest.mark.parametrize("n_runs", [math.nan, math.inf, 60.5, 60.0])
