@@ -7,6 +7,12 @@ format chosen by ``--format``.  Exit codes: 0 success, 2 validation
 failure, 3 precondition failure (including a request whose sampling tables
 do not fit in memory), 4 I/O failure.
 
+Options that verbs share are declared once, in parent parsers, and the
+parser converts option values as it reads them, in the order given:
+``--scenario`` to the built-in scenario, an ``--n`` list to its run counts
+and ``--out`` to a path in an existing directory.  So a bad value is
+refused before ``TELECERT_SEED`` is read and before any work.
+
 Every verb answers through one response path: its ``cmd_*`` function
 computes the result's rows and records payload and hands them to
 ``_emit``, which builds the run manifest and writes document and stdout.
@@ -68,6 +74,13 @@ def _get_scenario(name: str):
             f"unknown scenario {name!r}; choose from {', '.join(BUILTIN_CONSTRUCTORS)}"
         )
     return builtin_scenario(name)
+
+
+def _out_path(out: str) -> str:
+    """``--out`` unchanged, or ``OSError`` when no write could create it."""
+    if not out or os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or os.curdir):
+        raise OSError(f"--out must name a file in an existing directory, got {out!r}")
+    return out
 
 
 def _fields(obj, names) -> dict:
@@ -151,24 +164,23 @@ def cmd_scenarios(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    scenario = _get_scenario(args.scenario)
+    scenario = args.scenario
     target = scenario.target_fidelity if args.target is None else args.target
-    n_values = _parse_n_list(args.n)
     records = [
         _fields(
             stats.scenario_bound_report(scenario, n_runs, target),
             ("n_runs", *_BOUND_FIELDS),
         )
-        for n_runs in n_values
+        for n_runs in args.n
     ]
-    parameters = {"scenario": scenario.name, "target": target, "n": n_values}
+    parameters = {"scenario": scenario.name, "target": target, "n": args.n}
     payload = {"scenario": scenario.name, "target": target, "rows": records}
     return _emit(args, "bounds", parameters, records, payload)
 
 
 def cmd_simulate(args) -> int:
     seed = _seed(args)
-    scenario = _get_scenario(args.scenario)
+    scenario = args.scenario
     _integer(args.n, "n_runs", 1)  # before rounding, so a refusal names the N given
     a = scenario.ensemble.size
     n_runs = -(-args.n // a) * a
@@ -229,22 +241,20 @@ def cmd_simulate(args) -> int:
 
 def cmd_hypothesis(args) -> int:
     model = _fields(args, ("f_qm", "f_cla", "f_crit", "sigma"))
-    n_values = _parse_n_list(args.n)
     records = []
-    for n_runs in n_values:
+    for n_runs in args.n:
         cfg = stats.HypothesisConfig(**model, n_runs=n_runs)
         alpha, beta = stats.type_one_error(cfg), stats.type_two_error(cfg)
         records.append({"n_runs": n_runs, "alpha": alpha, "beta": beta})
-    parameters = {**model, "n": n_values}
+    parameters = {**model, "n": args.n}
     return _emit(args, "hypothesis", parameters, records, {"rows": records})
 
 
 def cmd_lln(args) -> int:
     seed = _seed(args)
-    scenario = _get_scenario(args.scenario)
-    n_values = _parse_n_list(args.n)
+    scenario = args.scenario
     ladder = simulator.lln_sweep(
-        scenario, n_values, args.trials, seed, workers=args.workers
+        scenario, args.n, args.trials, seed, workers=args.workers
     )
     columns = ("n_runs", "mean_fidelity", "mean_abs_deviation", "rms_deviation")
     records = [_fields(row, columns) for row in ladder]
@@ -253,7 +263,7 @@ def cmd_lln(args) -> int:
     except ValueError:  # fewer than two distinct N, or a zero rms deviation
         slope = None
     payload = {"scenario": scenario.name, "rows": records, "rms_loglog_slope": slope}
-    parameters = {"scenario": scenario.name, "n": n_values, "trials": args.trials}
+    parameters = {"scenario": scenario.name, "n": args.n, "trials": args.trials}
     return _emit(
         args, "lln", parameters, records, payload, seed=seed,
         sampler=simulator.HISTOGRAM_SAMPLER,
@@ -275,18 +285,6 @@ def cmd_ensemble_validate(args) -> int:
     return _emit(args, "ensemble validate", {"file": args.file}, records, payload)
 
 
-def _add_output_options(parser: argparse.ArgumentParser, func) -> None:
-    """Add ``--format`` and ``--out`` to a verb's parser, and route the verb to ``func``."""
-    parser.set_defaults(func=func)
-    parser.add_argument(
-        "--format",
-        choices=reporting.FORMATS,
-        default="table",
-        help="output format (default: table)",
-    )
-    parser.add_argument("--out", default=None, help="write the document to this path")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -299,57 +297,58 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"telecert {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("scenarios", help="list the built-in scenarios")
-    _add_output_options(p, cmd_scenarios)
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--scenario", type=_get_scenario, required=True)
+    n_list = argparse.ArgumentParser(add_help=False)
+    n_list.add_argument("--n", type=_parse_n_list, required=True, help="comma-separated run counts")
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--trials", type=int, default=100_000)
+    sampling.add_argument("--seed", type=int)
+    sampling.add_argument("--workers", type=int, default=1, help="at least 1; has no effect")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument(
+        "--format", choices=reporting.FORMATS, default="table", help="output format (default: table)"
+    )
+    output.add_argument("--out", type=_out_path, help="write the document to this path")
 
-    p = sub.add_parser("bounds", help="exceedance bound table over run counts")
-    p.add_argument("--scenario", required=True)
+    p = sub.add_parser("scenarios", parents=[output], help="list the built-in scenarios")
+    p.set_defaults(func=cmd_scenarios)
+
+    p = sub.add_parser("bounds", parents=[scenario, n_list, output],
+                       help="exceedance bound table over run counts")
     p.add_argument("--target", type=float, default=None, help="target fidelity to certify")
-    p.add_argument("--n", required=True, help="comma-separated run counts")
-    _add_output_options(p, cmd_bounds)
+    p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("simulate", help="Monte Carlo experiment with bound comparison")
-    p.add_argument("--scenario", required=True)
+    p = sub.add_parser("simulate", parents=[scenario, sampling, output],
+                       help="Monte Carlo experiment with bound comparison")
     p.add_argument("--n", type=int, required=True, help="runs per trial")
-    p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int, default=1, help="at least 1; has no effect")
-    _add_output_options(p, cmd_simulate)
+    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("hypothesis", help="normal-model type I/II error table")
+    p = sub.add_parser("hypothesis", parents=[n_list, output],
+                       help="normal-model type I/II error table")
     p.add_argument("--f-qm", dest="f_qm", type=float, required=True)
     p.add_argument("--f-cla", dest="f_cla", type=float, required=True)
     p.add_argument("--f-crit", dest="f_crit", type=float, required=True)
     p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--n", required=True, help="comma-separated run counts")
-    _add_output_options(p, cmd_hypothesis)
+    p.set_defaults(func=cmd_hypothesis)
 
-    p = sub.add_parser("lln", help="fidelity convergence sweep over run counts")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--n", required=True, help="comma-separated run counts")
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int, default=1, help="at least 1; has no effect")
-    _add_output_options(p, cmd_lln)
+    p = sub.add_parser("lln", parents=[scenario, n_list, sampling, output],
+                       help="fidelity convergence sweep over run counts")
+    p.set_defaults(func=cmd_lln)
 
     p = sub.add_parser("ensemble", help="custom-ensemble utilities")
     ens_sub = p.add_subparsers(dest="ensemble_command", required=True)
-    pv = ens_sub.add_parser("validate", help="validate a custom-ensemble document")
-    pv.add_argument("file")
-    _add_output_options(pv, cmd_ensemble_validate)
+    p = ens_sub.add_parser("validate", parents=[output], help="validate a custom-ensemble document")
+    p.add_argument("file")
+    p.set_defaults(func=cmd_ensemble_validate)
 
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        out = args.out  # refused before any work when no write could create it
-        if out is not None and (
-            not out or os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or os.curdir)
-        ):
-            raise OSError(f"--out must name a file in an existing directory, got {out!r}")
+        args = build_parser().parse_args(argv)  # refuses bad option values
         return args.func(args)
     except (ValidationError, ValueError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -151,10 +151,12 @@ def _log10_tail(e: float, e0: float, m: int) -> float:
 
     ``e0`` is the complement of the variables' normalized mean and ``e``
     that of the reached mean; the exponent is
-    ``m * [e ln(e0/e) + (1 - e) (log1p(-e0) - log1p(-e))]``.
+    ``m * [e ln(e0/e) + (1 - e) (log1p(-e0) - log1p(-e))]``, clamped at 0,
+    since rounding makes it slightly positive for ``e`` within a few
+    thousand ulps of ``e0``.
     """
     minus_kl = e * math.log(e0 / e) + (1.0 - e) * (math.log1p(-e0) - math.log1p(-e))
-    return m * minus_kl / _LN10
+    return min(0.0, m * minus_kl / _LN10)
 
 
 def hoeffding_log10_bound(inp: BoundInput) -> float:
@@ -191,8 +193,6 @@ def hoeffding_generic(mu_prime: float, t_prime: float, m: int) -> float:
         raise PreconditionError(
             f"t'={t_prime!r} is outside the validity range 0 < t' < {e0!r}"
         )
-    if m == 0:
-        return 0.0
     return _log10_tail(e0 - t_prime, e0, m)
 
 

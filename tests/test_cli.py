@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from reference_values import GOLDEN_BOUNDS, log10_close
-from telecert import cli, reporting, simulator, stats
+from telecert import cli, reporting, scenarios, simulator, stats
 from telecert.ensembles import to_document, trine
 
 
@@ -586,6 +586,74 @@ class TestBadOutRefusedBeforeWork:
         ]
         assert not list(tmp_path.rglob("*.tmp"))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ensemble.json", "folder"]
+
+
+class TestParserSurface:
+    """Each verb's parsed options: every dest of a minimal request, and the required flags."""
+
+    SAMPLING = {"trials": 100_000, "seed": None, "workers": 1}
+    #: verb -> (its words, the arguments a request cannot leave out, every dest but scenario)
+    VERBS = {
+        "scenarios": (["scenarios"], [], {"command": "scenarios", "func": cli.cmd_scenarios}),
+        "bounds": (
+            ["bounds"], [["--scenario", "trine"], ["--n", "60, 600,"]],
+            {"command": "bounds", "n": [60, 600], "target": None, "func": cli.cmd_bounds},
+        ),
+        "simulate": (
+            ["simulate"], [["--scenario", "trine"], ["--n", "60"]],
+            {"command": "simulate", "n": 60, **SAMPLING, "threshold": None,
+             "func": cli.cmd_simulate},
+        ),
+        "hypothesis": (
+            ["hypothesis"],
+            [["--f-qm", "0.9"], ["--f-cla", "0.7"], ["--f-crit", "0.8"], ["--sigma", "0.3"],
+             ["--n", "60,600"]],
+            {"command": "hypothesis", "n": [60, 600], "f_qm": 0.9, "f_cla": 0.7, "f_crit": 0.8,
+             "sigma": 0.3, "func": cli.cmd_hypothesis},
+        ),
+        "lln": (
+            ["lln"], [["--scenario", "trine"], ["--n", "60,600"]],
+            {"command": "lln", "n": [60, 600], **SAMPLING, "func": cli.cmd_lln},
+        ),
+        "ensemble-validate": (
+            ["ensemble", "validate"], [["ensemble.json"]],
+            {"command": "ensemble", "ensemble_command": "validate", "file": "ensemble.json",
+             "func": cli.cmd_ensemble_validate},
+        ),
+    }
+
+    @pytest.mark.parametrize("verb", list(VERBS))
+    def test_minimal_request(self, capsys, verb):
+        words, required, dests = self.VERBS[verb]
+        args = vars(cli.build_parser().parse_args(words + sum(required, [])))
+        if ["--scenario", "trine"] in required:
+            assert args.pop("scenario") is scenarios.builtin_scenario("trine")
+        assert args == {**dests, "format": "table", "out": None}
+        for left_out in required:
+            rest = sum((group for group in required if group is not left_out), [])
+            with pytest.raises(SystemExit) as usage:
+                cli.build_parser().parse_args(words + rest)
+            assert usage.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("first", ["scenario", "out"])
+    @pytest.mark.parametrize("verb", ["bounds", "simulate", "lln"])
+    def test_the_first_of_two_bad_values_is_refused(self, capsys, verb, first):
+        bad = {"scenario": ["--scenario", "nope"], "out": ["--out", ""]}
+        second = "out" if first == "scenario" else "scenario"
+        got, out, err = run_cli(capsys, [verb, *bad[first], *bad[second], "--n", "12"])
+        assert out == ""
+        if first == "scenario":
+            assert got == cli.EXIT_VALIDATION
+            assert err.splitlines() == [
+                "validation error: unknown scenario 'nope'; choose from "
+                + ", ".join(scenarios.BUILTIN_CONSTRUCTORS)
+            ]
+        else:
+            assert got == cli.EXIT_IO
+            assert err.splitlines() == [
+                "i/o error: --out must name a file in an existing directory, got ''"
+            ]
 
 
 class TestRepeatedRequests:

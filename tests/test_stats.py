@@ -232,6 +232,18 @@ class TestHoeffdingBound:
         want = mp_log10_bound(report.mu, report.t, report.a, 10)
         assert report.log10_bound == pytest.approx(want, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("n_runs", [1, 100, 10**6])
+    def test_never_above_one_just_above_the_classical_fidelity(self, n_runs):
+        # rounding in the tail's exponent is positive for targets within
+        # about 2000 ulps above f, where the exact exponent is a tiny negative
+        for scenario in builtin_scenarios().values():
+            target = scenario.classical_fidelity
+            for _ in range(2000):
+                target = math.nextafter(target, 1.0)
+                report = scenario_bound_report(scenario, n_runs, target)
+                assert report.log10_bound <= 0.0, (scenario.name, target)
+                assert report.bound <= 1.0, (scenario.name, target)
+
     def test_vanishing_t_limit(self):
         report_small = hoeffding_log10_bound(
             BoundInput(mu=-0.125, t=1e-9, a=3, n_runs=100)
@@ -331,6 +343,14 @@ class TestHoeffdingGeneric:
 
     def test_zero_variables(self):
         assert hoeffding_generic(0.5, 0.25, 0) == 0.0
+
+    def test_tiny_offsets_never_above_one(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20000):
+            mu_prime = float(rng.uniform(1e-3, 1.0 - 1e-3))
+            t_prime = float(10.0 ** rng.uniform(-17.0, -14.0))
+            m = int(rng.integers(0, 10**6))
+            assert hoeffding_generic(mu_prime, t_prime, m) <= 0.0, (mu_prime, t_prime, m)
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError):
