@@ -7,6 +7,8 @@ reach a higher target fidelity anyway, and validates that bound against an
 exact enumeration oracle and a Monte Carlo simulation of the protocol.
 """
 
+import types
+
 from ._version import __version__
 from .discrimination import Povm, error_probability, helstrom_povm, square_root_povm
 from .ensembles import (
@@ -57,51 +59,8 @@ from .stats import (
     type_two_error,
 )
 
-__all__ = [
-    "__version__",
-    "BoundInput",
-    "BoundReport",
-    "BudgetExceededError",
-    "Ensemble",
-    "EnsembleFormatError",
-    "HypothesisConfig",
-    "LlnRow",
-    "Povm",
-    "PreconditionError",
-    "PriorSumError",
-    "Scenario",
-    "SimConfig",
-    "SimReport",
-    "StateNormalizationError",
-    "TelecertError",
-    "TrialTally",
-    "ValidationError",
-    "bound_report",
-    "builtin_scenarios",
-    "classical_fidelity",
-    "custom_scenario",
-    "error_probability",
-    "exact_exceedance",
-    "four_asymmetric",
-    "helstrom_pair",
-    "helstrom_povm",
-    "hoeffding_generic",
-    "hoeffding_log10_bound",
-    "lln_sweep",
-    "load_ensemble",
-    "min_passes",
-    "mu_of",
-    "pass_count_distribution",
-    "qubit_mubs",
-    "qutrit_mubs",
-    "run_experiment",
-    "run_trial",
-    "scenario_bound_report",
-    "square_root_povm",
-    "stream",
-    "t_of",
-    "to_document",
-    "trine",
-    "type_one_error",
-    "type_two_error",
-]
+# The public names imported above, modules left out.
+__all__ = ["__version__", *sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)]

@@ -17,7 +17,7 @@ from .errors import PreconditionError
 #: Entrywise tolerance for accepting a matrix as Hermitian.
 HERMITIAN_TOL = 1e-12
 
-#: Default eigenvalue cutoff below which inv_sqrt treats a mode as null.
+#: Eigenvalue cutoff below which inv_sqrt treats a mode as null.
 NULL_TOL = 1e-10
 
 
@@ -60,18 +60,18 @@ def eigh(h) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(_assert_hermitian(h))
 
 
-def inv_sqrt(h, null_tol: float = NULL_TOL) -> np.ndarray:
+def inv_sqrt(h) -> np.ndarray:
     """Pseudo-inverse square root of a positive semidefinite matrix.
 
-    Eigenvalues above ``null_tol`` map to ``1/sqrt(eigenvalue)``; the rest
-    map to zero.  Raises if any eigenvalue falls below ``-null_tol``.
+    Eigenvalues above ``NULL_TOL`` map to ``1/sqrt(eigenvalue)``; the rest
+    map to zero.  Raises if any eigenvalue falls below ``-NULL_TOL``.
     """
     w, v = eigh(h)
-    if float(w[0]) < -null_tol:
+    if float(w[0]) < -NULL_TOL:
         raise PreconditionError(
             f"not positive semidefinite: smallest eigenvalue {w[0]:.3e} "
-            f"is below -null_tol ({-null_tol:.1e})"
+            f"is below -NULL_TOL ({-NULL_TOL:.1e})"
         )
-    f = np.where(w > null_tol, 1.0 / np.sqrt(np.maximum(w, null_tol)), 0.0)
+    f = np.where(w > NULL_TOL, 1.0 / np.sqrt(np.maximum(w, NULL_TOL)), 0.0)
     m = (v * f) @ v.conj().T
     return (m + m.conj().T) / 2.0

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -45,8 +46,8 @@ _U64 = (1 << 64) - 1
 #: Trials per sampling block; keeps memory bounded in the trial count.
 _MAX_BLOCK_TRIALS = 32_768
 
-#: Elementary-operation budget for the exact pass-count oracle.
-_EXACT_OPS_BUDGET = 20_000_000
+#: Largest run count the exact pass-count oracle enumerates.
+_EXACT_MAX_RUNS = 4471
 
 #: The pass-count sampler; seeded outputs depend on it as well as on the
 #: Philox stream, so every run manifest records it.
@@ -65,8 +66,8 @@ _WINDOW = math.sqrt(32.0 * math.log(2.0))
 _MAX_TABLE_ENTRIES = 1 << 20
 
 #: Products ``_kept`` holds at most, and the widest window whose inversion
-#: table it keeps.  An exact law has at most 4472 float64 entries under the
-#: N(N+1) <= 2e7 budget, 34.9 KiB; a kept table has a cdf of at most 512
+#: table it keeps.  An exact law has at most ``_EXACT_MAX_RUNS`` + 1 = 4472
+#: float64 entries, 34.9 KiB; a kept table has a cdf of at most 512
 #: float64 entries and a guide of at most 4 * 512 = 2048 intp entries,
 #: 4 + 16 = 20 KiB.  So 128 kept products hold at most 128 * 34.9 KiB,
 #: about 4.4 MiB; a wider table is built, used and not kept.
@@ -337,15 +338,12 @@ def _pass_count_law(laws: tuple) -> tuple[int, np.ndarray]:
     size = sum(tables[law][1].size for law in laws) - len(laws) + 1
     n_fft = 1 << (size - 1).bit_length()
     spectrum = np.ones(n_fft // 2 + 1, dtype=complex)
-    previous = factor = None
-    for law in laws:
-        if law != previous:
-            factor = None  # released before the next one is allocated
-            weights = tables[law][1]
-            factor = np.fft.rfft(weights / weights.sum(), n_fft)
-            previous = law
-        spectrum *= factor
-    del factor  # and before the inverse FFT
+    for law, run in itertools.groupby(laws):
+        weights = tables[law][1]
+        factor = np.fft.rfft(weights / weights.sum(), n_fft)
+        for _ in run:
+            spectrum *= factor
+        del factor  # released before the next one or the inverse FFT is allocated
     pmf = np.clip(np.fft.irfft(spectrum, n_fft)[:size], 0.0, None)
     return sum(tables[law][0] for law in laws), pmf / pmf.sum()
 
@@ -495,13 +493,12 @@ def pass_count_distribution(scenario: Scenario, n_runs: int) -> np.ndarray:
     Binomial(n_runs / a, q_i), the laws ``_draw_laws`` lists for the
     sampler.  The trial's law is the (n_runs / a)-th convolution power of
     one round's law (one run per state), formed by repeated squaring.
-    Beyond the work budget a ``BudgetExceededError`` points the caller at
-    the Monte Carlo path; ``n_runs < 1`` raises ``ValueError``.  The law
-    is kept by ``_kept``, keyed by those laws, so it is read-only.
+    Beyond ``_EXACT_MAX_RUNS`` runs a ``BudgetExceededError`` points the
+    caller at the Monte Carlo path; ``n_runs < 1`` raises ``ValueError``.
+    The law is kept by ``_kept``, keyed by those laws, so it is read-only.
     """
     laws = _draw_laws(scenario, n_runs, False)
-    n_runs = operator.index(n_runs)  # a numpy integer would wrap in the product
-    if n_runs * (n_runs + 1) > _EXACT_OPS_BUDGET:
+    if n_runs > _EXACT_MAX_RUNS:
         raise BudgetExceededError(
             f"exact enumeration at n_runs={n_runs} exceeds the work budget; "
             "use the Monte Carlo simulator instead"

@@ -1105,8 +1105,8 @@ class TestKeptProducts:
         assert self.table_of_width(simulator._KEPT_WINDOW) is widest  # and it evicted nothing
 
     def test_kept_products_fit_in_about_4_5_mib(self, cold_products):
-        # the largest exact law is that of the largest N in the work budget
-        n_max = max(n for n in range(1, 5000) if n * (n + 1) <= simulator._EXACT_OPS_BUDGET)
+        # the largest exact law is that of the largest N the oracle enumerates
+        n_max = simulator._EXACT_MAX_RUNS
         law = pass_count_distribution(builtin_scenarios()["helstrom"], n_max - n_max % 2)
         _, cdf, guide = self.table_of_width(simulator._KEPT_WINDOW)
         assert cold_products.cache_info().currsize == 2

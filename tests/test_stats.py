@@ -12,7 +12,9 @@ from reference_values import (
 from telecert import ensembles
 from telecert.discrimination import Povm, square_root_povm
 from telecert.errors import PreconditionError
+from telecert.linalg import projector
 from telecert.scenarios import builtin_scenarios, custom_scenario
+from telecert.simulator import exact_exceedance
 from telecert.stats import (
     BoundInput,
     HypothesisConfig,
@@ -322,6 +324,44 @@ class TestHoeffdingBound:
         # (a - 1) * N in int64 would wrap past 2**63
         row = bound_report(0.75, 0.865, 3, np.int64(2**62))
         assert row.log10_bound == bound_report(0.75, 0.865, 3, 2**62).log10_bound
+
+
+def adaptive_both_pass(scenario) -> float:
+    """P(both runs pass) for a two-state box with memory at N = 2.
+
+    The fixed schedule prepares each state once, in random order, so the
+    box knows run 2 carries the state run 1 did not.  Run 1 is measured
+    with ``scenario.povm``; run 2 with the Helstrom projectors of
+    w0 psi0 - w1 psi1, w the posterior on run 2's state given run 1's
+    outcome.  Both runs resend the ensemble state their outcome names.
+    """
+    psi = scenario.ensemble.states
+    overlap = np.abs(psi.conj() @ psi.T) ** 2
+    born = np.einsum("id,kde,ie->ik", psi.conj(), scenario.povm.elements, psi).real
+    both = 0.0
+    for first, second in ((0, 1), (1, 0)):
+        for outcome in (0, 1):
+            w = born[::-1, outcome] / born[:, outcome].sum()  # w[j] = P(run 1 held 1 - j | outcome)
+            _, v = np.linalg.eigh(w[0] * projector(psi[0]) - w[1] * projector(psi[1]))
+            basis = [v[:, 1], v[:, 0]]  # outcome 0, the positive eigenvalue, resends psi0
+            second_pass = sum(
+                abs(np.vdot(basis[m], psi[second])) ** 2 * overlap[second, m] for m in (0, 1)
+            )
+            both += 0.5 * born[first, outcome] * overlap[first, outcome] * second_pass
+    return both
+
+
+class TestBoxWithMemory:
+    """The bound certifies the scenario's memoryless strategy, not every box."""
+
+    def test_adaptive_second_run_beats_the_bound_near_one(self):
+        scenario = builtin_scenarios()["helstrom"]
+        both_pass = adaptive_both_pass(scenario)
+        assert both_pass == pytest.approx(0.908493, abs=1e-6)
+        # both runs passing is the event fidelity >= target at N = 2
+        assert both_pass > exact_exceedance(scenario, 2, 1.0)  # memoryless: 0.858915
+        assert both_pass <= scenario_bound_report(scenario, 2, 0.98).bound  # 0.944089
+        assert both_pass > scenario_bound_report(scenario, 2, 0.999).bound  # 0.868188
 
 
 class TestHoeffdingGeneric:
