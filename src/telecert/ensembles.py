@@ -209,7 +209,7 @@ def helstrom_pair(theta: float) -> Ensemble:
     return Ensemble(states, _uniform(2), name="helstrom-pair")
 
 
-def _finite(x) -> float | None:
+def _finite_or_none(x) -> float | None:
     """``x`` as a float if it is a finite number; None for anything else.
 
     A bool is not a number here, although Python counts it as an int, and
@@ -267,7 +267,7 @@ def load_ensemble(document) -> Ensemble:
             )
         amps = []
         for j, amp in enumerate(row):
-            parts = [_finite(x) for x in amp] if isinstance(amp, list) else []
+            parts = [_finite_or_none(x) for x in amp] if isinstance(amp, list) else []
             if len(parts) != 2 or None in parts:
                 raise EnsembleFormatError(
                     f"state {i}, amplitude {j}: expected [re, im] of finite "
@@ -283,7 +283,7 @@ def load_ensemble(document) -> Ensemble:
     if raw_priors is None:
         priors = _uniform(len(raw_states))
     else:
-        values = [_finite(p) for p in raw_priors] if isinstance(raw_priors, list) else [None]
+        values = [_finite_or_none(p) for p in raw_priors] if isinstance(raw_priors, list) else [None]
         if None in values:
             raise EnsembleFormatError(
                 f"priors must be a list of finite numbers, got {raw_priors!r}"

@@ -34,15 +34,17 @@ class PreconditionError(TelecertError):
 
 
 class BudgetExceededError(PreconditionError):
-    """An exact computation would exceed its configured work budget."""
+    """A request exceeds the largest run count an exact computation takes."""
 
 
 def _integer(value, name: str, low: int, bits: int | None = None) -> int:
     """``value`` as an ``int`` in [low, 2**bits), or at least ``low`` without ``bits``.
 
-    A non-integer, a float included, raises ``TypeError`` (``operator.index``),
-    and an integer out of range ``ValueError``.
+    A non-integer, a float or a bool included, raises ``TypeError``, and an
+    integer out of range ``ValueError``.
     """
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, not a bool")
     value = operator.index(value)
     if value < low or bits is not None and value >= 1 << bits:
         rule = {0: "be nonnegative", 1: "be positive"}.get(low, f"be at least {low}")

@@ -17,11 +17,11 @@ multinomial over the laws' convolution (``_pass_count_law``).  Each
 block of trials draws from a Philox stream keyed by (seed, n_runs) at
 the block's counter offset (``stream``), so results depend only on the
 configuration.  The exact oracle convolves the same laws.
-``_draw_laws`` also checks the run count and the schedule, so every
-consumer of the laws refuses the same configurations.  Inversion tables
-and exact laws depend on no seed, threshold or trial count; they are
-built once per process and the last ``_KEPT_PRODUCTS`` used are kept
-(``_kept``), one per law, each at most about 35 KiB.
+``_draw_laws`` also checks the run count, at most ``_MAX_RUNS``, and the
+schedule, so every consumer of the laws refuses the same configurations.
+Inversion tables and exact laws depend on no seed, threshold or trial
+count; they are built once per process and the last ``_KEPT_PRODUCTS``
+used are kept (``_kept``), one per law, each at most about 35 KiB.
 The README's account of the samplers and its Notes on numerics give the
 joint law, the guide table, the window, the costs and the error contracts.
 """
@@ -32,7 +32,6 @@ import bisect
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +47,13 @@ _MAX_BLOCK_TRIALS = 32_768
 
 #: Largest run count the exact pass-count oracle enumerates.
 _EXACT_MAX_RUNS = 4471
+
+#: Largest run count, and largest per-state tally over a request's trials,
+#: the simulator takes: ``min_passes`` bisects ``range(n_runs + 1)``, whose
+#: length must fit a C ssize_t, and tallies are int64.  ``_draw_laws``,
+#: ``min_passes`` and ``run_experiment`` check it before any table or stream
+#: exists.
+_MAX_RUNS = (1 << 63) - 2
 
 #: The pass-count sampler; seeded outputs depend on it as well as on the
 #: Philox stream, so every run manifest records it.
@@ -91,12 +97,14 @@ def _draw_laws(scenario: Scenario, n_runs: int, multinomial: bool) -> tuple:
 
     Under the fixed schedule that is one law (n_runs / a, q_i) per state;
     under multinomial preparation, the one law (n_runs, F).  This is the
-    one check of a run count and a schedule: ``n_runs`` must be an integer
-    (``TypeError`` otherwise), positive (``ValueError`` otherwise) and a
-    multiple of a, and the fixed schedule needs uniform priors
-    (``PreconditionError`` otherwise).
+    one check of a run count and a schedule: ``n_runs`` is an integer
+    (``TypeError`` otherwise), positive (``ValueError`` otherwise), at most
+    ``_MAX_RUNS`` and a multiple of a, and the fixed schedule needs uniform
+    priors (``PreconditionError`` otherwise).
     """
     n_runs = _integer(n_runs, "n_runs", 1)
+    if n_runs > _MAX_RUNS:
+        raise PreconditionError(f"the limit is {_MAX_RUNS} runs; n_runs is too large to simulate")
     a = scenario.ensemble.size
     if n_runs % a != 0:
         raise PreconditionError(
@@ -121,9 +129,9 @@ class SimConfig:
     state is prepared exactly ``n_runs / a`` times (preparation-count
     fluctuations neglected).  Setting ``multinomial_preparation`` samples
     each run's state from the priors instead, a sensitivity mode that goes
-    beyond that fixed-schedule assumption.  A configuration whose sampling
-    tables would span more than ``_MAX_TABLE_ENTRIES`` entries raises
-    ``PreconditionError`` here, before anything is allocated.  ``n_runs``,
+    beyond that fixed-schedule assumption.  ``n_runs`` above ``_MAX_RUNS``,
+    or sampling tables spanning more than ``_MAX_TABLE_ENTRIES`` entries,
+    raise ``PreconditionError`` here, before anything is allocated.  ``n_runs``,
     ``n_trials`` and ``seed`` are integers (``TypeError`` otherwise) and
     are stored as ``int``; ``n_runs < 1``, ``n_trials`` outside
     [1, 2**63) and ``seed`` outside [0, 2**64) raise ``ValueError``.
@@ -136,12 +144,9 @@ class SimConfig:
     multinomial_preparation: bool = False
 
     def __post_init__(self):
-        for name in ("n_runs", "n_trials", "seed"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
-        laws = self.laws
-        _integer(self.n_trials, "n_trials", 1, bits=63)
-        _integer(self.seed, "seed", 0, bits=64)
-        for law in dict.fromkeys(laws):
+        for name, low, bits in (("n_runs", 1, None), ("n_trials", 1, 63), ("seed", 0, 64)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, low, bits))
+        for law in dict.fromkeys(self.laws):
             _window(*law)
 
     @functools.cached_property
@@ -236,24 +241,17 @@ def _window(m: int, p: float) -> tuple[int, int]:
     """First and last pass count of the Binomial(m, p) table.
 
     The window is mp +/- sqrt(32 ln2 m), clipped to [0, m]; a certain
-    outcome (p = 0 or 1) is a one-entry window.  A window of more than
-    ``_MAX_TABLE_ENTRIES`` entries, or one too wide for float arithmetic to
-    place, raises ``PreconditionError`` before anything is allocated.  The
-    README's Notes on numerics bound the mass the window leaves out.
+    outcome (p = 0 or 1) is a one-entry window.  ``_draw_laws`` holds m to
+    ``_MAX_RUNS``, where floats place every window; one of more than
+    ``_MAX_TABLE_ENTRIES`` entries raises ``PreconditionError`` before
+    anything is allocated.  README's Notes on numerics bound the mass the
+    window leaves out.
     """
     if p <= 0.0 or p >= 1.0:
         return (m, m) if p >= 1.0 else (0, 0)
-    try:
-        half = _WINDOW * math.sqrt(m)
-        lo = max(0, math.floor(m * p - half))
-        hi = min(m, math.ceil(m * p + half))
-    except OverflowError:  # m beyond the float range
-        lo = hi = None
-    if lo == hi:  # 0 < p < 1, so only rounding collapses the window
-        raise PreconditionError(
-            f"sampling Binomial({m}, {p!r}) needs a table wider than float "
-            "arithmetic can place; n_runs is too large to simulate"
-        )
+    half = _WINDOW * math.sqrt(m)
+    lo = max(0, math.floor(m * p - half))
+    hi = min(m, math.ceil(m * p + half))
     if hi - lo >= _MAX_TABLE_ENTRIES:
         raise PreconditionError(
             f"sampling Binomial({m}, {p!r}) needs a table of {hi - lo + 1} entries, "
@@ -430,10 +428,12 @@ def min_passes(threshold: float, n_runs: int) -> int:
 
     This is the one definition of a trial reaching ``threshold``, shared by
     the Monte Carlo and the exact oracle.  Returns ``n_runs + 1`` when no
-    count reaches it; a non-finite threshold or ``n_runs < 1`` raises
-    ``ValueError``.
+    count reaches it; a non-finite threshold, ``n_runs < 1`` or ``n_runs``
+    above ``_MAX_RUNS`` raises ``ValueError``.
     """
     n_runs = _integer(n_runs, "n_runs", 1)
+    if n_runs > _MAX_RUNS:
+        raise ValueError(f"n_runs must be at most {_MAX_RUNS}")
     _finite(threshold, "threshold")
     return bisect.bisect_left(range(n_runs + 1), threshold, key=lambda s: s / n_runs)
 
@@ -445,9 +445,16 @@ def run_experiment(cfg: SimConfig, threshold: float, workers: int = 1) -> SimRep
     must be at least 1 and changes nothing: sampling runs on one thread.
     The sampling tables are built once, before any block is drawn, and
     each block of trials is reduced to its pass-count histogram once drawn.
+    A request whose per-state tally, the largest law's m times
+    ``n_trials``, is above ``_MAX_RUNS`` raises ``PreconditionError`` first.
     """
     s_min = min_passes(threshold, cfg.n_runs)
     _integer(workers, "workers", 1)
+    if max(m for m, _ in cfg.laws) * cfg.n_trials > _MAX_RUNS:
+        raise PreconditionError(
+            f"the limit is {_MAX_RUNS} runs of one state over all trials; "
+            f"n_runs is too large to simulate in {cfg.n_trials} trials"
+        )
     q = cfg.scenario.pass_probabilities
     priors = cfg.scenario.ensemble.priors if cfg.multinomial_preparation else None
     tables = _tables(cfg.laws)
@@ -497,13 +504,12 @@ def pass_count_distribution(scenario: Scenario, n_runs: int) -> np.ndarray:
     caller at the Monte Carlo path; ``n_runs < 1`` raises ``ValueError``.
     The law is kept by ``_kept``, keyed by those laws, so it is read-only.
     """
-    laws = _draw_laws(scenario, n_runs, False)
-    if n_runs > _EXACT_MAX_RUNS:
+    if _integer(n_runs, "n_runs", 1) > _EXACT_MAX_RUNS:
         raise BudgetExceededError(
-            f"exact enumeration at n_runs={n_runs} exceeds the work budget; "
-            "use the Monte Carlo simulator instead"
+            f"n_runs={n_runs} is above the exact oracle's limit of {_EXACT_MAX_RUNS} "
+            "runs; use the Monte Carlo simulator instead"
         )
-    return _kept(_convolution_power, laws)
+    return _kept(_convolution_power, _draw_laws(scenario, n_runs, False))
 
 
 def _convolution_power(laws: tuple) -> np.ndarray:
@@ -544,16 +550,12 @@ def lln_sweep(
     is sampled.  Each point draws the histogram of its trials' pass counts
     as one multinomial over the fixed-schedule law (``_total_histogram``)
     and reduces it, so its cost and memory grow like sqrt(N), whatever
-    ``n_trials`` is.  The
-    RMS column shrinks like 1/sqrt(N), which a log-log fit over a geometric
-    ladder exposes as a slope near -1/2.  ``workers`` must be at least 1
-    and changes nothing: sampling runs on one thread.
+    ``n_trials`` is.  The RMS column shrinks like 1/sqrt(N), which a log-log
+    fit over a geometric ladder exposes as a slope near -1/2.  ``workers``
+    must be at least 1 and changes nothing: sampling runs on one thread.
     """
     _integer(workers, "workers", 1)
-    configs = [
-        SimConfig(scenario=scenario, n_runs=n_runs, n_trials=n_trials, seed=seed)
-        for n_runs in n_values
-    ]
+    configs = [SimConfig(scenario, n_runs, n_trials, seed) for n_runs in n_values]
     f_th = scenario.classical_fidelity
     rows = []
     for cfg in configs:

@@ -526,15 +526,15 @@ class TestExitCodes:
             (HYPOTHESIS + ["--sigma", "0.3", "--n", str(10**400)], 2,
              "validation error: n_runs is too large"),
             (["simulate", "--scenario", "trine", "--n", str(3 * 10**400)], 3,
-             "precondition error: sampling Binomial("),
+             "precondition error: the limit is 9223372036854775806 runs;"),
             (["lln", "--scenario", "trine", "--n", "60," + str(3 * 10**400)], 3,
-             "precondition error: sampling Binomial("),
+             "precondition error: the limit is 9223372036854775806 runs;"),
             # below the float range, where m p +/- the window's half-width
-            # round to one float
+            # would round to one float
             (["simulate", "--scenario", "trine", "--n", str(3 * 10**300)], 3,
-             "precondition error: sampling Binomial("),
+             "precondition error: the limit is 9223372036854775806 runs;"),
             (["lln", "--scenario", "trine", "--n", "60," + str(3 * 2**113)], 3,
-             "precondition error: sampling Binomial("),
+             "precondition error: the limit is 9223372036854775806 runs;"),
         ],
         ids=["bounds", "bounds-ladder", "hypothesis", "simulate", "lln", "simulate-1e300",
              "lln-2**113"],

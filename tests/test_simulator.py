@@ -105,8 +105,11 @@ class TestConfigValidation:
             lambda scenario: exact_exceedance(scenario, 60.0, 0.8),
             lambda scenario: lln_sweep(scenario, [60, 60.9], 10, 0),
             lambda scenario: run_trial(scenario, 60.0, stream(0)),
+            lambda scenario: pass_count_distribution(scenario, True),
+            lambda scenario: min_passes(0.8, True),
         ],
-        ids=["SimConfig", "exact_exceedance", "lln_sweep", "run_trial"],
+        ids=["SimConfig", "exact_exceedance", "lln_sweep", "run_trial",
+             "pass_count_distribution-bool", "min_passes-bool"],
     )
     def test_non_integral_run_count_is_refused_before_any_work(self, call, cold_products, monkeypatch):
         def untouched(*args):
@@ -151,10 +154,14 @@ class TestConfigValidation:
             lambda scenario: stream(1.5),
             lambda scenario: stream(1, 0.0),
             lambda scenario: stream(1, 0, 2.0),
+            lambda scenario: SimConfig(scenario, 60, True, 1),
+            lambda scenario: SimConfig(scenario, 60, 1000, False),
+            lambda scenario: stream(True),
         ],
         ids=[
             "SimConfig-trials", "SimConfig-seed", "run_experiment-seed", "lln_sweep-trials",
             "lln_sweep-seed", "stream-seed", "stream-subkey", "stream-block",
+            "SimConfig-trials-bool", "SimConfig-seed-bool", "stream-seed-bool",
         ],
     )
     def test_non_integral_trial_count_or_seed_is_refused_before_any_work(self, call, cold_products, monkeypatch):
@@ -184,7 +191,8 @@ class TestConfigValidation:
         [
             (60.0, TypeError, "cannot be interpreted as an integer"),
             (0, ValueError, "n_runs must be positive, got 0"),
-            (4473, BudgetExceededError, "n_runs=4473 exceeds the work budget"),
+            (4473, BudgetExceededError,
+             "n_runs=4473 is above the exact oracle's limit of 4471 runs; use the Monte Carlo"),
         ],
         ids=["float", "zero", "past-budget"],
     )
@@ -206,6 +214,95 @@ class TestConfigValidation:
             multinomial_preparation=True,
         )
         assert cfg.n_trials == 10
+
+
+#: The largest run count the simulator takes, 2**63 - 2.
+RUN_LIMIT = simulator._MAX_RUNS
+
+
+def refuse_streams(monkeypatch):
+    def no_stream(*args, **kwargs):
+        raise AssertionError("a stream was built")
+
+    monkeypatch.setattr(simulator, "stream", no_stream)
+
+
+#: Each refusal of an N above the limit, by its class.
+LIMIT_MESSAGES = {
+    PreconditionError: f"^the limit is {RUN_LIMIT} runs; n_runs is too large to simulate$",
+    BudgetExceededError: "^n_runs=[0-9]+ is above the exact oracle's limit of 4471 runs; use the Monte Carlo",
+    ValueError: f"^n_runs must be at most {RUN_LIMIT}$",
+}
+
+#: Scenarios by name: a builder and the preparation mode.
+LIMIT_SCENARIOS = {
+    "trine": (lambda: builtin_scenarios()["trine"], False),
+    "basis": (orthonormal_scenario, False),
+    "basis-multinomial": (orthonormal_scenario, True),
+}
+
+#: Each simulator entry point by name: its refusal of an N above the limit,
+#: and a call with (scenario, n_runs, multinomial).  Only ``SimConfig``
+#: takes the preparation mode.
+LIMIT_CALLS = {
+    "run_experiment": (PreconditionError, lambda s, n, multi: run_experiment(SimConfig(s, n, 5, 0, multi), 0.9)),
+    "run_trial": (PreconditionError, lambda s, n, multi: run_trial(s, n, np.random.default_rng(0))),
+    "lln_sweep": (PreconditionError, lambda s, n, multi: lln_sweep(s, [6, n], 1, 0)),
+    "pass_count_distribution": (BudgetExceededError, lambda s, n, multi: pass_count_distribution(s, n)),
+    "exact_exceedance": (ValueError, lambda s, n, multi: exact_exceedance(s, n, 0.9)),
+    "min_passes": (ValueError, lambda s, n, multi: min_passes(0.9, n)),
+}
+
+
+class TestRunCountLimit:
+    """One limit on N, checked before any stream exists; no N overflows."""
+
+    def test_the_limit_is_the_longest_range_bisect_can_search(self):
+        assert RUN_LIMIT == 2**63 - 2 == sys.maxsize - 1
+        assert min_passes(1.5, RUN_LIMIT) == RUN_LIMIT + 1
+        # the cut is taken in float arithmetic, so s / N rounds to 1 below N
+        s = min_passes(1.0, RUN_LIMIT)
+        assert s < RUN_LIMIT and s / RUN_LIMIT == 1.0 > (s - 1) / RUN_LIMIT
+
+    @pytest.mark.parametrize("n_runs", [RUN_LIMIT + 2, 2**63, 2**64, 3 * 10**400],
+                             ids=["limit+2", "2**63", "2**64", "3e400"])
+    @pytest.mark.parametrize(
+        "call, scenario",
+        [(call, scenario) for call in LIMIT_CALLS for scenario in LIMIT_SCENARIOS
+         if call == "run_experiment" or scenario != "basis-multinomial"],
+    )
+    def test_run_counts_above_the_limit_are_refused_before_any_stream(
+        self, call, scenario, n_runs, monkeypatch, cold_products
+    ):
+        error, entry = LIMIT_CALLS[call]
+        build, multinomial = LIMIT_SCENARIOS[scenario]
+        scenario = build()
+        refuse_streams(monkeypatch)
+        with pytest.raises(error, match=LIMIT_MESSAGES[error]):
+            entry(scenario, n_runs, multinomial)
+        assert cold_products.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("multinomial", [False, True], ids=["fixed", "multinomial"])
+    def test_a_certain_scenario_runs_at_the_limit(self, multinomial):
+        report = run_experiment(SimConfig(orthonormal_scenario(), RUN_LIMIT, 1, 7, multinomial), 0.9)
+        assert (report.mean_fidelity, report.exceedance_count) == (1.0, 1)
+        assert report.pass_count_offset == RUN_LIMIT
+        assert report.pass_count_histogram.tolist() == [1]
+        assert report.prepared_counts.tolist() == report.pass_counts.sum(axis=1).tolist()
+        assert sum(report.prepared_counts.tolist()) == RUN_LIMIT
+
+    def test_lln_sweep_runs_at_the_limit(self):
+        (row,) = lln_sweep(orthonormal_scenario(), [RUN_LIMIT], 1, 7)
+        assert (row.n_runs, row.mean_fidelity, row.rms_deviation) == (RUN_LIMIT, 1.0, 0.0)
+
+    @pytest.mark.parametrize("multinomial", [False, True], ids=["fixed", "multinomial"])
+    def test_tallies_above_the_limit_are_refused_before_any_stream(self, multinomial, monkeypatch):
+        # 2**62 runs are within the limit, but 5 trials tally more than it per state
+        cfg = SimConfig(orthonormal_scenario(), 2**62, 5, 0, multinomial)
+        refuse_streams(monkeypatch)
+        message = f"^the limit is {RUN_LIMIT} runs of one state over all trials; .* in 5 trials$"
+        with pytest.raises(PreconditionError, match=message):
+            run_experiment(cfg, 0.9)
 
 
 def binomial_pmf(m, p):

@@ -293,14 +293,14 @@ class TestHoeffdingBound:
         with pytest.raises(PreconditionError, match="^target fidelity 1.0 does not exceed the classical fidelity 1.0;"):
             scenario_bound_report(scenario, 100)
 
-    @pytest.mark.parametrize("n_runs", [math.nan, math.inf, 60.5, 60.0])
+    @pytest.mark.parametrize("n_runs", [math.nan, math.inf, 60.5, 60.0, True])
     def test_non_integral_run_count_is_refused(self, n_runs):
         with pytest.raises(TypeError, match="integer"):
             bound_report(0.75, 0.865, 3, n_runs)
         with pytest.raises(TypeError, match="integer"):
             BoundInput(mu=-0.125, t=0.0575, a=3, n_runs=n_runs)
 
-    @pytest.mark.parametrize("a", [2.5, 3.0, math.inf, math.nan])
+    @pytest.mark.parametrize("a", [2.5, 3.0, math.inf, math.nan, True])
     @pytest.mark.parametrize(
         "call",
         [
@@ -413,7 +413,7 @@ class TestHoeffdingGeneric:
         with pytest.raises(ValueError, match="must be finite"):
             hoeffding_generic(mu_prime, t_prime, 10)
 
-    @pytest.mark.parametrize("m", [math.nan, math.inf, 10.5, 10.0])
+    @pytest.mark.parametrize("m", [math.nan, math.inf, 10.5, 10.0, True])
     def test_non_integral_variable_count_is_refused(self, m):
         with pytest.raises(TypeError, match="integer"):
             hoeffding_generic(0.5, 0.25, m)
@@ -478,7 +478,7 @@ class TestHypothesisErrors:
             with pytest.raises(ValueError, match="must be finite"):
                 HypothesisConfig(f_qm=f_qm, f_cla=f_cla, f_crit=f_crit, sigma=0.3, n_runs=10)
 
-    @pytest.mark.parametrize("n_runs", [math.nan, math.inf, 60.5, 60.0])
+    @pytest.mark.parametrize("n_runs", [math.nan, math.inf, 60.5, 60.0, True])
     def test_non_integral_run_count_is_refused(self, n_runs):
         with pytest.raises(TypeError, match="integer"):
             HypothesisConfig(f_qm=0.9, f_cla=0.7, f_crit=0.8, sigma=0.5, n_runs=n_runs)
