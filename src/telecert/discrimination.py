@@ -41,15 +41,15 @@ class Povm:
             raise ValueError(
                 f"elements must have shape (a, d, d), got {elements.shape}"
             )
-        d = elements.shape[1]
-        for k, el in enumerate(elements):
-            w, _ = linalg.eigh(el)
-            if float(w[0]) < PSD_TOL:
-                raise ValueError(
-                    f"element {k} is not positive semidefinite "
-                    f"(smallest eigenvalue {w[0]:.3e})"
-                )
-        dev = float(np.max(np.abs(elements.sum(axis=0) - np.eye(d))))
+        w, _ = linalg.eigh(elements)
+        negative = np.flatnonzero((w < PSD_TOL).any(axis=1))
+        if negative.size:
+            k = negative[0]
+            raise ValueError(
+                f"element {k} is not positive semidefinite "
+                f"(smallest eigenvalue {w[k, 0]:.3e})"
+            )
+        dev = float(np.max(np.abs(elements.sum(axis=0) - np.eye(elements.shape[1]))))
         if dev > RESOLUTION_TOL:
             raise ValueError(
                 f"elements do not resolve the identity (max deviation {dev:.3e})"
@@ -90,20 +90,19 @@ def square_root_povm(ensemble: Ensemble) -> Povm:
     rho = ensemble.average_state()
     r = linalg.inv_sqrt(rho)
     support = r @ rho @ r  # projector onto the support of rho
-    for i, psi in enumerate(ensemble.states):
-        residual = float(np.linalg.norm(support @ psi - psi))
-        if residual > 1e-8:
-            raise PreconditionError(
-                f"state {i} lies outside the support of the average state "
-                f"(residual {residual:.3e}); the square-root measurement "
-                "is undefined for it"
-            )
-    elements = np.array(
-        [
-            p * (r @ linalg.projector(psi) @ r)
-            for p, psi in zip(ensemble.priors, ensemble.states)
-        ]
-    )
+    states = ensemble.states
+    residuals = np.linalg.norm(states @ support.T - states, axis=1)
+    outside = np.flatnonzero(residuals > 1e-8)
+    if outside.size:
+        i = outside[0]
+        raise PreconditionError(
+            f"state {i} lies outside the support of the average state "
+            f"(residual {residuals[i]:.3e}); the square-root measurement "
+            "is undefined for it"
+        )
+    # p_k r |psi_k><psi_k| r for every k at once.
+    projectors = states[:, :, None] * states.conj()[:, None, :]
+    elements = ensemble.priors[:, None, None] * (r @ projectors @ r)
     complement = np.eye(ensemble.dim) - support
     if float(np.max(np.abs(complement))) > RESOLUTION_TOL:
         elements = elements + complement / ensemble.size
@@ -124,7 +123,7 @@ def helstrom_povm(theta: float) -> Povm:
     half = (math.pi - theta) / 4.0
     phi1 = np.array([math.cos(half), -math.sin(half)], dtype=complex)
     phi2 = np.array([math.sin(half), math.cos(half)], dtype=complex)
-    return Povm(np.array([linalg.projector(phi1), linalg.projector(phi2)]))
+    return Povm(np.array([np.outer(phi1, phi1.conj()), np.outer(phi2, phi2.conj())]))
 
 
 def born_matrix(ensemble: Ensemble, povm: Povm) -> np.ndarray:

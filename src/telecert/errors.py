@@ -49,8 +49,21 @@ def _integer(value, name: str, low: int, bits: int | None = None) -> int:
     if value < low or bits is not None and value >= 1 << bits:
         rule = {0: "be nonnegative", 1: "be positive"}.get(low, f"be at least {low}")
         rule = rule if bits is None else f"lie in [{low}, 2**{bits})"
-        raise ValueError(f"{name} must {rule}, got {value}")
+        raise ValueError(f"{name} must {rule}, got {_shown(value)}")
     return value
+
+
+def _shown(value: int) -> str:
+    """``value`` in decimal, or its size in bits where ``str`` refuses it.
+
+    Python refuses to convert an integer of more digits than
+    ``sys.get_int_max_str_digits()`` (4300 by default) to a string.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        sign = "negative " if value < 0 else ""
+        return f"<{sign}{value.bit_length()}-bit integer>"
 
 
 def _finite(value: float, name: str) -> float:

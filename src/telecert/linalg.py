@@ -2,10 +2,11 @@
 
 Vectors are 1-D complex numpy arrays, operators are square 2-D complex
 numpy arrays.  Hermitian eigenproblems go to LAPACK through
-``numpy.linalg.eigh`` after an explicit Hermiticity check; for the small
-dimensions this package cares about (2 and 3, any small d) the result is
-exact to roundoff and is cross-checked against the closed 2x2 formulas in
-the tests.
+``numpy.linalg.eigh`` after an explicit Hermiticity check; both take a
+whole stack ``(..., d, d)`` at once, so a POVM's elements are checked as one
+stack.  For the small dimensions this package cares about (2 and 3, any
+small d) the result is exact to roundoff and is cross-checked against the
+closed 2x2 formulas in the tests.
 """
 
 from __future__ import annotations
@@ -32,30 +33,26 @@ def frozen(array) -> np.ndarray:
     return np.frombuffer(array.tobytes(), dtype=array.dtype).reshape(array.shape)
 
 
-def projector(v) -> np.ndarray:
-    """Rank-1 projector onto the (assumed normalized) vector ``v``."""
-    v = np.asarray(v, dtype=complex)
-    return np.outer(v, v.conj())
-
-
-def _assert_hermitian(m: np.ndarray) -> np.ndarray:
+def _assert_hermitian(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    dev = float(np.max(np.abs(m - m.conj().T)))
+    adjoint = np.swapaxes(m.conj(), -1, -2)
+    dev = float(np.max(np.abs(m - adjoint), initial=0.0))  # 0 for an empty stack
     if dev > HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     # Symmetrize so downstream arithmetic sees an exactly Hermitian operand.
-    return (m + m.conj().T) / 2.0
+    return (m + adjoint) / 2.0
 
 
 def eigh(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix via ``numpy.linalg.eigh``.
+    """Eigendecomposition of a Hermitian matrix, or of a stack ``(..., d, d)``.
 
-    The input is first checked and symmetrized by ``_assert_hermitian``.
-    Returns ``(w, v)`` with eigenvalues ``w`` in ascending order and a
-    unitary ``v`` whose columns are the matching eigenvectors, so that
-    ``h == v @ diag(w) @ v.conj().T`` up to roundoff.
+    The input is first checked and symmetrized by ``_assert_hermitian``, and
+    then goes to ``numpy.linalg.eigh``.  Returns ``(w, v)`` with eigenvalues
+    ``w`` in ascending order along the last axis and a unitary ``v`` whose
+    columns are the matching eigenvectors, so that
+    ``h == v @ diag(w) @ v.conj().T`` up to roundoff, matrix by matrix.
     """
     return np.linalg.eigh(_assert_hermitian(h))
 

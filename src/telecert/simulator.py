@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, PreconditionError, _finite, _integer
+from .errors import BudgetExceededError, PreconditionError, _finite, _integer, _shown
 from .linalg import frozen
 from .scenarios import Scenario
 
@@ -506,7 +506,7 @@ def pass_count_distribution(scenario: Scenario, n_runs: int) -> np.ndarray:
     """
     if _integer(n_runs, "n_runs", 1) > _EXACT_MAX_RUNS:
         raise BudgetExceededError(
-            f"n_runs={n_runs} is above the exact oracle's limit of {_EXACT_MAX_RUNS} "
+            f"n_runs={_shown(n_runs)} is above the exact oracle's limit of {_EXACT_MAX_RUNS} "
             "runs; use the Monte Carlo simulator instead"
         )
     return _kept(_convolution_power, _draw_laws(scenario, n_runs, False))

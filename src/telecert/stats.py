@@ -175,13 +175,16 @@ def hoeffding_generic(mu_prime: float, t_prime: float, m: int) -> float:
 
     ``mu_prime`` is the normalized mean in (0, 1) and ``t_prime`` the
     normalized offset with ``0 < t_prime < 1 - mu_prime``; ``m`` is the
-    number of independent variables, a nonnegative integer (``TypeError`` or
-    ``ValueError`` otherwise); a non-finite ``mu_prime`` or ``t_prime``
-    raises ``ValueError``.  The tail is evaluated in the complement rates
-    ``1 - mu_prime - t_prime`` and ``1 - mu_prime``, so a mean too small
-    for ``1 - mu_prime`` to fall below 1 is refused.
+    number of independent variables, a nonnegative integer that a float
+    holds (``TypeError`` or ``ValueError`` otherwise); a non-finite
+    ``mu_prime`` or ``t_prime`` raises ``ValueError``.  The tail is
+    evaluated in the complement rates ``1 - mu_prime - t_prime`` and
+    ``1 - mu_prime``, so a mean too small for ``1 - mu_prime`` to fall
+    below 1 is refused.
     """
     m = _integer(m, "m", 0)
+    if _overflows_float(m):
+        raise ValueError("m is too large: it overflows a float")
     e0 = 1.0 - _finite(mu_prime, "mu'")
     _finite(t_prime, "t'")
     if not 0.0 < e0 < 1.0:

@@ -35,21 +35,21 @@ class TestSquareRootPovm:
         ens = ensembles.trine()
         povm = square_root_povm(ens)
         for l in range(3):
-            expected = (2.0 / 3.0) * linalg.projector(ens.states[l])
+            expected = (2.0 / 3.0) * np.outer(ens.states[l], ens.states[l].conj())
             assert np.max(np.abs(povm.elements[l] - expected)) < 1e-12
 
     def test_qubit_mub_elements(self):
         ens = ensembles.qubit_mubs()
         povm = square_root_povm(ens)
         for l in range(6):
-            expected = (1.0 / 3.0) * linalg.projector(ens.states[l])
+            expected = (1.0 / 3.0) * np.outer(ens.states[l], ens.states[l].conj())
             assert np.max(np.abs(povm.elements[l] - expected)) < 1e-12
 
     def test_qutrit_mub_elements(self):
         ens = ensembles.qutrit_mubs()
         povm = square_root_povm(ens)
         for l in range(12):
-            expected = (1.0 / 4.0) * linalg.projector(ens.states[l])
+            expected = (1.0 / 4.0) * np.outer(ens.states[l], ens.states[l].conj())
             assert np.max(np.abs(povm.elements[l] - expected)) < 1e-12
 
     def test_all_builtin_scenarios_valid(self):
@@ -69,6 +69,13 @@ class TestSquareRootPovm:
         states = np.array([[1, 0], [1, 0], [0, 1]], complex)
         ens = ensembles.Ensemble(states, np.array([0.5, 0.5, 0.0]))
         with pytest.raises(PreconditionError, match="support"):
+            square_root_povm(ens)
+
+    def test_first_of_two_states_outside_support_named(self):
+        # zero priors leave |1> and |2> outside the support of the average state
+        states = np.array([[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], complex)
+        ens = ensembles.Ensemble(states, np.array([0.5, 0.5, 0.0, 0.0]))
+        with pytest.raises(PreconditionError, match=r"^state 2 lies outside the support of the average state \(residual 1.000e\+00\)"):
             square_root_povm(ens)
 
 
@@ -166,6 +173,28 @@ class TestPovmType:
     def test_rejects_negative_element(self):
         bad = np.array([np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])], dtype=complex)
         with pytest.raises(ValueError, match="positive semidefinite"):
+            Povm(bad)
+
+    def test_names_the_only_negative_element_of_a_stack(self):
+        # element 11 of the qutrit MUB measurement goes negative; element 0
+        # takes up the difference, so the elements still resolve the identity
+        elements = square_root_povm(ensembles.qutrit_mubs()).elements.copy()
+        elements[11] -= 1e-6 * np.eye(3)
+        elements[0] += 1e-6 * np.eye(3)
+        with pytest.raises(ValueError, match=r"^element 11 is not positive semidefinite \(smallest eigenvalue -1\.000e-06\)$"):
+            Povm(elements)
+
+    @pytest.mark.parametrize("k", range(12))
+    def test_rejects_a_non_hermitian_element_anywhere(self, k):
+        elements = square_root_povm(ensembles.qutrit_mubs()).elements.copy()
+        elements[k, 0, 2] += 1e-6
+        with pytest.raises(ValueError, match="not Hermitian"):
+            Povm(elements)
+
+    def test_a_non_hermitian_element_is_reported_before_a_negative_one(self):
+        # the checks run shape, Hermiticity, positivity, resolution over the whole stack
+        bad = np.array([np.diag([-0.5, 0.5]), [[1.5, 1.0], [0.0, 0.5]]], dtype=complex)
+        with pytest.raises(ValueError, match="not Hermitian"):
             Povm(bad)
 
     def test_rejects_incomplete_resolution(self):

@@ -57,6 +57,21 @@ class TestEigh:
             w, _ = linalg.eigh(h)
             assert_allclose(w, eig2x2_oracle(h), atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(5,), (2, 4)])
+    def test_stack_equals_the_per_matrix_calls(self, shape):
+        rng = np.random.default_rng(40)
+        stack = np.array([random_hermitian(rng, 3) for _ in range(math.prod(shape))]).reshape(*shape, 3, 3)
+        w, v = linalg.eigh(stack)
+        for index in np.ndindex(*shape):
+            w1, v1 = linalg.eigh(stack[index])
+            np.testing.assert_array_equal(w[index], w1)
+            np.testing.assert_array_equal(v[index], v1)
+
+    def test_stack_with_one_non_hermitian_matrix_rejected(self):
+        stack = np.array([np.eye(2), np.eye(2), [[0.0, 1.0], [0.0, 0.0]]])
+        with pytest.raises(ValueError, match=r"^matrix is not Hermitian \(max deviation 1.000e\+00\)$"):
+            linalg.eigh(stack)
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             linalg.eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))

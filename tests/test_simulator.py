@@ -1348,6 +1348,12 @@ class TestExactOracle:
         with pytest.raises(BudgetExceededError, match="n_runs=6000000000 "):
             pass_count_distribution(scenario, np.int64(6 * 10**9))
 
+    def test_budget_guard_names_a_run_count_too_long_to_print_by_its_size(self):
+        # str() refuses an integer of more than 4300 digits
+        scenario = builtin_scenarios()["trine"]
+        with pytest.raises(BudgetExceededError, match=r"^n_runs=<16612-bit integer> is above"):
+            pass_count_distribution(scenario, 3 * 10**5000)
+
     def test_monte_carlo_agrees_with_oracle(self):
         scenario = builtin_scenarios()["trine"]
         n_trials = 50000
@@ -1568,6 +1574,15 @@ class TestStreams:
         # masked to 64 bits, stream(-1) would draw stream(2**64 - 1)'s numbers
         with pytest.raises(ValueError, match=f"{next(iter(key))} must lie in"):
             stream(**{"seed": 0, **key})
+
+    @pytest.mark.parametrize(
+        "seed, shown",
+        [(10**5000, "<16610-bit integer>"), (-(10**5000), "<negative 16610-bit integer>")],
+        ids=["10**5000", "-10**5000"],
+    )
+    def test_keys_too_long_to_print_are_named_by_size(self, seed, shown):
+        with pytest.raises(ValueError, match=rf"^seed must lie in \[0, 2\*\*64\), got {shown}$"):
+            stream(seed)
 
     @pytest.mark.parametrize(
         "keys,pinned",

@@ -12,7 +12,6 @@ from reference_values import (
 from telecert import ensembles
 from telecert.discrimination import Povm, square_root_povm
 from telecert.errors import PreconditionError
-from telecert.linalg import projector
 from telecert.scenarios import builtin_scenarios, custom_scenario
 from telecert.simulator import exact_exceedance
 from telecert.stats import (
@@ -172,6 +171,13 @@ class TestBoundInput:
         assert -math.inf < hoeffding_log10_bound(inp) < -1e300
         with pytest.raises(ValueError, match="too large"):
             BoundInput(mu=-0.125, t=0.0575, a=3, n_runs=2**1023)
+
+    def test_run_count_too_long_to_print_is_named_by_size(self):
+        # str() refuses an integer of more than 4300 digits
+        with pytest.raises(ValueError, match=r"^n_runs must be positive, got <negative 16610-bit integer>$"):
+            BoundInput(mu=-0.125, t=0.0575, a=3, n_runs=-(10**5000))
+        with pytest.raises(ValueError, match=r"^n_runs must be positive, got -5$"):
+            BoundInput(mu=-0.125, t=0.0575, a=3, n_runs=-5)
 
     def test_mu_outside_its_range_rejected(self):
         with pytest.raises(ValueError, match=r"^mu must lie in \(-1, 0\], got -1.0$"):
@@ -342,7 +348,7 @@ def adaptive_both_pass(scenario) -> float:
     for first, second in ((0, 1), (1, 0)):
         for outcome in (0, 1):
             w = born[::-1, outcome] / born[:, outcome].sum()  # w[j] = P(run 1 held 1 - j | outcome)
-            _, v = np.linalg.eigh(w[0] * projector(psi[0]) - w[1] * projector(psi[1]))
+            _, v = np.linalg.eigh(w[0] * np.outer(psi[0], psi[0].conj()) - w[1] * np.outer(psi[1], psi[1].conj()))
             basis = [v[:, 1], v[:, 0]]  # outcome 0, the positive eigenvalue, resends psi0
             second_pass = sum(
                 abs(np.vdot(basis[m], psi[second])) ** 2 * overlap[second, m] for m in (0, 1)
@@ -412,6 +418,12 @@ class TestHoeffdingGeneric:
     def test_non_finite_mean_or_offset_is_a_value_error(self, mu_prime, t_prime):
         with pytest.raises(ValueError, match="must be finite"):
             hoeffding_generic(mu_prime, t_prime, 10)
+
+    def test_variable_count_beyond_float_rejected(self):
+        # the largest double is still evaluated
+        assert -math.inf < hoeffding_generic(0.5, 0.1, int(np.finfo(float).max)) < -1e300
+        with pytest.raises(ValueError, match=r"^m is too large: it overflows a float$"):
+            hoeffding_generic(0.5, 0.1, 10**400)
 
     @pytest.mark.parametrize("m", [math.nan, math.inf, 10.5, 10.0, True])
     def test_non_integral_variable_count_is_refused(self, m):
