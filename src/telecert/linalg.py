@@ -2,9 +2,9 @@
 
 Vectors are 1-D complex numpy arrays, operators are square 2-D complex
 numpy arrays.  Hermitian eigenproblems go to LAPACK through
-``numpy.linalg.eigh`` after an explicit Hermiticity check; both take a
-whole stack ``(..., d, d)`` at once, so a POVM's elements are checked as one
-stack.  For the small dimensions this package cares about (2 and 3, any
+``numpy.linalg.eigh`` after explicit finiteness and Hermiticity checks;
+all take a whole stack ``(..., d, d)`` at once, so a POVM's elements are
+checked as one stack.  For the small dimensions this package cares about (2 and 3, any
 small d) the result is exact to roundoff and is cross-checked against the
 closed 2x2 formulas in the tests.
 """
@@ -37,6 +37,10 @@ def _assert_hermitian(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    bad = ~np.isfinite(m).all(axis=(-2, -1))
+    if bad.any():
+        name = f"element {', '.join(map(str, np.argwhere(bad)[0]))}" if m.ndim > 2 else "matrix"
+        raise ValueError(f"{name} has a non-finite entry")
     adjoint = np.swapaxes(m.conj(), -1, -2)
     dev = float(np.max(np.abs(m - adjoint), initial=0.0))  # 0 for an empty stack
     if dev > HERMITIAN_TOL:

@@ -19,9 +19,11 @@ the block's counter offset (``stream``), so results depend only on the
 configuration.  The exact oracle convolves the same laws.
 ``_draw_laws`` also checks the run count, at most ``_MAX_RUNS``, and the
 schedule, so every consumer of the laws refuses the same configurations.
-Inversion tables and exact laws depend on no seed, threshold or trial
-count; they are built once per process and the last ``_KEPT_PRODUCTS``
-used are kept (``_kept``), one per law, each at most about 35 KiB.
+Inversion tables, exact laws and ``lln`` laws depend on no seed, threshold
+or trial count; they are built once per process and the last
+``_KEPT_PRODUCTS`` used are kept (``_kept``), one per law, each at most
+about 35 KiB.  A table or ``lln`` law wider than ``_KEPT_WINDOW`` entries
+is built each time instead.
 The README's account of the samplers and its Notes on numerics give the
 joint law, the guide table, the window, the costs and the error contracts.
 """
@@ -72,11 +74,14 @@ _WINDOW = math.sqrt(32.0 * math.log(2.0))
 _MAX_TABLE_ENTRIES = 1 << 20
 
 #: Products ``_kept`` holds at most, and the widest window whose inversion
-#: table it keeps.  An exact law has at most ``_EXACT_MAX_RUNS`` + 1 = 4472
-#: float64 entries, 34.9 KiB; a kept table has a cdf of at most 512
-#: float64 entries and a guide of at most 4 * 512 = 2048 intp entries,
-#: 4 + 16 = 20 KiB.  So 128 kept products hold at most 128 * 34.9 KiB,
-#: about 4.4 MiB; a wider table is built, used and not kept.
+#: table or ``lln`` law it keeps.  An exact law has at most
+#: ``_EXACT_MAX_RUNS`` + 1 = 4472 float64 entries, 34.9 KiB; a kept table
+#: has a cdf of at most 512 float64 entries and a guide of at most
+#: 4 * 512 = 2048 intp entries, 4 + 16 = 20 KiB; a kept ``lln`` law has at
+#: most 512 float64 and 512 intp entries, 8 KiB.  So 128 kept products
+#: hold at most 128 * 34.9 KiB, about 4.4 MiB; a wider table or law is
+#: built, used and not kept, since the benchmark's peak memory grows with
+#: its op rate and a wider cap waits for a fixed-size latency reservoir.
 _KEPT_PRODUCTS = 128
 _KEPT_WINDOW = 512
 
@@ -90,6 +95,16 @@ def _kept(build, *args):
     frozen arrays, so no caller can change a kept product.
     """
     return build(*args)
+
+
+def _kept_within_window(width: int, build, *args):
+    """``build(*args)``, kept by ``_kept`` when ``width`` is below ``_KEPT_WINDOW``.
+
+    ``width`` is the product's window, its last index less its first, so a
+    kept product spans at most ``_KEPT_WINDOW`` entries; a wider one is
+    built, used and not kept.
+    """
+    return build(*args) if width >= _KEPT_WINDOW else _kept(build, *args)
 
 
 def _draw_laws(scenario: Scenario, n_runs: int, multinomial: bool) -> tuple:
@@ -287,9 +302,7 @@ def _inversion_table(m: int, p: float):
     lo, hi = _window(m, p)
     if lo == hi:
         return lo, None, None
-    if hi - lo >= _KEPT_WINDOW:
-        return _build_inversion_table(m, p)
-    return _kept(_build_inversion_table, m, p)
+    return _kept_within_window(hi - lo, _build_inversion_table, m, p)
 
 
 def _build_inversion_table(m: int, p: float):
@@ -346,17 +359,29 @@ def _pass_count_law(laws: tuple) -> tuple[int, np.ndarray]:
     return sum(tables[law][0] for law in laws), pmf / pmf.sum()
 
 
+def _sorted_pass_count_law(laws: tuple):
+    """Window start, stable ascending order and ordered pmf of ``_pass_count_law``, frozen."""
+    lo, pmf = _pass_count_law(laws)
+    order = np.argsort(pmf, kind="stable")
+    return lo, frozen(order), frozen(pmf[order])
+
+
 def _total_histogram(cfg: SimConfig) -> tuple[int, np.ndarray]:
     """Window start and pass-count histogram of ``cfg.n_trials`` trials.
 
     The histogram is one multinomial over ``_pass_count_law`` of the
-    configuration's laws, drawn from the (seed, n_runs) stream; the README's
-    Notes on numerics say why it replaces the trials' draws.
+    configuration's laws, its entries in stable ascending order, drawn from
+    the (seed, n_runs) stream; the README's Notes on numerics say why it
+    replaces the trials' draws.  The law's width is taken from the laws'
+    windows first, as ``_inversion_table`` does: a law of at most
+    ``_KEPT_WINDOW`` entries is kept by ``_kept``, keyed by the laws, and a
+    wider one is built each time.  The law depends on no seed or trial
+    count, so a kept one changes no draw.
     """
-    lo, pmf = _pass_count_law(cfg.laws)
-    order = np.argsort(pmf, kind="stable")
+    width = sum(hi - lo for lo, hi in itertools.starmap(_window, cfg.laws))
+    lo, order, pmf = _kept_within_window(width, _sorted_pass_count_law, cfg.laws)
     counts = np.empty(pmf.size, dtype=np.int64)
-    counts[order] = stream(cfg.seed, subkey=cfg.n_runs).multinomial(cfg.n_trials, pmf[order])
+    counts[order] = stream(cfg.seed, subkey=cfg.n_runs).multinomial(cfg.n_trials, pmf)
     return lo, counts
 
 
@@ -550,9 +575,12 @@ def lln_sweep(
     is sampled.  Each point draws the histogram of its trials' pass counts
     as one multinomial over the fixed-schedule law (``_total_histogram``)
     and reduces it, so its cost and memory grow like sqrt(N), whatever
-    ``n_trials`` is.  The RMS column shrinks like 1/sqrt(N), which a log-log
-    fit over a geometric ladder exposes as a slope near -1/2.  ``workers``
-    must be at least 1 and changes nothing: sampling runs on one thread.
+    ``n_trials`` is.  A law of at most ``_KEPT_WINDOW`` entries (N up to
+    600 on trine) is kept for later points of equal laws, whatever their
+    seed or trial count; a wider one is built at each point.  The RMS
+    column shrinks like 1/sqrt(N), which a log-log fit over a geometric
+    ladder exposes as a slope near -1/2.  ``workers`` must be at least 1
+    and changes nothing: sampling runs on one thread.
     """
     _integer(workers, "workers", 1)
     configs = [SimConfig(scenario, n_runs, n_trials, seed) for n_runs in n_values]

@@ -49,10 +49,13 @@ def fidelity_from_pass_rates(priors, q) -> float:
 def mu_of(f_th_cla: float, a: int) -> float:
     """Per-variable mean implied by a classical fidelity for ``a`` states.
 
-    ``a`` is an integer (``TypeError`` otherwise) of at least 2, and
-    ``f_th_cla`` lies in [0, 1] (``ValueError`` otherwise, nan included).
+    ``a`` is an integer (``TypeError`` otherwise) of at least 2 that a
+    float holds, and ``f_th_cla`` lies in [0, 1] (``ValueError`` otherwise,
+    nan included).
     """
     a = _integer(a, "a", 2)
+    if _overflows_float(a - 1):
+        raise ValueError("a is too large: a - 1 overflows a float")
     if not -1e-9 <= f_th_cla <= 1.0 + 1e-9:
         raise ValueError(f"fidelity must lie in [0, 1], got {f_th_cla!r}")
     return (f_th_cla - 1.0) / (a - 1)

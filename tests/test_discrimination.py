@@ -197,6 +197,19 @@ class TestPovmType:
         with pytest.raises(ValueError, match="not Hermitian"):
             Povm(bad)
 
+    def test_rejects_all_nan_elements(self):
+        with pytest.raises(ValueError, match=r"^element 0 has a non-finite entry$"):
+            Povm(np.full((2, 2, 2), np.nan))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("k", [0, 5, 11])
+    def test_names_the_first_non_finite_element(self, k, value):
+        # one entry of an otherwise valid qutrit MUB measurement
+        elements = square_root_povm(ensembles.qutrit_mubs()).elements.copy()
+        elements[k, 1, 2] = value
+        with pytest.raises(ValueError, match=rf"^element {k} has a non-finite entry$"):
+            Povm(elements)
+
     def test_rejects_incomplete_resolution(self):
         bad = np.array([np.diag([0.5, 0.5]), np.diag([0.4, 0.4])], dtype=complex)
         with pytest.raises(ValueError, match="resolve the identity"):

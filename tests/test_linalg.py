@@ -80,6 +80,17 @@ class TestEigh:
         with pytest.raises(ValueError, match="square"):
             linalg.eigh(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_entry(self, value):
+        # a diagonal nan or inf passes the Hermiticity comparison; the check precedes it
+        with pytest.raises(ValueError, match=r"^matrix has a non-finite entry$"):
+            linalg.eigh(np.diag([1.0, value]))
+        stack = np.array([np.eye(2), np.eye(2), np.diag([1.0, value]), np.diag([value, 1.0])])
+        with pytest.raises(ValueError, match=r"^element 2 has a non-finite entry$"):
+            linalg.eigh(stack)
+        with pytest.raises(ValueError, match=r"^element 1, 0 has a non-finite entry$"):
+            linalg.eigh(stack.reshape(2, 2, 2, 2))
+
 
 class TestInvSqrt:
     def test_qubit_mub_average_state(self):
@@ -98,6 +109,11 @@ class TestInvSqrt:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(PreconditionError, match="not positive semidefinite"):
             linalg.inv_sqrt(np.diag([1.0, -1e-6]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_a_non_finite_entry(self, value):
+        with pytest.raises(ValueError, match="non-finite entry"):
+            linalg.inv_sqrt(np.full((2, 2), value))
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_sandwich_recovers_support_projector(self, d):

@@ -1103,12 +1103,16 @@ class TestKeptProducts:
                 scenario = nonuniform_trine() if name == "nonuniform-trine" else builtin_scenarios()[name]
                 cfg = SimConfig(scenario, n_runs, n_trials, seed, multinomial_preparation=multinomial)
                 reports[case] = report_fields(run_experiment(cfg, threshold=0.8))
+            ladders = {
+                case: repr(lln_sweep(builtin_scenarios()[case[0]], [row[0] for row in rows], *case[1:]))
+                for case, rows in PINNED_LADDERS.items()
+            }
             exact = {
                 (name, n_runs, t): repr(exact_exceedance(builtin_scenarios()[name], n_runs, t))
                 for name, n_runs in self.EXACT_GRID
                 for t in thresholds
             }
-            passes.append((reports, exact))
+            passes.append((reports, ladders, exact))
             assert cold_products.cache_info().currsize > 0
         assert passes[0] == passes[1]
 
@@ -1125,17 +1129,19 @@ class TestKeptProducts:
         for multinomial in (False, True):
             run_experiment(SimConfig(scenario, 60, 100, seed=1, multinomial_preparation=multinomial), 0.8)
         pass_count_distribution(scenario, 600)
-        # tables of (20, q_i) for the two distinct q_i and of (60, F), one exact law
-        assert cold_products.cache_info().currsize == 3 + 1
+        lln_sweep(scenario, [60], 100, seed=1)
+        # tables of (20, q_i) for the two distinct q_i and of (60, F), one exact law, one lln law
+        assert cold_products.cache_info().currsize == 3 + 1 + 1
         built = cold_products.cache_info().misses
         tables = [table for multinomial in (False, True)
                   for table in simulator._tables(simulator._draw_laws(scenario, 60, multinomial))]
         arrays = [part for _, *parts in tables for part in parts]
         arrays.append(pass_count_distribution(scenario, 600))
+        arrays.extend(simulator._kept(simulator._sorted_pass_count_law, SimConfig(scenario, 60, 1, 0).laws)[1:])
         assert cold_products.cache_info().misses == built  # every product was kept
-        # cdf and guide of each table, and the exact law
+        # cdf and guide of each table, the exact law, and the lln law's order and pmf
         arrays = list({id(array): array for array in arrays}.values())
-        assert len(arrays) == 2 * 3 + 1
+        assert len(arrays) == 2 * 3 + 1 + 2
         for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -1201,13 +1207,28 @@ class TestKeptProducts:
         assert self.table_of_width(simulator._KEPT_WINDOW + 1) is not wider
         assert self.table_of_width(simulator._KEPT_WINDOW) is widest  # and it evicted nothing
 
+    def test_an_lln_law_past_the_window_cap_is_used_not_kept(self, cold_products):
+        # trine's multinomial laws (2922, F) and (2940, F) have 512 and 513 entries
+        scenario = builtin_scenarios()["trine"]
+        for n_runs, entries, kept in ((2922, 512, 1), (2940, 513, 1), (2940, 513, 1), (2922, 512, 1)):
+            cfg = SimConfig(scenario, n_runs, 10, seed=1, multinomial_preparation=True)
+            _, counts = simulator._total_histogram(cfg)
+            assert counts.size == entries
+            assert cold_products.cache_info().currsize == kept
+        assert cold_products.cache_info().misses == 1
+
     def test_kept_products_fit_in_about_4_5_mib(self, cold_products):
         # the largest exact law is that of the largest N the oracle enumerates
         n_max = simulator._EXACT_MAX_RUNS
         law = pass_count_distribution(builtin_scenarios()["helstrom"], n_max - n_max % 2)
         _, cdf, guide = self.table_of_width(simulator._KEPT_WINDOW)
-        assert cold_products.cache_info().currsize == 2
-        largest = max(8 * (n_max + 1), law.nbytes, cdf.nbytes + guide.nbytes)
+        # the widest kept lln law: trine's multinomial law (2922, F) has 512 entries
+        cfg = SimConfig(builtin_scenarios()["trine"], 2922, 1, seed=0, multinomial_preparation=True)
+        simulator._total_histogram(cfg)
+        assert cold_products.cache_info().currsize == 3
+        _, order, pmf = simulator._kept(simulator._sorted_pass_count_law, cfg.laws)
+        assert pmf.size == simulator._KEPT_WINDOW
+        largest = max(8 * (n_max + 1), law.nbytes, cdf.nbytes + guide.nbytes, order.nbytes + pmf.nbytes)
         assert largest <= 35 * 1024
         assert simulator._KEPT_PRODUCTS * largest <= 4.5 * 2**20
 
@@ -1243,10 +1264,19 @@ class TestKeptProducts:
         assert pass_count_distribution(fresh, 600) is kept
         assert cold_products.cache_info().currsize == 1
 
-    def test_lln_keeps_nothing(self, cold_products):
+    def test_lln_keeps_the_laws_within_the_window_cap(self, cold_products):
+        scenario = custom_scenario(ensembles.trine(), 0.865)
         ladder = [60, 129, 279, 600, 1293, 2787, 6000]
-        lln_sweep(custom_scenario(ensembles.trine(), 0.865), ladder, 1000, seed=1)
-        assert cold_products.cache_info().currsize == 0
+        kept = []
+        for n_runs in ladder:
+            lln_sweep(scenario, [n_runs], 1000, seed=1)
+            kept.append(cold_products.cache_info().currsize)
+        # laws of 61, 127, 208 and 352 entries are kept; those of 592, 865 and 1267 are not
+        assert kept == [1, 2, 3, 4, 4, 4, 4]
+        assert cold_products.cache_info().misses == 4
+        lln_sweep(scenario, ladder, 1000, seed=2)
+        info = cold_products.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (4, 4, 4)
 
     def test_no_scenario_is_held(self, cold_products):
         scenario = custom_scenario(ensembles.trine(), 0.865)

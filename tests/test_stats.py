@@ -306,20 +306,25 @@ class TestHoeffdingBound:
         with pytest.raises(TypeError, match="integer"):
             BoundInput(mu=-0.125, t=0.0575, a=3, n_runs=n_runs)
 
+    #: Every entry point that takes an ensemble size a.
+    ENSEMBLE_SIZE_CALLS = [
+        lambda a: mu_of(0.75, a),
+        lambda a: t_of(0.865, 0.75, a),
+        lambda a: BoundInput(mu=-0.125, t=0.0575, a=a, n_runs=100),
+        lambda a: bound_report(0.75, 0.865, a, 100),
+    ]
+    ENSEMBLE_SIZE_CALL_IDS = ["mu_of", "t_of", "BoundInput", "bound_report"]
+
     @pytest.mark.parametrize("a", [2.5, 3.0, math.inf, math.nan, True])
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda a: mu_of(0.75, a),
-            lambda a: t_of(0.865, 0.75, a),
-            lambda a: BoundInput(mu=-0.125, t=0.0575, a=a, n_runs=100),
-            lambda a: bound_report(0.75, 0.865, a, 100),
-        ],
-        ids=["mu_of", "t_of", "BoundInput", "bound_report"],
-    )
+    @pytest.mark.parametrize("call", ENSEMBLE_SIZE_CALLS, ids=ENSEMBLE_SIZE_CALL_IDS)
     def test_non_integral_ensemble_size_is_refused(self, call, a):
         with pytest.raises(TypeError, match="integer"):
             call(a)
+
+    @pytest.mark.parametrize("call", ENSEMBLE_SIZE_CALLS, ids=ENSEMBLE_SIZE_CALL_IDS)
+    def test_ensemble_size_beyond_float_is_a_value_error(self, call):
+        with pytest.raises(ValueError, match="too large"):
+            call(10**400)
 
     def test_numpy_integer_ensemble_size_is_stored_as_int(self):
         report = bound_report(0.75, 0.865, np.int64(3), np.int64(100))
