@@ -45,13 +45,11 @@ from .simulator import (
     stream,
 )
 from .stats import (
-    BoundInput,
     BoundReport,
     HypothesisConfig,
     bound_report,
     classical_fidelity,
     hoeffding_generic,
-    hoeffding_log10_bound,
     mu_of,
     scenario_bound_report,
     t_of,

@@ -7,7 +7,7 @@ so every bound is computed and reported in base-10 log space; the linear
 value is provided as a convenience and is allowed to underflow to zero.
 The tail is evaluated once, in the complement rates e = -(mu + t) and
 e0 = -mu with ``log1p``, so the bound is finite on exactly the domain
-0 < t < -mu that ``BoundInput`` admits.
+0 < t < -mu that ``bound_report`` admits.
 """
 
 from __future__ import annotations
@@ -86,57 +86,6 @@ def _overflows_float(n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class BoundInput:
-    """Everything the specialized exceedance bound consumes.
-
-    ``mu`` is the per-variable mean in (-1, 0), ``t`` the exceedance offset
-    with ``0 < t < -mu``, ``a`` the ensemble size, and ``n_runs`` the number
-    of experiment repetitions.  ``a`` and ``n_runs`` are integers
-    (``TypeError`` otherwise) and are stored as ``int``; a non-finite ``t``
-    raises ``ValueError``.
-    """
-
-    mu: float
-    t: float
-    a: int
-    n_runs: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _integer(self.a, "a", 2))
-        object.__setattr__(self, "n_runs", _integer(self.n_runs, "n_runs", 1))
-        if _overflows_float((self.a - 1) * self.n_runs):
-            raise ValueError("n_runs is too large: (a - 1) * n_runs overflows a float")
-        if self.mu == 0.0:
-            raise PreconditionError(
-                "classical strategy is already perfect (fidelity 1); "
-                "no quantum advantage is testable"
-            )
-        if not -1.0 < self.mu < 0.0:
-            raise ValueError(f"mu must lie in (-1, 0], got {self.mu!r}")
-        f = 1.0 + (self.a - 1) * self.mu
-        if not -1e-9 <= f <= 1.0 + 1e-9:
-            raise ValueError(
-                f"mu={self.mu!r} with a={self.a} implies a fidelity of {f!r}, "
-                "outside [0, 1]"
-            )
-        if _finite(self.t, "t") <= 0.0:
-            raise PreconditionError(
-                f"exceedance offset t must be positive, got {self.t!r}; "
-                "for t <= 0 the bound is trivially 1"
-            )
-        if not self.t < -self.mu:
-            raise PreconditionError(
-                f"t={self.t!r} is outside the bound's validity range "
-                f"0 < t < {-self.mu!r}; the implied target fidelity reaches "
-                "or exceeds 1"
-            )
-
-    @property
-    def f_th_cla(self) -> float:
-        return 1.0 + (self.a - 1) * self.mu
-
-
-@dataclass(frozen=True)
 class BoundReport:
     """One evaluated bound row; ``bound`` may underflow to 0 by design."""
 
@@ -160,17 +109,6 @@ def _log10_tail(e: float, e0: float, m: int) -> float:
     """
     minus_kl = e * math.log(e0 / e) + (1.0 - e) * (math.log1p(-e0) - math.log1p(-e))
     return min(0.0, m * minus_kl / _LN10)
-
-
-def hoeffding_log10_bound(inp: BoundInput) -> float:
-    """log10 of the exceedance bound for variables confined to [-1, 0].
-
-    The ``(a-1) * N`` variables have mean ``mu`` and the exceedance offset
-    is ``t``, so the complement rates are ``e = -(mu + t)`` and ``e0 = -mu``.
-    ``BoundInput`` admits exactly ``0 < t < -mu``, where ``0 < e <= e0 < 1``
-    and the result is finite and nonpositive.
-    """
-    return _log10_tail(-(inp.mu + inp.t), -inp.mu, (inp.a - 1) * inp.n_runs)
 
 
 def hoeffding_generic(mu_prime: float, t_prime: float, m: int) -> float:
@@ -207,18 +145,43 @@ def bound_report(
 ) -> BoundReport:
     """Evaluate the exceedance bound for one (scenario, target, N) row.
 
-    ``a`` and ``n_runs`` are integers (``TypeError`` otherwise).
+    The one entry to the paper's bound: the ``(a-1) * n_runs`` variables in
+    [-1, 0] have mean ``mu = mu_of(f_th_cla, a)`` and must exceed it by
+    ``t = t_of(f_target, f_th_cla, a)``.  ``a`` and ``n_runs`` are integers
+    (``TypeError`` otherwise), stored as ``int``; the row is finite on
+    exactly ``0 < t < -mu``, and other inputs are refused.
     """
     mu = mu_of(f_th_cla, a)
     t = t_of(f_target, f_th_cla, a)
-    inp = BoundInput(mu=mu, t=t, a=a, n_runs=n_runs)
-    log10_bound = hoeffding_log10_bound(inp)
+    a = operator.index(a)
+    n_runs = _integer(n_runs, "n_runs", 1)
+    if _overflows_float((a - 1) * n_runs):
+        raise ValueError("n_runs is too large: (a - 1) * n_runs overflows a float")
+    if mu == 0.0:
+        raise PreconditionError(
+            "classical strategy is already perfect (fidelity 1); "
+            "no quantum advantage is testable"
+        )
+    if not -1.0 < mu < 0.0:
+        raise ValueError(f"mu must lie in (-1, 0], got {mu!r}")
+    if t <= 0.0:
+        raise PreconditionError(
+            f"exceedance offset t must be positive, got {t!r}; "
+            "for t <= 0 the bound is trivially 1"
+        )
+    if not t < -mu:
+        raise PreconditionError(
+            f"t={t!r} is outside the bound's validity range "
+            f"0 < t < {-mu!r}; the implied target fidelity reaches "
+            "or exceeds 1"
+        )
+    log10_bound = _log10_tail(-(mu + t), -mu, (a - 1) * n_runs)
     return BoundReport(
         f_th_cla=f_th_cla,
         mu=mu,
         t=t,
-        a=inp.a,
-        n_runs=inp.n_runs,
+        a=a,
+        n_runs=n_runs,
         log10_bound=log10_bound,
         bound=10.0**log10_bound,
     )
@@ -248,11 +211,14 @@ class HypothesisConfig:
     secondary (classical) hypotheses, ``f_crit`` the decision threshold
     between them, ``sigma`` the per-run standard deviation, and ``n_runs``
     the number of repetitions, an integer (``TypeError`` otherwise).
-    Typical use keeps ``f_cla < f_crit < f_qm`` strictly; the boundary
-    equalities are admitted for degenerate checks.
-    ``sigma`` must be supplied by the caller; for pass/fail verification
-    outcomes the per-run standard deviation is at most 1/2, so that value
-    is a safe ceiling when nothing better is known.
+    The three means lie in [0, 1] (``ValueError`` otherwise).  Typical use
+    keeps ``f_cla < f_crit < f_qm`` strictly; the boundary equalities are
+    admitted for degenerate checks.  ``sigma`` must be supplied by the
+    caller; 1/2 is the largest per-run standard deviation a pass/fail
+    outcome can have.  The normal-model rates are approximations, which
+    the exact rates can exceed at small N: at N = 10, ``f_cla = 0.5``,
+    ``f_crit = 0.6`` and ``sigma = 1/2`` the normal beta is 0.2635, and the
+    exact one, P(Binomial(10, 0.5) >= 6), is 0.3770.
     """
 
     f_qm: float
@@ -263,7 +229,9 @@ class HypothesisConfig:
 
     def __post_init__(self):
         for name in ("f_qm", "f_cla", "f_crit"):
-            _finite(getattr(self, name), name)
+            value = _finite(getattr(self, name), name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
         object.__setattr__(self, "n_runs", _integer(self.n_runs, "n_runs", 1))

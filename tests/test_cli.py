@@ -428,6 +428,8 @@ class TestExitCodes:
             (HYPOTHESIS + ["--sigma", "nan", "--n", "12"], 2),
             (["hypothesis", "--f-qm", "inf", "--f-cla", "0.7", "--f-crit", "0.8",
               "--sigma", "0.3", "--n", "10"], 2),
+            (["hypothesis", "--f-qm", "5", "--f-cla", "0.5", "--f-crit", "0.6",
+              "--sigma", "0.3", "--n", "10"], 2),
             (SIMULATE + ["--out", "/nonexistent-dir/x.json"], 4),
             (BOUNDS + ["--n", ""], 2),
             (LLN + ["--n", ","], 2),

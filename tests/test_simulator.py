@@ -131,12 +131,11 @@ class TestConfigValidation:
             lambda scenario, n_runs: exact_exceedance(scenario, n_runs, 0.8),
             lambda scenario, n_runs: lln_sweep(scenario, [60, n_runs], 10, 0),
             lambda scenario, n_runs: min_passes(0.8, n_runs),
-            lambda scenario, n_runs: stats.BoundInput(-0.125, 0.0575, 3, n_runs),
             lambda scenario, n_runs: stats.bound_report(0.75, 0.865, 3, n_runs),
             lambda scenario, n_runs: stats.HypothesisConfig(0.9, 0.7, 0.8, 0.5, n_runs),
         ],
         ids=["SimConfig", "run_trial", "pass_count_distribution", "exact_exceedance", "lln_sweep",
-             "min_passes", "BoundInput", "bound_report", "HypothesisConfig"],
+             "min_passes", "bound_report", "HypothesisConfig"],
     )
     def test_nonpositive_run_count_is_one_value_error(self, call, n_runs, cold_products):
         with pytest.raises(ValueError, match=f"^n_runs must be positive, got {n_runs}$"):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,12 +16,10 @@ from telecert.errors import PreconditionError
 from telecert.scenarios import builtin_scenarios, custom_scenario
 from telecert.simulator import exact_exceedance
 from telecert.stats import (
-    BoundInput,
     HypothesisConfig,
     bound_report,
     classical_fidelity,
     hoeffding_generic,
-    hoeffding_log10_bound,
     mu_of,
     scenario_bound_report,
     t_of,
@@ -38,6 +37,11 @@ def brute_force_fidelity(ensemble, povm):
             overlap = abs(np.vdot(psi, phi)) ** 2
             total += ensemble.priors[i] * outcome * overlap
     return total
+
+
+def bound_at(mu, t, a, n_runs):
+    """``bound_report`` at the fidelities that per-variable mean and offset imply."""
+    return bound_report(1.0 + (a - 1) * mu, 1.0 + (a - 1) * (mu + t), a, n_runs)
 
 
 class TestClassicalFidelity:
@@ -142,52 +146,50 @@ class TestMuAndT:
             t_of(f_target, f_th_cla, 3)
 
 
-class TestBoundInput:
-    def test_perfect_classical_fidelity_rejected(self):
-        with pytest.raises(PreconditionError, match="already perfect"):
-            BoundInput(mu=0.0, t=0.01, a=3, n_runs=10)
+class TestBoundRefusals:
+    @pytest.mark.parametrize(
+        "args, error, message",
+        [
+            ((0.75, 0.865, 3, -5), ValueError, "n_runs must be positive, got -5"),
+            ((0.75, 0.865, 3, -(10**5000)), ValueError,
+             # str() refuses an integer of more than 4300 digits
+             "n_runs must be positive, got <negative 16610-bit integer>"),
+            ((0.75, 0.865, 3, 2**1023), ValueError,
+             "n_runs is too large: (a - 1) * n_runs overflows a float"),
+            ((1.0, 1.5, 3, 10), PreconditionError,
+             "classical strategy is already perfect (fidelity 1); no quantum advantage is testable"),
+            ((0.0, 0.5, 2, 10), ValueError, "mu must lie in (-1, 0], got -1.0"),
+            ((1.0 + 1e-9, 1.5, 3, 10), ValueError,
+             "mu must lie in (-1, 0], got 5.000000413701855e-10"),
+            ((0.0, 5e-324, 3, 10), PreconditionError,
+             "exceedance offset t must be positive, got 0.0; for t <= 0 the bound is trivially 1"),
+            ((0.75, 1.0, 3, 10), PreconditionError,
+             "t=0.125 is outside the bound's validity range 0 < t < 0.125; "
+             "the implied target fidelity reaches or exceeds 1"),
+            ((0.75, 1.15, 3, 10), PreconditionError,
+             "t=0.19999999999999996 is outside the bound's validity range 0 < t < 0.125; "
+             "the implied target fidelity reaches or exceeds 1"),
+        ],
+        ids=["n_runs", "n_runs-too-long-to-print", "(a-1)N-beyond-float", "already-perfect",
+             "mu-at-minus-one", "mu-above-zero", "t-underflows", "t-at-validity-edge",
+             "t-beyond-validity-edge"],
+    )
+    def test_each_refusal_has_its_class_and_message(self, args, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            bound_report(*args)
 
-    def test_t_at_or_above_gap_rejected(self):
-        with pytest.raises(PreconditionError, match="validity range"):
-            BoundInput(mu=-0.125, t=0.125, a=3, n_runs=10)
-        with pytest.raises(PreconditionError, match="validity range"):
-            BoundInput(mu=-0.125, t=0.2, a=3, n_runs=10)
-
-    def test_nonpositive_t_rejected(self):
-        with pytest.raises(PreconditionError, match="trivially 1"):
-            BoundInput(mu=-0.125, t=0.0, a=3, n_runs=10)
-        with pytest.raises(PreconditionError, match="trivially 1"):
-            BoundInput(mu=-0.125, t=-0.1, a=3, n_runs=10)
-
-    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
-    def test_non_finite_t_is_a_value_error(self, t):
-        with pytest.raises(ValueError, match="^t must be finite"):
-            BoundInput(mu=-0.125, t=t, a=3, n_runs=10)
-
-    def test_run_counts_beyond_float_rejected(self):
-        # (a - 1) * n_runs is the largest double: still evaluated
+    def test_largest_variable_count_is_still_evaluated(self):
+        # (a - 1) * n_runs is the largest double
         largest = int(np.finfo(float).max) // 2
-        inp = BoundInput(mu=-0.125, t=0.0575, a=3, n_runs=largest)
-        assert -math.inf < hoeffding_log10_bound(inp) < -1e300
-        with pytest.raises(ValueError, match="too large"):
-            BoundInput(mu=-0.125, t=0.0575, a=3, n_runs=2**1023)
+        assert -math.inf < bound_report(0.75, 0.865, 3, largest).log10_bound < -1e300
 
-    def test_run_count_too_long_to_print_is_named_by_size(self):
-        # str() refuses an integer of more than 4300 digits
-        with pytest.raises(ValueError, match=r"^n_runs must be positive, got <negative 16610-bit integer>$"):
-            BoundInput(mu=-0.125, t=0.0575, a=3, n_runs=-(10**5000))
-        with pytest.raises(ValueError, match=r"^n_runs must be positive, got -5$"):
-            BoundInput(mu=-0.125, t=0.0575, a=3, n_runs=-5)
-
-    def test_mu_outside_its_range_rejected(self):
-        with pytest.raises(ValueError, match=r"^mu must lie in \(-1, 0\], got -1.0$"):
-            BoundInput(mu=-1.0, t=0.05, a=3, n_runs=10)
-
-    def test_fidelity_consistency(self):
-        inp = BoundInput(mu=-0.125, t=0.0575, a=3, n_runs=100)
-        assert inp.f_th_cla == pytest.approx(0.75, abs=1e-12)
-        with pytest.raises(ValueError, match="outside"):
-            BoundInput(mu=-0.9, t=0.05, a=12, n_runs=10)
+    @pytest.mark.parametrize("a", [3, 12])
+    def test_fidelities_within_the_tolerance_below_zero_get_a_row(self, a):
+        # mu_of admits [-1e-9, 1 + 1e-9]; above 1, mu is positive
+        report = bound_report(-1e-9, 0.5, a, 10)
+        assert -math.inf < report.log10_bound <= 0.0
+        with pytest.raises(ValueError, match="mu must lie in"):
+            bound_report(1.0 + 1e-9, 1.5, a, 10)
 
 
 class TestHoeffdingBound:
@@ -211,10 +213,10 @@ class TestHoeffdingBound:
             mu = float(rng.uniform(-1.0 / (a - 1), -1e-4))
             t = float(rng.uniform(1e-6, -mu * 0.999))
             n = int(rng.integers(1, 5000))
-            got = hoeffding_log10_bound(BoundInput(mu=mu, t=t, a=a, n_runs=n))
-            want = mp_log10_bound(mu, t, a, n)
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-            assert got <= 0.0
+            report = bound_at(mu, t, a, n)
+            want = mp_log10_bound(report.mu, report.t, a, n)
+            assert report.log10_bound == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert report.log10_bound <= 0.0
 
     def test_log_uniform_offsets_match_oracle(self):
         # t log-uniform over six decades below its ceiling -mu: small and
@@ -227,14 +229,14 @@ class TestHoeffdingBound:
             if not t < -mu:
                 continue
             n = int(rng.integers(1, 5000))
-            got = hoeffding_log10_bound(BoundInput(mu=mu, t=t, a=a, n_runs=n))
-            want = mp_log10_bound(mu, t, a, n)
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+            report = bound_at(mu, t, a, n)
+            want = mp_log10_bound(report.mu, report.t, a, n)
+            assert report.log10_bound == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("name", list(builtin_scenarios()))
     def test_targets_ulps_below_unity(self, name, k):
-        # every t < -mu that BoundInput admits gives a finite bound
+        # every t < -mu that bound_report admits gives a finite bound
         report = scenario_bound_report(builtin_scenarios()[name], 10, 1.0 - k * 2.0**-53)
         assert math.isfinite(report.log10_bound)
         want = mp_log10_bound(report.mu, report.t, report.a, 10)
@@ -253,9 +255,7 @@ class TestHoeffdingBound:
                 assert report.bound <= 1.0, (scenario.name, target)
 
     def test_vanishing_t_limit(self):
-        report_small = hoeffding_log10_bound(
-            BoundInput(mu=-0.125, t=1e-9, a=3, n_runs=100)
-        )
+        report_small = bound_at(-0.125, 1e-9, 3, 100).log10_bound
         assert -1e-6 < report_small <= 0.0
 
     def test_monotone_in_n_and_t(self):
@@ -265,13 +265,9 @@ class TestHoeffdingBound:
             mu = float(rng.uniform(-1.0 / (a - 1), -1e-3))
             t = float(rng.uniform(1e-5, -mu * 0.9))
             n = int(rng.integers(1, 2000))
-            base = hoeffding_log10_bound(BoundInput(mu=mu, t=t, a=a, n_runs=n))
-            more_runs = hoeffding_log10_bound(
-                BoundInput(mu=mu, t=t, a=a, n_runs=2 * n)
-            )
-            bigger_t = hoeffding_log10_bound(
-                BoundInput(mu=mu, t=min(t * 1.5, -mu * 0.99), a=a, n_runs=n)
-            )
+            base = bound_at(mu, t, a, n).log10_bound
+            more_runs = bound_at(mu, t, a, 2 * n).log10_bound
+            bigger_t = bound_at(mu, min(t * 1.5, -mu * 0.99), a, n).log10_bound
             assert more_runs < base
             assert bigger_t < base
 
@@ -303,17 +299,14 @@ class TestHoeffdingBound:
     def test_non_integral_run_count_is_refused(self, n_runs):
         with pytest.raises(TypeError, match="integer"):
             bound_report(0.75, 0.865, 3, n_runs)
-        with pytest.raises(TypeError, match="integer"):
-            BoundInput(mu=-0.125, t=0.0575, a=3, n_runs=n_runs)
 
     #: Every entry point that takes an ensemble size a.
     ENSEMBLE_SIZE_CALLS = [
         lambda a: mu_of(0.75, a),
         lambda a: t_of(0.865, 0.75, a),
-        lambda a: BoundInput(mu=-0.125, t=0.0575, a=a, n_runs=100),
         lambda a: bound_report(0.75, 0.865, a, 100),
     ]
-    ENSEMBLE_SIZE_CALL_IDS = ["mu_of", "t_of", "BoundInput", "bound_report"]
+    ENSEMBLE_SIZE_CALL_IDS = ["mu_of", "t_of", "bound_report"]
 
     @pytest.mark.parametrize("a", [2.5, 3.0, math.inf, math.nan, True])
     @pytest.mark.parametrize("call", ENSEMBLE_SIZE_CALLS, ids=ENSEMBLE_SIZE_CALL_IDS)
@@ -383,8 +376,9 @@ class TestHoeffdingGeneric:
             mu = float(rng.uniform(-1.0 / (a - 1), -1e-4))
             t = float(rng.uniform(1e-6, -mu * 0.999))
             n = int(rng.integers(1, 3000))
-            specialized = hoeffding_log10_bound(BoundInput(mu=mu, t=t, a=a, n_runs=n))
-            generic = hoeffding_generic(mu + 1.0, t, (a - 1) * n)
+            report = bound_at(mu, t, a, n)
+            specialized = report.log10_bound
+            generic = hoeffding_generic(report.mu + 1.0, report.t, (a - 1) * n)
             assert abs(specialized - generic) < 1e-12 * max(1.0, abs(specialized))
 
     def test_limit_toward_full_range(self):
@@ -494,6 +488,15 @@ class TestHypothesisErrors:
             f_qm, f_cla, f_crit = means
             with pytest.raises(ValueError, match="must be finite"):
                 HypothesisConfig(f_qm=f_qm, f_cla=f_cla, f_crit=f_crit, sigma=0.3, n_runs=10)
+
+    @pytest.mark.parametrize("value", [-0.25, 1.25])
+    @pytest.mark.parametrize("name", ["f_qm", "f_cla", "f_crit"])
+    def test_means_outside_the_unit_interval_are_refused(self, name, value):
+        means = {"f_qm": 0.9, "f_cla": 0.7, "f_crit": 0.8, name: value}
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 1\], got {value}$"):
+            HypothesisConfig(**means, sigma=0.3, n_runs=10)
+        # the ends of the interval stay admitted
+        HypothesisConfig(f_qm=1.0, f_cla=0.0, f_crit=0.0, sigma=0.3, n_runs=10)
 
     @pytest.mark.parametrize("n_runs", [math.nan, math.inf, 60.5, 60.0, True])
     def test_non_integral_run_count_is_refused(self, n_runs):
