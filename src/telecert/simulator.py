@@ -16,14 +16,18 @@ once per experiment; ``lln_sweep`` draws each point's histogram as one
 multinomial over the laws' convolution (``_pass_count_law``).  Each
 block of trials draws from a Philox stream keyed by (seed, n_runs) at
 the block's counter offset (``stream``), so results depend only on the
-configuration.  The exact oracle convolves the same laws.
+configuration.  The library draws those streams from one generator per
+thread, re-keyed to each block's state (``_thread_stream``), since a
+counter-based generator's whole state is its key and counter and a new
+one costs about as much as a narrow ``lln`` point's draw.  The exact
+oracle convolves the same laws.
 ``_draw_laws`` also checks the run count, at most ``_MAX_RUNS``, and the
 schedule, so every consumer of the laws refuses the same configurations.
-Inversion tables, exact laws and ``lln`` laws depend on no seed, threshold
-or trial count; they are built once per process and the last
-``_KEPT_PRODUCTS`` used are kept (``_kept``), one per law, each at most
-about 35 KiB.  A table or ``lln`` law wider than ``_KEPT_WINDOW`` entries
-is built each time instead.
+Inversion tables, exact laws, ``lln`` laws and each ``lln`` law's per-bin
+deviations depend on no seed, threshold or trial count; they are built
+once per process and the last ``_KEPT_PRODUCTS`` used are kept
+(``_kept``), each at most about 35 KiB.  A table or ``lln`` law wider than
+``_KEPT_WINDOW`` entries, and its deviations, are built each time instead.
 The README's account of the samplers and its Notes on numerics give the
 joint law, the guide table, the window, the costs and the error contracts.
 """
@@ -34,6 +38,7 @@ import bisect
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,10 +83,12 @@ _MAX_TABLE_ENTRIES = 1 << 20
 #: ``_EXACT_MAX_RUNS`` + 1 = 4472 float64 entries, 34.9 KiB; a kept table
 #: has a cdf of at most 512 float64 entries and a guide of at most
 #: 4 * 512 = 2048 intp entries, 4 + 16 = 20 KiB; a kept ``lln`` law has at
-#: most 512 float64 and 512 intp entries, 8 KiB.  So 128 kept products
-#: hold at most 128 * 34.9 KiB, about 4.4 MiB; a wider table or law is
-#: built, used and not kept, since the benchmark's peak memory grows with
-#: its op rate and a wider cap waits for a fixed-size latency reservoir.
+#: most 512 float64 and 512 intp entries, 8 KiB, and its per-bin
+#: deviations three arrays of at most 512 float64 entries, 12 KiB.  So 128
+#: kept products hold at most 128 * 34.9 KiB, about 4.4 MiB; a wider table
+#: or law is built, used and not kept, since the benchmark's peak memory
+#: grows with its op rate and a wider cap waits for a fixed-size latency
+#: reservoir.
 _KEPT_PRODUCTS = 128
 _KEPT_WINDOW = 512
 
@@ -237,19 +244,73 @@ class LlnRow:
 BIT_GENERATOR = "Philox"
 
 
+def _philox_state(seed: int, subkey: int, block: int) -> dict:
+    """The Philox state of the stream at (seed, subkey, block), its buffer empty.
+
+    The one layout of a stream: the 128-bit key is ``seed | subkey << 64``,
+    the 256-bit counter is ``block << 128``, and no buffered word or cached
+    uint32 is left over, so the next draw starts at the counter.  The
+    three numbers lie in [0, 2**64).  The words are in tuples, which the
+    ``bit_generator.state`` setter reads word by word as it reads the
+    arrays its getter returns, and which cost a third as much to build.
+    """
+    return {
+        "bit_generator": BIT_GENERATOR,
+        "state": {"counter": (0, 0, block, 0), "key": (seed, subkey)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _generator() -> np.random.Generator:
+    """A new Generator over a Philox seeded with 0, to be moved to a stream's state.
+
+    A seed skips the operating-system entropy numpy would otherwise draw.
+    """
+    return np.random.Generator(getattr(np.random, BIT_GENERATOR)(0))
+
+
 def stream(seed: int, subkey: int = 0, block: int = 0) -> np.random.Generator:
     """Deterministic Philox stream for (seed, subkey) at a block offset.
 
     Philox's 128-bit key is ``seed | subkey << 64`` and its 256-bit counter
-    starts at ``block << 128``, so streams with different block indices
-    never overlap.  Seed, subkey and block are integers (``TypeError``
-    otherwise), and one outside [0, 2**64) raises ``ValueError`` rather
-    than alias a key in range.
+    starts at ``block << 128`` (``_philox_state``), so streams with
+    different block indices never overlap.  Each call returns a new
+    Generator that the caller owns.  Seed, subkey and block are integers
+    (``TypeError`` otherwise), and one outside [0, 2**64) raises
+    ``ValueError`` rather than alias a key in range.  The library draws
+    through ``_thread_stream``, which gives the same numbers.
     """
     keys = {"seed": seed, "subkey": subkey, "block": block}
-    seed, subkey, block = (_integer(value, name, 0, bits=64) for name, value in keys.items())
-    bits = getattr(np.random, BIT_GENERATOR)(key=seed | subkey << 64, counter=block << 128)
-    return np.random.Generator(bits)
+    state = _philox_state(*(_integer(value, name, 0, bits=64) for name, value in keys.items()))
+    rng = _generator()
+    rng.bit_generator.state = state
+    return rng
+
+
+_THREAD = threading.local()
+
+
+def _thread_stream(seed: int, subkey: int = 0, block: int = 0) -> np.random.Generator:
+    """This thread's one Generator, moved to ``stream(seed, subkey, block)``'s state.
+
+    A counter-based generator's whole state is its key and counter
+    (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11),
+    so re-keying one generator draws exactly the numbers a new stream
+    would, without a new Philox per block or ``lln`` point: building one
+    costs about as much as a narrow point's draw.  The generator is the
+    thread's, so threads never share one; it is valid only until the
+    thread's next call, which re-keys it, so a caller finishes its draws
+    first and never hands it out.  Keys are not checked: the library's
+    keys are in range.
+    """
+    rng = getattr(_THREAD, "rng", None)
+    if rng is None:
+        rng = _THREAD.rng = _generator()
+    rng.bit_generator.state = _philox_state(seed, subkey, block)
+    return rng
 
 
 def _window(m: int, p: float) -> tuple[int, int]:
@@ -381,7 +442,7 @@ def _total_histogram(cfg: SimConfig) -> tuple[int, np.ndarray]:
     width = sum(hi - lo for lo, hi in itertools.starmap(_window, cfg.laws))
     lo, order, pmf = _kept_within_window(width, _sorted_pass_count_law, cfg.laws)
     counts = np.empty(pmf.size, dtype=np.int64)
-    counts[order] = stream(cfg.seed, subkey=cfg.n_runs).multinomial(cfg.n_trials, pmf)
+    counts[order] = _thread_stream(cfg.seed, subkey=cfg.n_runs).multinomial(cfg.n_trials, pmf)
     return lo, counts
 
 
@@ -443,9 +504,20 @@ def run_trial(
     return TrialTally(prepared, outcomes, pass_counts), int(passes[0]) / n_runs
 
 
-def _histogram_weights(lo: int, counts: np.ndarray, n_runs: int):
-    """Fidelity of each bin of a pass-count histogram from ``lo``, and its share of trials."""
-    return (lo + np.arange(counts.size)) / n_runs, counts / counts.sum()
+def _fidelities(lo: int, size: int, n_runs: int) -> np.ndarray:
+    """Fidelity of each of the ``size`` bins of a pass-count histogram from ``lo``."""
+    return (lo + np.arange(size)) / n_runs
+
+
+def _deviations(lo: int, size: int, n_runs: int, f: float):
+    """``_fidelities`` and each bin's absolute and squared deviation from ``f``, frozen.
+
+    These depend on no seed or trial count; ``lln_sweep`` keeps them
+    beside the point's law, under the same window rule.
+    """
+    fidelities = _fidelities(lo, size, n_runs)
+    dev = fidelities - f
+    return frozen(fidelities), frozen(np.abs(dev)), frozen(dev * dev)
 
 
 def min_passes(threshold: float, n_runs: int) -> int:
@@ -487,7 +559,7 @@ def run_experiment(cfg: SimConfig, threshold: float, workers: int = 1) -> SimRep
     passed = np.zeros(q.size, dtype=np.int64)
     lo, counts = None, np.zeros(0, dtype=np.int64)
     for block, first in enumerate(range(0, cfg.n_trials, _MAX_BLOCK_TRIALS)):
-        rng = stream(cfg.seed, subkey=cfg.n_runs, block=block)
+        rng = _thread_stream(cfg.seed, subkey=cfg.n_runs, block=block)
         n = min(_MAX_BLOCK_TRIALS, cfg.n_trials - first)
         block_passes, block_prepared, block_passed = _draw_trials(rng, n, cfg.n_runs, q, tables, priors)
         prepared += block_prepared
@@ -500,11 +572,10 @@ def run_experiment(cfg: SimConfig, threshold: float, workers: int = 1) -> SimRep
         merged[lo - start : lo - start + counts.size] += counts
         lo, counts = start, merged
     # Trial blocks never reach the last block, so the split has its own stream.
-    split_rng = stream(cfg.seed, subkey=cfg.n_runs, block=_U64)
+    split_rng = _thread_stream(cfg.seed, subkey=cfg.n_runs, block=_U64)
     outcomes, pass_counts = _split_outcomes(split_rng, cfg.scenario, prepared, passed)
-    fidelities, weights = _histogram_weights(lo, counts, cfg.n_runs)
     return SimReport(
-        mean_fidelity=float(weights @ fidelities),
+        mean_fidelity=float((counts / cfg.n_trials) @ _fidelities(lo, counts.size, cfg.n_runs)),
         exceedance_count=int(counts[max(s_min - lo, 0) :].sum()),
         threshold=float(threshold),
         n_runs=cfg.n_runs,
@@ -577,7 +648,10 @@ def lln_sweep(
     and reduces it, so its cost and memory grow like sqrt(N), whatever
     ``n_trials`` is.  A law of at most ``_KEPT_WINDOW`` entries (N up to
     600 on trine) is kept for later points of equal laws, whatever their
-    seed or trial count; a wider one is built at each point.  The RMS
+    seed or trial count, and beside it the per-bin fidelities and their
+    absolute and squared deviations from F (``_deviations``), so a kept
+    point costs one draw and three dot products; a wider law and its
+    deviations are built at each point.  The RMS
     column shrinks like 1/sqrt(N), which a log-log fit over a geometric
     ladder exposes as a slope near -1/2.  ``workers`` must be at least 1
     and changes nothing: sampling runs on one thread.
@@ -587,14 +661,17 @@ def lln_sweep(
     f_th = scenario.classical_fidelity
     rows = []
     for cfg in configs:
-        fidelities, weights = _histogram_weights(*_total_histogram(cfg), cfg.n_runs)
-        dev = fidelities - f_th
+        lo, counts = _total_histogram(cfg)
+        # counts.size - 1 is the law's width, so the deviations are kept with the law
+        deviations = _kept_within_window(counts.size - 1, _deviations, lo, counts.size, cfg.n_runs, f_th)
+        fidelities, abs_dev, sq_dev = deviations
+        weights = counts / cfg.n_trials
         rows.append(
             LlnRow(
                 n_runs=cfg.n_runs,
                 mean_fidelity=float(weights @ fidelities),
-                mean_abs_deviation=float(weights @ np.abs(dev)),
-                rms_deviation=float(np.sqrt(weights @ (dev * dev))),
+                mean_abs_deviation=float(weights @ abs_dev),
+                rms_deviation=float(np.sqrt(weights @ sq_dev)),
             )
         )
     return rows

@@ -163,7 +163,10 @@ def bound_report(
             "no quantum advantage is testable"
         )
     if not -1.0 < mu < 0.0:
-        raise ValueError(f"mu must lie in (-1, 0], got {mu!r}")
+        raise ValueError(
+            f"classical fidelity {f_th_cla!r} with a={a} leaves mu = (f - 1)/(a - 1) = {mu!r} "
+            "outside (-1, 0), where the bound is defined"
+        )
     if t <= 0.0:
         raise PreconditionError(
             f"exceedance offset t must be positive, got {t!r}; "

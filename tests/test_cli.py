@@ -510,7 +510,8 @@ class TestExitCodes:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampling started")
 
-        monkeypatch.setattr(simulator, "stream", no_sampling)
+        for entry in ("stream", "_thread_stream"):
+            monkeypatch.setattr(simulator, entry, no_sampling)
         # the ladder's first point is small, so lln must check every point first
         n = "30000000000000000" if verb == "simulate" else "60,30000000000000000"
         got, out, err = run_cli(capsys, [verb, "--scenario", "trine", "--n", n, "--trials", "10"])
@@ -545,7 +546,8 @@ class TestExitCodes:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampling started")
 
-        monkeypatch.setattr(simulator, "stream", no_sampling)
+        for entry in ("stream", "_thread_stream"):
+            monkeypatch.setattr(simulator, entry, no_sampling)
         got, out, err = run_cli(capsys, argv)
         assert got == code
         assert out == ""

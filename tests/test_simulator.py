@@ -220,10 +220,13 @@ RUN_LIMIT = simulator._MAX_RUNS
 
 
 def refuse_streams(monkeypatch):
+    """Fail on any stream, public or the library's own per-thread one."""
+
     def no_stream(*args, **kwargs):
         raise AssertionError("a stream was built")
 
-    monkeypatch.setattr(simulator, "stream", no_stream)
+    for entry in ("stream", "_thread_stream"):
+        monkeypatch.setattr(simulator, entry, no_stream)
 
 
 #: Each refusal of an N above the limit, by its class.
@@ -1129,18 +1132,22 @@ class TestKeptProducts:
             run_experiment(SimConfig(scenario, 60, 100, seed=1, multinomial_preparation=multinomial), 0.8)
         pass_count_distribution(scenario, 600)
         lln_sweep(scenario, [60], 100, seed=1)
-        # tables of (20, q_i) for the two distinct q_i and of (60, F), one exact law, one lln law
-        assert cold_products.cache_info().currsize == 3 + 1 + 1
+        # tables of (20, q_i) for the two distinct q_i and of (60, F), one exact law,
+        # one lln law and its per-bin deviations
+        assert cold_products.cache_info().currsize == 3 + 1 + 2
         built = cold_products.cache_info().misses
         tables = [table for multinomial in (False, True)
                   for table in simulator._tables(simulator._draw_laws(scenario, 60, multinomial))]
         arrays = [part for _, *parts in tables for part in parts]
         arrays.append(pass_count_distribution(scenario, 600))
-        arrays.extend(simulator._kept(simulator._sorted_pass_count_law, SimConfig(scenario, 60, 1, 0).laws)[1:])
+        lo, *law = simulator._kept(simulator._sorted_pass_count_law, SimConfig(scenario, 60, 1, 0).laws)
+        arrays.extend(law)
+        arrays.extend(simulator._kept(simulator._deviations, lo, law[1].size, 60, scenario.classical_fidelity))
         assert cold_products.cache_info().misses == built  # every product was kept
-        # cdf and guide of each table, the exact law, and the lln law's order and pmf
+        # cdf and guide of each table, the exact law, the lln law's order and pmf,
+        # and its bins' fidelities, absolute and squared deviations
         arrays = list({id(array): array for array in arrays}.values())
-        assert len(arrays) == 2 * 3 + 1 + 2
+        assert len(arrays) == 2 * 3 + 1 + 2 + 3
         for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -1223,11 +1230,15 @@ class TestKeptProducts:
         _, cdf, guide = self.table_of_width(simulator._KEPT_WINDOW)
         # the widest kept lln law: trine's multinomial law (2922, F) has 512 entries
         cfg = SimConfig(builtin_scenarios()["trine"], 2922, 1, seed=0, multinomial_preparation=True)
-        simulator._total_histogram(cfg)
-        assert cold_products.cache_info().currsize == 3
+        lo, counts = simulator._total_histogram(cfg)
+        # and the widest kept per-bin deviations, those of that law
+        deviations = simulator._kept_within_window(counts.size - 1, simulator._deviations, lo, counts.size, 2922, 0.75)
+        assert cold_products.cache_info().currsize == 4
         _, order, pmf = simulator._kept(simulator._sorted_pass_count_law, cfg.laws)
         assert pmf.size == simulator._KEPT_WINDOW
-        largest = max(8 * (n_max + 1), law.nbytes, cdf.nbytes + guide.nbytes, order.nbytes + pmf.nbytes)
+        assert sum(array.nbytes for array in deviations) == 3 * 8 * simulator._KEPT_WINDOW == 12 * 1024
+        largest = max(8 * (n_max + 1), law.nbytes, cdf.nbytes + guide.nbytes, order.nbytes + pmf.nbytes,
+                      sum(array.nbytes for array in deviations))
         assert largest <= 35 * 1024
         assert simulator._KEPT_PRODUCTS * largest <= 4.5 * 2**20
 
@@ -1270,12 +1281,28 @@ class TestKeptProducts:
         for n_runs in ladder:
             lln_sweep(scenario, [n_runs], 1000, seed=1)
             kept.append(cold_products.cache_info().currsize)
-        # laws of 61, 127, 208 and 352 entries are kept; those of 592, 865 and 1267 are not
-        assert kept == [1, 2, 3, 4, 4, 4, 4]
-        assert cold_products.cache_info().misses == 4
+        # laws of 61, 127, 208 and 352 entries are kept with their deviations;
+        # those of 592, 865 and 1267 entries are not, nor are their deviations
+        assert kept == [2, 4, 6, 8, 8, 8, 8]
+        assert cold_products.cache_info().misses == 8
         lln_sweep(scenario, ladder, 1000, seed=2)
         info = cold_products.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (4, 4, 4)
+        assert (info.currsize, info.misses, info.hits) == (8, 8, 8)
+
+    def test_kept_deviations_are_the_per_call_arrays(self, cold_products):
+        # each point's row as lln_sweep reduced it before the deviations were kept
+        scenario = builtin_scenarios()["trine"]
+        f = scenario.classical_fidelity
+        for n_runs in (60, 600, 6000):  # the law at 6000 has 1267 entries, too wide to keep
+            lo, counts = simulator._total_histogram(SimConfig(scenario, n_runs, 1000, seed=4))
+            fidelities = (lo + np.arange(counts.size)) / n_runs
+            weights = counts / counts.sum()
+            dev = fidelities - f
+            row = simulator.LlnRow(n_runs, float(weights @ fidelities), float(weights @ np.abs(dev)),
+                                   float(np.sqrt(weights @ (dev * dev))))
+            for _ in ("cold", "warm"):
+                assert lln_sweep(scenario, [n_runs], 1000, seed=4) == [row]
+        assert cold_products.cache_info().currsize == 2 * 2
 
     def test_no_scenario_is_held(self, cold_products):
         scenario = custom_scenario(ensembles.trine(), 0.865)
@@ -1634,3 +1661,76 @@ class TestStreams:
         draws = stream(top, top, top).random(4)
         assert np.array_equal(draws, stream(top, top, top).random(4))
         assert not np.allclose(stream(0).random(8), stream(top).random(8))
+
+
+def mixed_draws(rng):
+    """Draws of each kind the library makes, and uint32s that split a 64-bit word."""
+    return [
+        rng.integers(0, 2**32, 3, dtype=np.uint32).tolist(),
+        [float.hex(u) for u in rng.random(5).tolist()],
+        rng.multinomial(10**6, [0.2, 0.3, 0.5]).tolist(),
+        rng.multinomial([40, 50], [0.25, 0.75]).tolist(),
+    ]
+
+
+class TestThreadStream:
+    """The library's per-thread generator, re-keyed, draws what ``stream`` draws."""
+
+    EDGES = (0, 1, 2**64 - 1)
+
+    @pytest.mark.parametrize("keys", list(itertools.product(EDGES, repeat=3)),
+                             ids=lambda keys: "-".join(map(str, keys)))
+    def test_rekeyed_draws_equal_a_fresh_stream(self, keys):
+        assert mixed_draws(simulator._thread_stream(*keys)) == mixed_draws(stream(*keys))
+
+    @pytest.mark.parametrize("keys", [(0, 0, 0), (2**64 - 1, 1, 2**64 - 1)], ids=["zero", "edges"])
+    def test_rekeying_drops_a_half_used_buffer(self, keys):
+        used = simulator._thread_stream(5, 6, 7)
+        used.integers(0, 2**32, 3, dtype=np.uint32)
+        state = used.bit_generator.state
+        assert (state["buffer_pos"], state["has_uint32"]) == (2, 1)
+        rng = simulator._thread_stream(*keys)
+        assert rng is used  # one generator per thread, re-keyed
+        assert mixed_draws(rng) == mixed_draws(stream(*keys))
+        assert rng.bit_generator.state["state"]["key"].tolist() == list(keys[:2])
+
+    def test_each_thread_has_its_own_generator(self):
+        seen = []
+        thread = threading.Thread(target=lambda: seen.append(simulator._thread_stream(0)))
+        thread.start()
+        thread.join(timeout=60)
+        assert seen and seen[0] is not simulator._thread_stream(0)
+
+    def test_threads_draw_the_serial_results(self):
+        scenario = builtin_scenarios()["trine"]
+        jobs = [
+            lambda: lln_sweep(scenario, [60, 600, 6000], 1000, seed=3),
+            lambda: lln_sweep(scenario, [120, 1200], 10**6, seed=4),
+            # 70000 trials are three blocks of at most 32768, then the outcome split
+            lambda: report_fields(run_experiment(SimConfig(scenario, 60, 70_000, seed=9), 0.8)),
+            lambda: report_fields(run_experiment(SimConfig(scenario, 90, 70_000, 2, True), 0.8)),
+        ]
+        serial = [job() for job in jobs]
+        results = [[] for _ in jobs]
+        errors = []
+
+        def work(job, out):
+            try:
+                for _ in range(5):
+                    out.append(job())
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=pair) for pair in zip(jobs, results)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert results == [[want] * 5 for want in serial]

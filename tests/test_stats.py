@@ -158,9 +158,15 @@ class TestBoundRefusals:
              "n_runs is too large: (a - 1) * n_runs overflows a float"),
             ((1.0, 1.5, 3, 10), PreconditionError,
              "classical strategy is already perfect (fidelity 1); no quantum advantage is testable"),
-            ((0.0, 0.5, 2, 10), ValueError, "mu must lie in (-1, 0], got -1.0"),
+            ((0.0, 0.5, 2, 10), ValueError,
+             "classical fidelity 0.0 with a=2 leaves mu = (f - 1)/(a - 1) = -1.0 "
+             "outside (-1, 0), where the bound is defined"),
+            ((-1e-9, 0.5, 2, 10), ValueError,
+             "classical fidelity -1e-09 with a=2 leaves mu = (f - 1)/(a - 1) = -1.000000001 "
+             "outside (-1, 0), where the bound is defined"),
             ((1.0 + 1e-9, 1.5, 3, 10), ValueError,
-             "mu must lie in (-1, 0], got 5.000000413701855e-10"),
+             "classical fidelity 1.000000001 with a=3 leaves mu = (f - 1)/(a - 1) = 5.000000413701855e-10 "
+             "outside (-1, 0), where the bound is defined"),
             ((0.0, 5e-324, 3, 10), PreconditionError,
              "exceedance offset t must be positive, got 0.0; for t <= 0 the bound is trivially 1"),
             ((0.75, 1.0, 3, 10), PreconditionError,
@@ -171,7 +177,7 @@ class TestBoundRefusals:
              "the implied target fidelity reaches or exceeds 1"),
         ],
         ids=["n_runs", "n_runs-too-long-to-print", "(a-1)N-beyond-float", "already-perfect",
-             "mu-at-minus-one", "mu-above-zero", "t-underflows", "t-at-validity-edge",
+             "mu-at-minus-one", "mu-below-minus-one", "mu-above-zero", "t-underflows", "t-at-validity-edge",
              "t-beyond-validity-edge"],
     )
     def test_each_refusal_has_its_class_and_message(self, args, error, message):
@@ -188,7 +194,7 @@ class TestBoundRefusals:
         # mu_of admits [-1e-9, 1 + 1e-9]; above 1, mu is positive
         report = bound_report(-1e-9, 0.5, a, 10)
         assert -math.inf < report.log10_bound <= 0.0
-        with pytest.raises(ValueError, match="mu must lie in"):
+        with pytest.raises(ValueError, match=rf"^classical fidelity 1.000000001 with a={a} leaves mu "):
             bound_report(1.0 + 1e-9, 1.5, a, 10)
 
 
