@@ -9,12 +9,14 @@ Runs are never sampled one by one.  A trial's pass count is a sum of
 independent Binomial draws whose (m, p) one list gives, in draw order:
 ``_draw_laws``, (N/a, q_i) per state under the fixed schedule and (N, F)
 under multinomial preparation.  ``SimConfig`` derives them once
-(``laws``) and checks each law's window; ``run_experiment`` and
-``run_trial`` draw one column per law from its inversion table
-(``_tables``, ``_invert``) and the outcome tallies, summed over trials,
-once per experiment; ``lln_sweep`` draws each point's histogram as one
-multinomial over the laws' convolution (``_pass_count_law``).  Each
-block of trials draws from a Philox stream keyed by (seed, n_runs) at
+(``laws``), checks each law's window and sums their widths (``width``).
+Each law has one table, its window start, pmf, cdf and guide
+(``_law_table``), read by both samplers: ``run_experiment`` and
+``run_trial`` invert its cdf for one column per law (``_tables``,
+``_invert``) and draw the outcome tallies, summed over trials, once per
+experiment; ``lln_sweep`` draws each point's histogram as one
+multinomial over the convolution of the laws' pmfs (``_pass_count_law``).
+Each block of trials draws from a Philox stream keyed by (seed, n_runs) at
 the block's counter offset (``stream``), so results depend only on the
 configuration.  The library draws those streams from one generator per
 thread, re-keyed to each block's state (``_thread_stream``), since a
@@ -23,11 +25,12 @@ one costs about as much as a narrow ``lln`` point's draw.  The exact
 oracle convolves the same laws.
 ``_draw_laws`` also checks the run count, at most ``_MAX_RUNS``, and the
 schedule, so every consumer of the laws refuses the same configurations.
-Inversion tables, exact laws, ``lln`` laws and each ``lln`` law's per-bin
+Law tables, exact laws, ``lln`` laws and each ``lln`` law's per-bin
 deviations depend on no seed, threshold or trial count; they are built
 once per process and the last ``_KEPT_PRODUCTS`` used are kept
 (``_kept``), each at most about 35 KiB.  A table or ``lln`` law wider than
-``_KEPT_WINDOW`` entries, and its deviations, are built each time instead.
+``_KEPT_WINDOW`` entries, and its deviations, are built each time instead;
+a wide ``lln`` law is convolved from kept tables when theirs are narrow.
 The README's account of the samplers and its Notes on numerics give the
 joint law, the guide table, the window, the costs and the error contracts.
 """
@@ -38,6 +41,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 import threading
 from dataclasses import dataclass
 
@@ -78,12 +82,12 @@ _WINDOW = math.sqrt(32.0 * math.log(2.0))
 #: near 1.2e10 runs per law and a table's arrays near 8 MiB each.
 _MAX_TABLE_ENTRIES = 1 << 20
 
-#: Products ``_kept`` holds at most, and the widest window whose inversion
+#: Products ``_kept`` holds at most, and the widest window whose law
 #: table or ``lln`` law it keeps.  An exact law has at most
 #: ``_EXACT_MAX_RUNS`` + 1 = 4472 float64 entries, 34.9 KiB; a kept table
-#: has a cdf of at most 512 float64 entries and a guide of at most
-#: 4 * 512 = 2048 intp entries, 4 + 16 = 20 KiB; a kept ``lln`` law has at
-#: most 512 float64 and 512 intp entries, 8 KiB, and its per-bin
+#: has a pmf and a cdf of at most 512 float64 entries each and a guide of
+#: at most 4 * 512 = 2048 intp entries, 4 + 4 + 16 = 24 KiB; a kept ``lln``
+#: law has at most 512 float64 and 512 intp entries, 8 KiB, and its per-bin
 #: deviations three arrays of at most 512 float64 entries, 12 KiB.  So 128
 #: kept products hold at most 128 * 34.9 KiB, about 4.4 MiB; a wider table
 #: or law is built, used and not kept, since the benchmark's peak memory
@@ -157,6 +161,8 @@ class SimConfig:
     ``n_trials`` and ``seed`` are integers (``TypeError`` otherwise) and
     are stored as ``int``; ``n_runs < 1``, ``n_trials`` outside
     [1, 2**63) and ``seed`` outside [0, 2**64) raise ``ValueError``.
+    ``width``, the last index less the first of the trial's pass-count
+    window (the sum of its laws' windows), is derived with that check.
     """
 
     scenario: Scenario
@@ -168,8 +174,8 @@ class SimConfig:
     def __post_init__(self):
         for name, low, bits in (("n_runs", 1, None), ("n_trials", 1, 63), ("seed", 0, 64)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, low, bits))
-        for law in dict.fromkeys(self.laws):
-            _window(*law)
+        windows = {law: _window(*law) for law in dict.fromkeys(self.laws)}
+        object.__setattr__(self, "width", sum(hi - lo for lo, hi in map(windows.get, self.laws)))
 
     @functools.cached_property
     def laws(self) -> tuple:
@@ -336,59 +342,64 @@ def _window(m: int, p: float) -> tuple[int, int]:
     return lo, hi
 
 
-def _binomial_table(m: int, p: float) -> tuple[int, np.ndarray]:
-    """Window start and unnormalized weights of the Binomial(m, p) pmf.
+def _binomial_table(m: int, p: float):
+    """Window start, pmf, cdf and guide table of Binomial(m, p), built afresh and frozen.
 
-    The window is ``_window(m, p)``; the weights peak at 1.
+    The window is ``_window(m, p)``; the pmf is the weights (peak 1) over
+    their sum, the cdf their cumulative sum over its last entry.  The guide
+    has the power of two at or above max(64, 4 min(K, ``_MAX_BLOCK_TRIALS``))
+    buckets for K entries (README, Notes on numerics).  A certain outcome
+    has the pmf [1.0] and no cdf or guide.
     """
     lo, hi = _window(m, p)
     if lo == hi:
-        return lo, np.ones(1)
+        return lo, frozen(np.ones(1)), None, None
+    # built in place, each array frozen once final, so a wide table peaks near
+    # four arrays' worth (2.3 MiB an array at N = 3e9 on trine)
     k = np.arange(lo + 1, hi + 1)
-    steps = np.log((m - k + 1) / k) + (math.log(p) - math.log1p(-p))
-    log_pmf = np.concatenate(([0.0], np.cumsum(steps)))
-    return lo, np.exp(log_pmf - log_pmf.max())
-
-
-def _inversion_table(m: int, p: float):
-    """Window start, normalized cdf and guide table of Binomial(m, p).
-
-    A certain outcome has no cdf and no guide.  The guide has the power of
-    two at or above max(64, 4 min(K, ``_MAX_BLOCK_TRIALS``)) buckets for a
-    window of K entries; the README's Notes on numerics define it.  The
-    window is checked before anything is looked up or built; a table whose
-    window has at most ``_KEPT_WINDOW`` entries is kept by ``_kept``, keyed
-    by (m, p), and a wider one is built each time.  Its arrays are frozen.
-    """
-    lo, hi = _window(m, p)
-    if lo == hi:
-        return lo, None, None
-    return _kept_within_window(hi - lo, _build_inversion_table, m, p)
-
-
-def _build_inversion_table(m: int, p: float):
-    """``_inversion_table`` of Binomial(m, p), built afresh."""
-    lo, weights = _binomial_table(m, p)
-    g = 1 << (max(64, 4 * min(weights.size, _MAX_BLOCK_TRIALS)) - 1).bit_length()
+    weights = np.zeros(k.size + 1)  # the log pmf, then the weights
+    np.cumsum(np.log((m - k + 1) / k) + (math.log(p) - math.log1p(-p)), out=weights[1:])
+    del k
+    weights -= weights.max()
+    np.exp(weights, out=weights)
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
-    return lo, frozen(cdf), frozen(np.searchsorted(cdf, np.arange(g) / g, side="right"))
+    cdf = frozen(cdf)
+    g = 1 << (max(64, 4 * min(cdf.size, _MAX_BLOCK_TRIALS)) - 1).bit_length()
+    guide = frozen(np.searchsorted(cdf, np.arange(g) / g, side="right"))
+    weights /= weights.sum()
+    return lo, frozen(weights), cdf, guide
+
+
+def _law_table(m: int, p: float):
+    """The one ``_binomial_table`` of Binomial(m, p) that both samplers read.
+
+    The window is checked before anything is looked up or built; a table
+    whose window has at most ``_KEPT_WINDOW`` entries is kept by ``_kept``,
+    keyed by (m, p), and a wider one is built each time.
+    """
+    lo, hi = _window(m, p)
+    return _kept_within_window(hi - lo, _binomial_table, m, p)
 
 
 def _tables(laws: tuple) -> list:
-    """One ``_inversion_table`` per distinct law of ``laws``, listed in draw order."""
-    tables = {law: _inversion_table(*law) for law in dict.fromkeys(laws)}
+    """Window start, cdf and guide of each distinct law's ``_law_table``, in draw order.
+
+    Leaving the pmf out frees an unkept table's before the next is built.
+    """
+    inverted = operator.itemgetter(0, 2, 3)
+    tables = {law: inverted(_law_table(*law)) for law in dict.fromkeys(laws)}
     return [tables[law] for law in laws]
 
 
 def _invert(rng, table, size: int) -> np.ndarray:
-    """``size`` draws from an ``_inversion_table``, one uniform each.
+    """``size`` draws from a ``_law_table`` or a ``_tables`` entry, one uniform each.
 
     Each draw is ``lo + searchsorted(cdf, u, 'right')`` for its uniform u,
     reached through the guide (README, Notes on numerics, says why the two
     agree); a certain outcome consumes no uniforms.
     """
-    lo, cdf, guide = table
+    lo, *_, cdf, guide = table
     if cdf is None:
         return np.full(size, lo, dtype=np.int64)
     u = rng.random(size)
@@ -406,13 +417,13 @@ def _pass_count_law(laws: tuple) -> tuple[int, np.ndarray]:
     entry lies within 1e-14 of the exact law; the README's Notes on
     numerics give the FFT convolution, its memory and its error.
     """
-    tables = {law: _binomial_table(*law) for law in dict.fromkeys(laws)}
+    # window starts and pmfs only: an unkept table's cdf and guide are freed here
+    tables = {law: _law_table(*law)[:2] for law in dict.fromkeys(laws)}
     size = sum(tables[law][1].size for law in laws) - len(laws) + 1
     n_fft = 1 << (size - 1).bit_length()
     spectrum = np.ones(n_fft // 2 + 1, dtype=complex)
     for law, run in itertools.groupby(laws):
-        weights = tables[law][1]
-        factor = np.fft.rfft(weights / weights.sum(), n_fft)
+        factor = np.fft.rfft(tables[law][1], n_fft)
         for _ in run:
             spectrum *= factor
         del factor  # released before the next one or the inverse FFT is allocated
@@ -433,14 +444,12 @@ def _total_histogram(cfg: SimConfig) -> tuple[int, np.ndarray]:
     The histogram is one multinomial over ``_pass_count_law`` of the
     configuration's laws, its entries in stable ascending order, drawn from
     the (seed, n_runs) stream; the README's Notes on numerics say why it
-    replaces the trials' draws.  The law's width is taken from the laws'
-    windows first, as ``_inversion_table`` does: a law of at most
-    ``_KEPT_WINDOW`` entries is kept by ``_kept``, keyed by the laws, and a
-    wider one is built each time.  The law depends on no seed or trial
-    count, so a kept one changes no draw.
+    replaces the trials' draws.  The law's width is ``cfg.width``: a law of
+    at most ``_KEPT_WINDOW`` entries is kept by ``_kept``, keyed by the
+    laws, and a wider one is built each time.  The law depends on no seed
+    or trial count, so a kept one changes no draw.
     """
-    width = sum(hi - lo for lo, hi in itertools.starmap(_window, cfg.laws))
-    lo, order, pmf = _kept_within_window(width, _sorted_pass_count_law, cfg.laws)
+    lo, order, pmf = _kept_within_window(cfg.width, _sorted_pass_count_law, cfg.laws)
     counts = np.empty(pmf.size, dtype=np.int64)
     counts[order] = _thread_stream(cfg.seed, subkey=cfg.n_runs).multinomial(cfg.n_trials, pmf)
     return lo, counts

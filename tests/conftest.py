@@ -5,9 +5,11 @@ from telecert import simulator
 
 @pytest.fixture
 def cold_products():
-    """The cache of kept inversion tables and exact laws, empty for one test.
+    """The cache of kept products, empty for one test.
 
-    A test that needs a table or a law to be built, not found, starts cold
+    The products are the Binomial law tables, the exact and ``lln``
+    pass-count laws and each kept ``lln`` law's per-bin deviations.  A
+    test that needs one of them to be built, not found, starts cold
     whatever ran before it in the process, and leaves nothing behind.
     """
     simulator._kept.cache_clear()

@@ -315,10 +315,8 @@ def binomial_pmf(m, p):
 
 
 def searchsorted_reference(m, p, u):
-    """Binomial(m, p) draws for the uniforms ``u`` by the plain cdf search."""
-    lo, weights = simulator._binomial_table(m, p)
-    cdf = np.cumsum(weights)
-    cdf /= cdf[-1]
+    """Binomial(m, p) draws for the uniforms ``u`` by the plain search of a fresh table's cdf."""
+    lo, _, cdf, _ = simulator._binomial_table(m, p)
     return lo + np.searchsorted(cdf, u, side="right")
 
 
@@ -346,7 +344,7 @@ class TestBinomialKernel:
     @pytest.mark.parametrize("p", [1e-3, 0.02, 0.3, 0.5, 0.75, 0.7499999999999999, 0.999])
     def test_matches_exact_pmf(self, m, p):
         size = 200_000
-        draws = simulator._invert(stream(m, int(p * 1e6)), simulator._inversion_table(m, p), size)
+        draws = simulator._invert(stream(m, int(p * 1e6)), simulator._law_table(m, p), size)
         assert draws.shape == (size,)
         assert draws.min() >= 0 and draws.max() <= m
         pmf = binomial_pmf(m, p)
@@ -362,8 +360,8 @@ class TestBinomialKernel:
     @pytest.mark.parametrize("m", [1, 7, 2000])
     def test_certain_outcomes_are_constant(self, m):
         rng = stream(0)
-        assert np.array_equal(simulator._invert(rng, simulator._inversion_table(m, 0.0), 5), np.zeros(5))
-        assert np.array_equal(simulator._invert(rng, simulator._inversion_table(m, 1.0), 5), np.full(5, m))
+        assert np.array_equal(simulator._invert(rng, simulator._law_table(m, 0.0), 5), np.zeros(5))
+        assert np.array_equal(simulator._invert(rng, simulator._law_table(m, 1.0), 5), np.full(5, m))
 
     @pytest.mark.parametrize("block", [1, 7, 32768])
     @pytest.mark.parametrize(
@@ -375,7 +373,7 @@ class TestBinomialKernel:
         # uniforms exactly at every bucket edge j/g and every cdf entry, one
         # ulp below each, the extremes of [0, 1), and random ones, drawn in
         # calls of ``block`` uniforms each
-        lo, cdf, guide = simulator._inversion_table(m, p)
+        lo, _, cdf, guide = simulator._law_table(m, p)
         g = guide.size
         rng = np.random.default_rng(m + block)
         edges = np.arange(g) / g
@@ -388,7 +386,7 @@ class TestBinomialKernel:
         chosen = np.concatenate((chosen, rng.random(calls * block - chosen.size)))
         stub = ChosenUniforms(chosen)
         got = np.concatenate(
-            [simulator._invert(stub, simulator._inversion_table(m, p), block) for _ in range(calls)]
+            [simulator._invert(stub, simulator._law_table(m, p), block) for _ in range(calls)]
         )
         assert stub.taken == chosen.size
         assert np.array_equal(got, searchsorted_reference(m, p, chosen))
@@ -396,15 +394,15 @@ class TestBinomialKernel:
 
     def test_tied_cdf_entries_are_covered(self):
         # underflowed weights leave runs of equal cdf entries at the top
-        _, cdf, _ = simulator._inversion_table(2000, 1e-3)
+        _, _, cdf, _ = simulator._law_table(2000, 1e-3)
         assert np.count_nonzero(np.diff(cdf) == 0.0) > 10
 
     @pytest.mark.parametrize("m", [1, 4, 20, 2000, 10**6, 10**9])
     @pytest.mark.parametrize("draws", [1, 7, 100, 32768, 10**6])
     def test_guide_stays_within_its_bound(self, m, draws):
         # the guide follows the window alone, whatever number of draws it serves
-        table = simulator._inversion_table(m, 0.3)
-        lo, cdf, guide = table
+        table = simulator._law_table(m, 0.3)
+        lo, _, cdf, guide = table
         assert guide.size & (guide.size - 1) == 0
         assert 4 * min(cdf.size, simulator._MAX_BLOCK_TRIALS) <= guide.size <= guide_bound(cdf.size)
         assert guide.size >= 64
@@ -519,7 +517,7 @@ class TestRunExperiment:
             rng = stream(15, subkey=n_runs, block=block)
             # one Binomial column per state, in state order
             passes = sum(
-                simulator._invert(rng, simulator._inversion_table(n_runs // 3, qi), n) for qi in q.tolist()
+                simulator._invert(rng, simulator._law_table(n_runs // 3, qi), n) for qi in q.tolist()
             )
             expected += np.bincount(passes, minlength=n_runs + 1)
             exceeding += np.count_nonzero(passes / n_runs >= threshold)
@@ -1136,18 +1134,18 @@ class TestKeptProducts:
         # one lln law and its per-bin deviations
         assert cold_products.cache_info().currsize == 3 + 1 + 2
         built = cold_products.cache_info().misses
-        tables = [table for multinomial in (False, True)
-                  for table in simulator._tables(simulator._draw_laws(scenario, 60, multinomial))]
+        tables = [simulator._law_table(*law) for multinomial in (False, True)
+                  for law in simulator._draw_laws(scenario, 60, multinomial)]
         arrays = [part for _, *parts in tables for part in parts]
         arrays.append(pass_count_distribution(scenario, 600))
         lo, *law = simulator._kept(simulator._sorted_pass_count_law, SimConfig(scenario, 60, 1, 0).laws)
         arrays.extend(law)
         arrays.extend(simulator._kept(simulator._deviations, lo, law[1].size, 60, scenario.classical_fidelity))
         assert cold_products.cache_info().misses == built  # every product was kept
-        # cdf and guide of each table, the exact law, the lln law's order and pmf,
-        # and its bins' fidelities, absolute and squared deviations
+        # pmf, cdf and guide of each table, the exact law, the lln law's order
+        # and pmf, and its bins' fidelities, absolute and squared deviations
         arrays = list({id(array): array for array in arrays}.values())
-        assert len(arrays) == 2 * 3 + 1 + 2 + 3
+        assert len(arrays) == 3 * 3 + 1 + 2 + 3
         for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -1178,7 +1176,7 @@ class TestKeptProducts:
                 pass_count_distribution(scenario, 600)
             # an oversized table is refused before it is looked up or built
             with pytest.raises(PreconditionError, match="too large"):
-                simulator._inversion_table(10**16, 0.75)
+                simulator._law_table(10**16, 0.75)
             assert cold_products.cache_info().currsize == 0
         assert report_fields(run_experiment(cfg, 0.8))["n_runs"] == 600
         assert pass_count_distribution(scenario, 600).sum() == pytest.approx(1.0)
@@ -1202,43 +1200,48 @@ class TestKeptProducts:
             return hi - lo + 1
 
         m = next(m for m in itertools.count(1) if width(m) == entries)
-        return simulator._inversion_table(m, 0.5)
+        return simulator._law_table(m, 0.5)
 
     def test_a_table_past_the_window_cap_is_used_not_kept(self, cold_products):
         widest = self.table_of_width(simulator._KEPT_WINDOW)
         assert cold_products.cache_info().currsize == 1
         wider = self.table_of_width(simulator._KEPT_WINDOW + 1)
-        assert wider[1].size == widest[1].size + 1
+        _, pmf, cdf, _ = widest
+        assert pmf.size == cdf.size == simulator._KEPT_WINDOW
+        assert wider[1].size == wider[2].size == simulator._KEPT_WINDOW + 1
         assert cold_products.cache_info().currsize == 1
         assert self.table_of_width(simulator._KEPT_WINDOW + 1) is not wider
         assert self.table_of_width(simulator._KEPT_WINDOW) is widest  # and it evicted nothing
 
     def test_an_lln_law_past_the_window_cap_is_used_not_kept(self, cold_products):
-        # trine's multinomial laws (2922, F) and (2940, F) have 512 and 513 entries
+        # trine's multinomial laws (2922, F) and (2940, F) have 512 and 513 entries;
+        # the narrow one keeps its table and its lln law, the wide one neither
         scenario = builtin_scenarios()["trine"]
-        for n_runs, entries, kept in ((2922, 512, 1), (2940, 513, 1), (2940, 513, 1), (2922, 512, 1)):
+        for n_runs, entries, kept in ((2922, 512, 2), (2940, 513, 2), (2940, 513, 2), (2922, 512, 2)):
             cfg = SimConfig(scenario, n_runs, 10, seed=1, multinomial_preparation=True)
             _, counts = simulator._total_histogram(cfg)
             assert counts.size == entries
             assert cold_products.cache_info().currsize == kept
-        assert cold_products.cache_info().misses == 1
+        assert cold_products.cache_info().misses == 2
 
     def test_kept_products_fit_in_about_4_5_mib(self, cold_products):
         # the largest exact law is that of the largest N the oracle enumerates
         n_max = simulator._EXACT_MAX_RUNS
         law = pass_count_distribution(builtin_scenarios()["helstrom"], n_max - n_max % 2)
-        _, cdf, guide = self.table_of_width(simulator._KEPT_WINDOW)
+        table = self.table_of_width(simulator._KEPT_WINDOW)[1:]
+        assert sum(array.nbytes for array in table) == 8 * (simulator._KEPT_WINDOW * 2 + 2048) == 24 * 1024
         # the widest kept lln law: trine's multinomial law (2922, F) has 512 entries
         cfg = SimConfig(builtin_scenarios()["trine"], 2922, 1, seed=0, multinomial_preparation=True)
         lo, counts = simulator._total_histogram(cfg)
         # and the widest kept per-bin deviations, those of that law
         deviations = simulator._kept_within_window(counts.size - 1, simulator._deviations, lo, counts.size, 2922, 0.75)
-        assert cold_products.cache_info().currsize == 4
+        # the exact law, both tables, the lln law and its deviations
+        assert cold_products.cache_info().currsize == 5
         _, order, pmf = simulator._kept(simulator._sorted_pass_count_law, cfg.laws)
         assert pmf.size == simulator._KEPT_WINDOW
         assert sum(array.nbytes for array in deviations) == 3 * 8 * simulator._KEPT_WINDOW == 12 * 1024
-        largest = max(8 * (n_max + 1), law.nbytes, cdf.nbytes + guide.nbytes, order.nbytes + pmf.nbytes,
-                      sum(array.nbytes for array in deviations))
+        largest = max(8 * (n_max + 1), law.nbytes, sum(array.nbytes for array in table),
+                      order.nbytes + pmf.nbytes, sum(array.nbytes for array in deviations))
         assert largest <= 35 * 1024
         assert simulator._KEPT_PRODUCTS * largest <= 4.5 * 2**20
 
@@ -1248,7 +1251,7 @@ class TestKeptProducts:
         def work(offset):
             try:
                 for m in range(20 + offset, 600, 3):
-                    simulator._inversion_table(m, 0.3)
+                    simulator._law_table(m, 0.3)
             except BaseException as exc:
                 errors.append(exc)
 
@@ -1281,13 +1284,16 @@ class TestKeptProducts:
         for n_runs in ladder:
             lln_sweep(scenario, [n_runs], 1000, seed=1)
             kept.append(cold_products.cache_info().currsize)
-        # laws of 61, 127, 208 and 352 entries are kept with their deviations;
-        # those of 592, 865 and 1267 entries are not, nor are their deviations
-        assert kept == [2, 4, 6, 8, 8, 8, 8]
-        assert cold_products.cache_info().misses == 8
+        # every point keeps the tables of its two distinct laws (N/3, q_i), of
+        # 21 to 423 entries; the lln laws of 61, 127, 208 and 352 entries are
+        # kept with their deviations, those of 592, 865 and 1267 entries are
+        # not, nor are their deviations
+        assert kept == [4, 8, 12, 16, 18, 20, 22]
+        assert cold_products.cache_info().misses == 22
         lln_sweep(scenario, ladder, 1000, seed=2)
+        # a narrow point reads its law and deviations, a wide one its two tables
         info = cold_products.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (8, 8, 8)
+        assert (info.currsize, info.misses, info.hits) == (22, 22, 4 * 2 + 3 * 2)
 
     def test_kept_deviations_are_the_per_call_arrays(self, cold_products):
         # each point's row as lln_sweep reduced it before the deviations were kept
@@ -1302,7 +1308,65 @@ class TestKeptProducts:
                                    float(np.sqrt(weights @ (dev * dev))))
             for _ in ("cold", "warm"):
                 assert lln_sweep(scenario, [n_runs], 1000, seed=4) == [row]
-        assert cold_products.cache_info().currsize == 2 * 2
+        # every N keeps its two tables; 60 and 600 also their laws and deviations
+        assert cold_products.cache_info().currsize == 3 * 2 + 2 * 2
+
+    def test_wide_points_read_kept_tables(self, cold_products, monkeypatch):
+        # the lln laws of these points have 592 to 1267 entries, too wide to keep;
+        # the tables of their laws (N/3, q_i) have 198 to 423
+        scenario = builtin_scenarios()["trine"]
+        built = []
+        binomial_table = simulator._binomial_table
+
+        def counted(m, p):
+            built.append((m, p))
+            return binomial_table(m, p)
+
+        monkeypatch.setattr(simulator, "_binomial_table", counted)
+        ladder = [1293, 2787, 6000]
+        lln_sweep(scenario, ladder, 1000, seed=1)
+        assert len(built) == 2 * len(ladder)  # two distinct q_i per point
+        built.clear()
+        lln_sweep(scenario, ladder, 1000, seed=2)
+        assert built == []
+
+    def test_both_samplers_share_one_table_per_law(self, cold_products, monkeypatch):
+        scenario = builtin_scenarios()["trine"]
+        read = {}
+        law_table = simulator._law_table
+
+        def spy(m, p):
+            read[m, p] = law_table(m, p)
+            return read[m, p]
+
+        monkeypatch.setattr(simulator, "_law_table", spy)
+        run_experiment(SimConfig(scenario, 1293, 1000, seed=1), 0.8)
+        drawn, read = read, {}
+        lln_sweep(scenario, [1293], 1000, seed=1)
+        assert read.keys() == drawn.keys() and len(read) == 2
+        assert all(read[law] is drawn[law] for law in read)
+
+    def test_a_configuration_reads_each_window_once(self, cold_products, monkeypatch):
+        scenario = builtin_scenarios()["trine"]
+        ladder = [60, 600, 6000]
+        lln_sweep(scenario, ladder, 1000, seed=1)
+        calls = []
+        window = simulator._window
+
+        def counted(m, p):
+            calls.append((m, p))
+            return window(m, p)
+
+        monkeypatch.setattr(simulator, "_window", counted)
+        for n_runs in ladder:
+            calls.clear()
+            cfg = SimConfig(scenario, n_runs, 1000, seed=2)
+            distinct = list(dict.fromkeys(cfg.laws))
+            assert calls == distinct  # the configuration check, one per distinct law
+            lo, counts = simulator._total_histogram(cfg)
+            # a kept law reads no window again; the wide one reads its tables' windows
+            assert calls == distinct * (1 if n_runs < 6000 else 2)
+            assert cfg.width == counts.size - 1
 
     def test_no_scenario_is_held(self, cold_products):
         scenario = custom_scenario(ensembles.trine(), 0.865)
