@@ -238,7 +238,7 @@ def load_ensemble(document) -> Ensemble:
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise EnsembleFormatError(f"document is not valid JSON: {exc}") from exc
         except RecursionError as exc:
             raise EnsembleFormatError(f"document nests too deeply: {exc}") from exc

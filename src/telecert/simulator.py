@@ -8,10 +8,10 @@ the fraction of runs that pass verification.
 Runs are never sampled one by one.  A trial's pass count is a sum of
 independent Binomial draws whose (m, p) one list gives, in draw order:
 ``_draw_laws``, (N/a, q_i) per state under the fixed schedule and (N, F)
-under multinomial preparation.  ``SimConfig`` derives them once
-(``laws``), checks each law's window and sums their widths (``width``).
-Each law has one table, its window start, pmf, cdf and guide
-(``_law_table``), read by both samplers: ``run_experiment`` and
+under multinomial preparation.  ``SimConfig`` derives them once and
+places them (``laws``): ``_placed`` gives each distinct law its window,
+once, as (m, p, lo, hi).  Each law has one table, its window start, pmf,
+cdf and guide (``_law_table``), read by both samplers: ``run_experiment`` and
 ``run_trial`` invert its cdf for one column per law (``_tables``,
 ``_invert``) and draw the outcome tallies, summed over trials, once per
 experiment; ``lln_sweep`` draws each point's histogram as one
@@ -22,13 +22,14 @@ configuration.  The library draws those streams from one generator per
 thread, re-keyed to each block's state (``_thread_stream``), since a
 counter-based generator's whole state is its key and counter and a new
 one costs about as much as a narrow ``lln`` point's draw.  The exact
-oracle convolves the same laws.
+oracle convolves the same laws, unplaced.
 ``_draw_laws`` also checks the run count, at most ``_MAX_RUNS``, and the
 schedule, so every consumer of the laws refuses the same configurations.
 Law tables, exact laws, ``lln`` laws and each ``lln`` law's per-bin
 deviations depend on no seed, threshold or trial count; they are built
 once per process and the last ``_KEPT_PRODUCTS`` used are kept
-(``_kept``), each at most about 35 KiB.  A table or ``lln`` law wider than
+(``_kept``), each at most about 35 KiB, a sampling product keyed by its
+placed laws (``_kept_placed``).  A table or ``lln`` law wider than
 ``_KEPT_WINDOW`` entries, and its deviations, are built each time instead;
 a wide ``lln`` law is convolved from kept tables when theirs are narrow.
 The README's account of the samplers and its Notes on numerics give the
@@ -82,17 +83,17 @@ _WINDOW = math.sqrt(32.0 * math.log(2.0))
 #: near 1.2e10 runs per law and a table's arrays near 8 MiB each.
 _MAX_TABLE_ENTRIES = 1 << 20
 
-#: Products ``_kept`` holds at most, and the widest window whose law
-#: table or ``lln`` law it keeps.  An exact law has at most
-#: ``_EXACT_MAX_RUNS`` + 1 = 4472 float64 entries, 34.9 KiB; a kept table
-#: has a pmf and a cdf of at most 512 float64 entries each and a guide of
-#: at most 4 * 512 = 2048 intp entries, 4 + 4 + 16 = 24 KiB; a kept ``lln``
-#: law has at most 512 float64 and 512 intp entries, 8 KiB, and its per-bin
-#: deviations three arrays of at most 512 float64 entries, 12 KiB.  So 128
-#: kept products hold at most 128 * 34.9 KiB, about 4.4 MiB; a wider table
-#: or law is built, used and not kept, since the benchmark's peak memory
-#: grows with its op rate and a wider cap waits for a fixed-size latency
-#: reservoir.
+#: Products ``_kept`` holds at most, and the widest window (summed over the
+#: placed laws that key it) of a law table or ``lln`` law it keeps.  An
+#: exact law has at most ``_EXACT_MAX_RUNS`` + 1 = 4472 float64 entries,
+#: 34.9 KiB; a kept table has a pmf and a cdf of at most 512 float64
+#: entries each and a guide of at most 4 * 512 = 2048 intp entries,
+#: 4 + 4 + 16 = 24 KiB; a kept ``lln`` law has at most 512 float64 and 512
+#: intp entries, 8 KiB, and its per-bin deviations three arrays of at most
+#: 512 float64 entries, 12 KiB.  So 128 kept products hold at most
+#: 128 * 34.9 KiB, about 4.4 MiB; a wider table or law is built, used and
+#: not kept, since the benchmark's peak memory grows with its op rate and a
+#: wider cap waits for a fixed-size latency reservoir.
 _KEPT_PRODUCTS = 128
 _KEPT_WINDOW = 512
 
@@ -108,14 +109,15 @@ def _kept(build, *args):
     return build(*args)
 
 
-def _kept_within_window(width: int, build, *args):
-    """``build(*args)``, kept by ``_kept`` when ``width`` is below ``_KEPT_WINDOW``.
+def _kept_placed(build, laws: tuple, *args):
+    """``build(laws, *args)``, kept by ``_kept`` unless its placed ``laws`` are too wide.
 
-    ``width`` is the product's window, its last index less its first, so a
-    kept product spans at most ``_KEPT_WINDOW`` entries; a wider one is
-    built, used and not kept.
+    A product's last index less its first is the sum of its laws' hi - lo,
+    so a kept one, keyed by its laws, spans at most ``_KEPT_WINDOW``
+    entries; a wider one is built, used and not kept.
     """
-    return build(*args) if width >= _KEPT_WINDOW else _kept(build, *args)
+    width = sum(hi - lo for _, _, lo, hi in laws)
+    return build(laws, *args) if width >= _KEPT_WINDOW else _kept(build, laws, *args)
 
 
 def _draw_laws(scenario: Scenario, n_runs: int, multinomial: bool) -> tuple:
@@ -147,6 +149,12 @@ def _draw_laws(scenario: Scenario, n_runs: int, multinomial: bool) -> tuple:
     return tuple((n_runs // a, qi) for qi in scenario.pass_probabilities.tolist())
 
 
+def _placed(laws: tuple) -> tuple:
+    """``laws`` placed: (m, p, lo, hi), each law with its ``_window``, read once per distinct law."""
+    windows = {law: _window(*law) for law in dict.fromkeys(laws)}
+    return tuple(law + windows[law] for law in laws)
+
+
 @dataclass(frozen=True, eq=False)
 class SimConfig:
     """One experiment: ``n_trials`` independent repetitions of N runs.
@@ -160,9 +168,9 @@ class SimConfig:
     raise ``PreconditionError`` here, before anything is allocated.  ``n_runs``,
     ``n_trials`` and ``seed`` are integers (``TypeError`` otherwise) and
     are stored as ``int``; ``n_runs < 1``, ``n_trials`` outside
-    [1, 2**63) and ``seed`` outside [0, 2**64) raise ``ValueError``.
-    ``width``, the last index less the first of the trial's pass-count
-    window (the sum of its laws' windows), is derived with that check.
+    [1, 2**63) and ``seed`` outside [0, 2**64) raise ``ValueError``, and
+    a non-bool ``multinomial_preparation`` ``TypeError``.  ``laws``, the
+    ``_placed`` ``_draw_laws``, is derived with that check.
     """
 
     scenario: Scenario
@@ -174,13 +182,10 @@ class SimConfig:
     def __post_init__(self):
         for name, low, bits in (("n_runs", 1, None), ("n_trials", 1, 63), ("seed", 0, 64)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, low, bits))
-        windows = {law: _window(*law) for law in dict.fromkeys(self.laws)}
-        object.__setattr__(self, "width", sum(hi - lo for lo, hi in map(windows.get, self.laws)))
-
-    @functools.cached_property
-    def laws(self) -> tuple:
-        """``_draw_laws`` of the configuration, derived once."""
-        return _draw_laws(self.scenario, self.n_runs, self.multinomial_preparation)
+        multinomial = self.multinomial_preparation
+        if not isinstance(multinomial, bool):
+            raise TypeError(f"multinomial_preparation must be a bool, not {type(multinomial).__name__}")
+        object.__setattr__(self, "laws", _placed(_draw_laws(self.scenario, self.n_runs, multinomial)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,8 +331,8 @@ def _window(m: int, p: float) -> tuple[int, int]:
     outcome (p = 0 or 1) is a one-entry window.  ``_draw_laws`` holds m to
     ``_MAX_RUNS``, where floats place every window; one of more than
     ``_MAX_TABLE_ENTRIES`` entries raises ``PreconditionError`` before
-    anything is allocated.  README's Notes on numerics bound the mass the
-    window leaves out.
+    anything is allocated.  Only ``_placed`` reads it.  README's Notes on
+    numerics bound the mass the window leaves out.
     """
     if p <= 0.0 or p >= 1.0:
         return (m, m) if p >= 1.0 else (0, 0)
@@ -342,16 +347,16 @@ def _window(m: int, p: float) -> tuple[int, int]:
     return lo, hi
 
 
-def _binomial_table(m: int, p: float):
-    """Window start, pmf, cdf and guide table of Binomial(m, p), built afresh and frozen.
+def _binomial_table(laws: tuple):
+    """Window start, pmf, cdf and guide of ``laws``' one placed law, built afresh and frozen.
 
-    The window is ``_window(m, p)``; the pmf is the weights (peak 1) over
-    their sum, the cdf their cumulative sum over its last entry.  The guide
-    has the power of two at or above max(64, 4 min(K, ``_MAX_BLOCK_TRIALS``))
+    On the window [lo, hi] the pmf is the weights (peak 1) over their sum,
+    the cdf their cumulative sum over its last entry.  The guide has the
+    power of two at or above max(64, 4 min(K, ``_MAX_BLOCK_TRIALS``))
     buckets for K entries (README, Notes on numerics).  A certain outcome
     has the pmf [1.0] and no cdf or guide.
     """
-    lo, hi = _window(m, p)
+    ((m, p, lo, hi),) = laws
     if lo == hi:
         return lo, frozen(np.ones(1)), None, None
     # built in place, each array frozen once final, so a wide table peaks near
@@ -371,24 +376,18 @@ def _binomial_table(m: int, p: float):
     return lo, frozen(weights), cdf, guide
 
 
-def _law_table(m: int, p: float):
-    """The one ``_binomial_table`` of Binomial(m, p) that both samplers read.
-
-    The window is checked before anything is looked up or built; a table
-    whose window has at most ``_KEPT_WINDOW`` entries is kept by ``_kept``,
-    keyed by (m, p), and a wider one is built each time.
-    """
-    lo, hi = _window(m, p)
-    return _kept_within_window(hi - lo, _binomial_table, m, p)
+def _law_table(law: tuple):
+    """The ``_binomial_table`` of a placed law that both samplers read, kept by ``_kept_placed``."""
+    return _kept_placed(_binomial_table, (law,))
 
 
 def _tables(laws: tuple) -> list:
-    """Window start, cdf and guide of each distinct law's ``_law_table``, in draw order.
+    """Window start, cdf and guide of each distinct placed law's ``_law_table``, in draw order.
 
     Leaving the pmf out frees an unkept table's before the next is built.
     """
     inverted = operator.itemgetter(0, 2, 3)
-    tables = {law: inverted(_law_table(*law)) for law in dict.fromkeys(laws)}
+    tables = {law: inverted(_law_table(law)) for law in dict.fromkeys(laws)}
     return [tables[law] for law in laws]
 
 
@@ -413,12 +412,12 @@ def _invert(rng, table, size: int) -> np.ndarray:
 def _pass_count_law(laws: tuple) -> tuple[int, np.ndarray]:
     """Window start and pmf of the sum of independent draws from ``laws``.
 
-    ``laws`` lists Binomial laws (m, p), as ``_draw_laws`` does.  Every
-    entry lies within 1e-14 of the exact law; the README's Notes on
-    numerics give the FFT convolution, its memory and its error.
+    ``laws`` lists placed Binomial laws (m, p, lo, hi), as ``_placed``
+    does.  Every entry lies within 1e-14 of the exact law; the README's
+    Notes on numerics give the FFT convolution, its memory and its error.
     """
     # window starts and pmfs only: an unkept table's cdf and guide are freed here
-    tables = {law: _law_table(*law)[:2] for law in dict.fromkeys(laws)}
+    tables = {law: _law_table(law)[:2] for law in dict.fromkeys(laws)}
     size = sum(tables[law][1].size for law in laws) - len(laws) + 1
     n_fft = 1 << (size - 1).bit_length()
     spectrum = np.ones(n_fft // 2 + 1, dtype=complex)
@@ -444,12 +443,12 @@ def _total_histogram(cfg: SimConfig) -> tuple[int, np.ndarray]:
     The histogram is one multinomial over ``_pass_count_law`` of the
     configuration's laws, its entries in stable ascending order, drawn from
     the (seed, n_runs) stream; the README's Notes on numerics say why it
-    replaces the trials' draws.  The law's width is ``cfg.width``: a law of
-    at most ``_KEPT_WINDOW`` entries is kept by ``_kept``, keyed by the
-    laws, and a wider one is built each time.  The law depends on no seed
-    or trial count, so a kept one changes no draw.
+    replaces the trials' draws.  A law of at most ``_KEPT_WINDOW`` entries
+    is kept by ``_kept``, keyed by the placed laws, and a wider one is
+    built each time.  The law depends on no seed or trial count, so a kept
+    one changes no draw.
     """
-    lo, order, pmf = _kept_within_window(cfg.width, _sorted_pass_count_law, cfg.laws)
+    lo, order, pmf = _kept_placed(_sorted_pass_count_law, cfg.laws)
     counts = np.empty(pmf.size, dtype=np.int64)
     counts[order] = _thread_stream(cfg.seed, subkey=cfg.n_runs).multinomial(cfg.n_trials, pmf)
     return lo, counts
@@ -507,7 +506,7 @@ def run_trial(
     the benchmark's tracer wraps it by name, so the API keeps it.
     ``n_runs < 1`` raises ``ValueError``.
     """
-    tables = _tables(_draw_laws(scenario, n_runs, False))
+    tables = _tables(_placed(_draw_laws(scenario, n_runs, False)))
     passes, prepared, passed = _draw_trials(rng, 1, n_runs, scenario.pass_probabilities, tables)
     outcomes, pass_counts = _split_outcomes(rng, scenario, prepared, passed)
     return TrialTally(prepared, outcomes, pass_counts), int(passes[0]) / n_runs
@@ -518,13 +517,14 @@ def _fidelities(lo: int, size: int, n_runs: int) -> np.ndarray:
     return (lo + np.arange(size)) / n_runs
 
 
-def _deviations(lo: int, size: int, n_runs: int, f: float):
-    """``_fidelities`` and each bin's absolute and squared deviation from ``f``, frozen.
+def _deviations(laws: tuple, f: float):
+    """``_fidelities`` of placed ``laws``' window and their absolute and squared deviations from ``f``.
 
-    These depend on no seed or trial count; ``lln_sweep`` keeps them
-    beside the point's law, under the same window rule.
+    The arrays are frozen and depend on no seed or trial count;
+    ``lln_sweep`` keeps them beside the point's law, keyed by the same laws.
     """
-    fidelities = _fidelities(lo, size, n_runs)
+    lo, hi = sum(law[2] for law in laws), sum(law[3] for law in laws)
+    fidelities = _fidelities(lo, hi - lo + 1, sum(law[0] for law in laws))
     dev = fidelities - f
     return frozen(fidelities), frozen(np.abs(dev)), frozen(dev * dev)
 
@@ -556,7 +556,7 @@ def run_experiment(cfg: SimConfig, threshold: float, workers: int = 1) -> SimRep
     """
     s_min = min_passes(threshold, cfg.n_runs)
     _integer(workers, "workers", 1)
-    if max(m for m, _ in cfg.laws) * cfg.n_trials > _MAX_RUNS:
+    if max(m for m, *_ in cfg.laws) * cfg.n_trials > _MAX_RUNS:
         raise PreconditionError(
             f"the limit is {_MAX_RUNS} runs of one state over all trials; "
             f"n_runs is too large to simulate in {cfg.n_trials} trials"
@@ -658,22 +658,20 @@ def lln_sweep(
     ``n_trials`` is.  A law of at most ``_KEPT_WINDOW`` entries (N up to
     600 on trine) is kept for later points of equal laws, whatever their
     seed or trial count, and beside it the per-bin fidelities and their
-    absolute and squared deviations from F (``_deviations``), so a kept
-    point costs one draw and three dot products; a wider law and its
-    deviations are built at each point.  The RMS
-    column shrinks like 1/sqrt(N), which a log-log fit over a geometric
-    ladder exposes as a slope near -1/2.  ``workers`` must be at least 1
-    and changes nothing: sampling runs on one thread.
+    absolute and squared deviations from F (``_deviations``), keyed by the
+    same placed laws, so a kept point costs one draw and three dot
+    products; a wider law and its deviations are built at each point.  The
+    RMS column shrinks like 1/sqrt(N), which a log-log fit over a geometric
+    ladder exposes as a slope near -1/2.  ``workers`` must be at least 1 and
+    changes nothing: sampling runs on one thread.
     """
     _integer(workers, "workers", 1)
     configs = [SimConfig(scenario, n_runs, n_trials, seed) for n_runs in n_values]
     f_th = scenario.classical_fidelity
     rows = []
     for cfg in configs:
-        lo, counts = _total_histogram(cfg)
-        # counts.size - 1 is the law's width, so the deviations are kept with the law
-        deviations = _kept_within_window(counts.size - 1, _deviations, lo, counts.size, cfg.n_runs, f_th)
-        fidelities, abs_dev, sq_dev = deviations
+        _, counts = _total_histogram(cfg)
+        fidelities, abs_dev, sq_dev = _kept_placed(_deviations, cfg.laws, f_th)
         weights = counts / cfg.n_trials
         rows.append(
             LlnRow(

@@ -494,7 +494,7 @@ class TestExitCodes:
     @pytest.mark.usefixtures("cold_products")
     @pytest.mark.parametrize("argv", [SIMULATE, LLN], ids=["simulate", "lln"])
     def test_tables_out_of_memory(self, capsys, monkeypatch, argv):
-        def refuse(m, p):
+        def refuse(laws):
             raise MemoryError("Unable to allocate 7.02 GiB")
 
         monkeypatch.setattr(simulator, "_binomial_table", refuse)

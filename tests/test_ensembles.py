@@ -108,6 +108,11 @@ class TestLoadEnsemble:
         with pytest.raises(EnsembleFormatError, match="^name must be a string$"):
             ensembles.load_ensemble(json.dumps(doc))
 
+    @pytest.mark.parametrize("document", [b"\xff", b'{"dim": 2, "name": "\xe9"}'], ids=["byte", "in-string"])
+    def test_non_utf8_bytes_are_a_format_error(self, document):
+        with pytest.raises(EnsembleFormatError, match="^document is not valid JSON: .*codec can't decode"):
+            ensembles.load_ensemble(document)
+
     def test_deep_nesting_is_a_format_error(self):
         with pytest.raises(EnsembleFormatError, match="nests too deeply"):
             ensembles.load_ensemble("[" * 200_000)

@@ -178,6 +178,18 @@ class TestConfigValidation:
         assert [type(v) for v in (cfg.n_runs, cfg.n_trials, cfg.seed)] == [int, int, int]
         assert cfg.seed == 2**64 - 1
 
+    @pytest.mark.parametrize("flag", ["no", 1, 0, None])
+    def test_non_bool_preparation_flag_is_refused_before_any_law(self, flag, cold_products, monkeypatch):
+        # a truthy string or number would otherwise select multinomial preparation
+        def untouched(*args):
+            raise AssertionError("laws derived")
+
+        monkeypatch.setattr(simulator, "_draw_laws", untouched)
+        message = f"^multinomial_preparation must be a bool, not {type(flag).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            SimConfig(builtin_scenarios()["trine"], 60, 10, 0, multinomial_preparation=flag)
+        assert cold_products.cache_info().currsize == 0
+
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("n_runs", [4470, 4473], ids=["in-budget", "past-budget"])
     def test_non_finite_threshold_is_refused_before_any_work(self, n_runs, threshold, cold_products):
@@ -314,9 +326,15 @@ def binomial_pmf(m, p):
     return np.exp(log_comb + k * math.log(p) + (m - k) * math.log1p(-p))
 
 
+def placed(m, p):
+    """Binomial(m, p) placed as the simulator places each law: (m, p, lo, hi)."""
+    (law,) = simulator._placed(((m, p),))
+    return law
+
+
 def searchsorted_reference(m, p, u):
     """Binomial(m, p) draws for the uniforms ``u`` by the plain search of a fresh table's cdf."""
-    lo, _, cdf, _ = simulator._binomial_table(m, p)
+    lo, _, cdf, _ = simulator._binomial_table((placed(m, p),))
     return lo + np.searchsorted(cdf, u, side="right")
 
 
@@ -344,7 +362,7 @@ class TestBinomialKernel:
     @pytest.mark.parametrize("p", [1e-3, 0.02, 0.3, 0.5, 0.75, 0.7499999999999999, 0.999])
     def test_matches_exact_pmf(self, m, p):
         size = 200_000
-        draws = simulator._invert(stream(m, int(p * 1e6)), simulator._law_table(m, p), size)
+        draws = simulator._invert(stream(m, int(p * 1e6)), simulator._law_table(placed(m, p)), size)
         assert draws.shape == (size,)
         assert draws.min() >= 0 and draws.max() <= m
         pmf = binomial_pmf(m, p)
@@ -360,8 +378,8 @@ class TestBinomialKernel:
     @pytest.mark.parametrize("m", [1, 7, 2000])
     def test_certain_outcomes_are_constant(self, m):
         rng = stream(0)
-        assert np.array_equal(simulator._invert(rng, simulator._law_table(m, 0.0), 5), np.zeros(5))
-        assert np.array_equal(simulator._invert(rng, simulator._law_table(m, 1.0), 5), np.full(5, m))
+        assert np.array_equal(simulator._invert(rng, simulator._law_table(placed(m, 0.0)), 5), np.zeros(5))
+        assert np.array_equal(simulator._invert(rng, simulator._law_table(placed(m, 1.0)), 5), np.full(5, m))
 
     @pytest.mark.parametrize("block", [1, 7, 32768])
     @pytest.mark.parametrize(
@@ -373,7 +391,7 @@ class TestBinomialKernel:
         # uniforms exactly at every bucket edge j/g and every cdf entry, one
         # ulp below each, the extremes of [0, 1), and random ones, drawn in
         # calls of ``block`` uniforms each
-        lo, _, cdf, guide = simulator._law_table(m, p)
+        lo, _, cdf, guide = simulator._law_table(placed(m, p))
         g = guide.size
         rng = np.random.default_rng(m + block)
         edges = np.arange(g) / g
@@ -386,7 +404,7 @@ class TestBinomialKernel:
         chosen = np.concatenate((chosen, rng.random(calls * block - chosen.size)))
         stub = ChosenUniforms(chosen)
         got = np.concatenate(
-            [simulator._invert(stub, simulator._law_table(m, p), block) for _ in range(calls)]
+            [simulator._invert(stub, simulator._law_table(placed(m, p)), block) for _ in range(calls)]
         )
         assert stub.taken == chosen.size
         assert np.array_equal(got, searchsorted_reference(m, p, chosen))
@@ -394,14 +412,14 @@ class TestBinomialKernel:
 
     def test_tied_cdf_entries_are_covered(self):
         # underflowed weights leave runs of equal cdf entries at the top
-        _, _, cdf, _ = simulator._law_table(2000, 1e-3)
+        _, _, cdf, _ = simulator._law_table(placed(2000, 1e-3))
         assert np.count_nonzero(np.diff(cdf) == 0.0) > 10
 
     @pytest.mark.parametrize("m", [1, 4, 20, 2000, 10**6, 10**9])
     @pytest.mark.parametrize("draws", [1, 7, 100, 32768, 10**6])
     def test_guide_stays_within_its_bound(self, m, draws):
         # the guide follows the window alone, whatever number of draws it serves
-        table = simulator._law_table(m, 0.3)
+        table = simulator._law_table(placed(m, 0.3))
         lo, _, cdf, guide = table
         assert guide.size & (guide.size - 1) == 0
         assert 4 * min(cdf.size, simulator._MAX_BLOCK_TRIALS) <= guide.size <= guide_bound(cdf.size)
@@ -412,10 +430,10 @@ class TestBinomialKernel:
     def test_oversized_table_refused_before_allocation(self):
         # 3e16 runs on trine would need a 9.4e8-entry table (7 GiB)
         with pytest.raises(PreconditionError, match="too large"):
-            simulator._binomial_table(10**16, 0.75)
-        lo, hi = simulator._window(10**9, 0.75)
+            placed(10**16, 0.75)
+        _, _, lo, hi = placed(10**9, 0.75)
         assert hi - lo < simulator._MAX_TABLE_ENTRIES
-        lo, hi = simulator._window(10**16, 1.0)
+        _, _, lo, hi = placed(10**16, 1.0)
         assert lo == hi == 10**16
 
     def test_memory_stays_bounded_at_huge_n(self):
@@ -517,7 +535,7 @@ class TestRunExperiment:
             rng = stream(15, subkey=n_runs, block=block)
             # one Binomial column per state, in state order
             passes = sum(
-                simulator._invert(rng, simulator._law_table(n_runs // 3, qi), n) for qi in q.tolist()
+                simulator._invert(rng, simulator._law_table(placed(n_runs // 3, qi)), n) for qi in q.tolist()
             )
             expected += np.bincount(passes, minlength=n_runs + 1)
             exceeding += np.count_nonzero(passes / n_runs >= threshold)
@@ -1134,13 +1152,13 @@ class TestKeptProducts:
         # one lln law and its per-bin deviations
         assert cold_products.cache_info().currsize == 3 + 1 + 2
         built = cold_products.cache_info().misses
-        tables = [simulator._law_table(*law) for multinomial in (False, True)
-                  for law in simulator._draw_laws(scenario, 60, multinomial)]
+        tables = [simulator._law_table(law) for multinomial in (False, True)
+                  for law in simulator._placed(simulator._draw_laws(scenario, 60, multinomial))]
         arrays = [part for _, *parts in tables for part in parts]
         arrays.append(pass_count_distribution(scenario, 600))
-        lo, *law = simulator._kept(simulator._sorted_pass_count_law, SimConfig(scenario, 60, 1, 0).laws)
-        arrays.extend(law)
-        arrays.extend(simulator._kept(simulator._deviations, lo, law[1].size, 60, scenario.classical_fidelity))
+        laws = SimConfig(scenario, 60, 1, 0).laws
+        arrays.extend(simulator._kept(simulator._sorted_pass_count_law, laws)[1:])
+        arrays.extend(simulator._kept(simulator._deviations, laws, scenario.classical_fidelity))
         assert cold_products.cache_info().misses == built  # every product was kept
         # pmf, cdf and guide of each table, the exact law, the lln law's order
         # and pmf, and its bins' fidelities, absolute and squared deviations
@@ -1176,7 +1194,7 @@ class TestKeptProducts:
                 pass_count_distribution(scenario, 600)
             # an oversized table is refused before it is looked up or built
             with pytest.raises(PreconditionError, match="too large"):
-                simulator._law_table(10**16, 0.75)
+                placed(10**16, 0.75)
             assert cold_products.cache_info().currsize == 0
         assert report_fields(run_experiment(cfg, 0.8))["n_runs"] == 600
         assert pass_count_distribution(scenario, 600).sum() == pytest.approx(1.0)
@@ -1196,11 +1214,11 @@ class TestKeptProducts:
         """The inversion table of the first Binomial(m, 1/2) whose window has ``entries`` entries."""
 
         def width(m):
-            lo, hi = simulator._window(m, 0.5)
+            _, _, lo, hi = placed(m, 0.5)
             return hi - lo + 1
 
         m = next(m for m in itertools.count(1) if width(m) == entries)
-        return simulator._law_table(m, 0.5)
+        return simulator._law_table(placed(m, 0.5))
 
     def test_a_table_past_the_window_cap_is_used_not_kept(self, cold_products):
         widest = self.table_of_width(simulator._KEPT_WINDOW)
@@ -1232,9 +1250,9 @@ class TestKeptProducts:
         assert sum(array.nbytes for array in table) == 8 * (simulator._KEPT_WINDOW * 2 + 2048) == 24 * 1024
         # the widest kept lln law: trine's multinomial law (2922, F) has 512 entries
         cfg = SimConfig(builtin_scenarios()["trine"], 2922, 1, seed=0, multinomial_preparation=True)
-        lo, counts = simulator._total_histogram(cfg)
+        simulator._total_histogram(cfg)
         # and the widest kept per-bin deviations, those of that law
-        deviations = simulator._kept_within_window(counts.size - 1, simulator._deviations, lo, counts.size, 2922, 0.75)
+        deviations = simulator._kept_placed(simulator._deviations, cfg.laws, 0.75)
         # the exact law, both tables, the lln law and its deviations
         assert cold_products.cache_info().currsize == 5
         _, order, pmf = simulator._kept(simulator._sorted_pass_count_law, cfg.laws)
@@ -1251,7 +1269,7 @@ class TestKeptProducts:
         def work(offset):
             try:
                 for m in range(20 + offset, 600, 3):
-                    simulator._law_table(m, 0.3)
+                    simulator._law_table(placed(m, 0.3))
             except BaseException as exc:
                 errors.append(exc)
 
@@ -1318,9 +1336,9 @@ class TestKeptProducts:
         built = []
         binomial_table = simulator._binomial_table
 
-        def counted(m, p):
-            built.append((m, p))
-            return binomial_table(m, p)
+        def counted(laws):
+            built.append(laws)
+            return binomial_table(laws)
 
         monkeypatch.setattr(simulator, "_binomial_table", counted)
         ladder = [1293, 2787, 6000]
@@ -1335,9 +1353,9 @@ class TestKeptProducts:
         read = {}
         law_table = simulator._law_table
 
-        def spy(m, p):
-            read[m, p] = law_table(m, p)
-            return read[m, p]
+        def spy(law):
+            read[law] = law_table(law)
+            return read[law]
 
         monkeypatch.setattr(simulator, "_law_table", spy)
         run_experiment(SimConfig(scenario, 1293, 1000, seed=1), 0.8)
@@ -1346,10 +1364,9 @@ class TestKeptProducts:
         assert read.keys() == drawn.keys() and len(read) == 2
         assert all(read[law] is drawn[law] for law in read)
 
-    def test_a_configuration_reads_each_window_once(self, cold_products, monkeypatch):
-        scenario = builtin_scenarios()["trine"]
-        ladder = [60, 600, 6000]
-        lln_sweep(scenario, ladder, 1000, seed=1)
+    @pytest.fixture
+    def windows(self, monkeypatch):
+        """The (m, p) of every ``simulator._window`` call, in call order."""
         calls = []
         window = simulator._window
 
@@ -1358,15 +1375,38 @@ class TestKeptProducts:
             return window(m, p)
 
         monkeypatch.setattr(simulator, "_window", counted)
+        return calls
+
+    def test_a_configuration_reads_each_window_once(self, cold_products, windows):
+        scenario = builtin_scenarios()["trine"]
+        ladder = [60, 600, 6000]
+        lln_sweep(scenario, ladder, 1000, seed=1)
         for n_runs in ladder:
-            calls.clear()
+            windows.clear()
             cfg = SimConfig(scenario, n_runs, 1000, seed=2)
-            distinct = list(dict.fromkeys(cfg.laws))
-            assert calls == distinct  # the configuration check, one per distinct law
+            # the configuration places each distinct law once, with its window
+            assert windows == [law[:2] for law in dict.fromkeys(cfg.laws)]
             lo, counts = simulator._total_histogram(cfg)
-            # a kept law reads no window again; the wide one reads its tables' windows
-            assert calls == distinct * (1 if n_runs < 6000 else 2)
-            assert cfg.width == counts.size - 1
+            # neither a kept law nor a wide one, convolved from its tables, reads a window again
+            assert len(windows) == 2
+            assert (lo, lo + counts.size - 1) == tuple(sum(law[i] for law in cfg.laws) for i in (2, 3))
+
+    @pytest.mark.parametrize(
+        "name, n_runs, verb, distinct",
+        [("four-asymmetric", 1200, "simulate", 4), ("trine", 60, "lln", 2), ("trine", 6000, "lln", 2)],
+    )
+    def test_a_request_places_each_distinct_law_once(self, cold_products, windows, name, n_runs, verb, distinct):
+        # a simulate request is a configuration, its experiment and the exact
+        # oracle; an lln point is a configuration, its law and its deviations
+        scenario = builtin_scenarios()[name]
+        for _ in ("cold", "warm"):
+            windows.clear()
+            if verb == "simulate":
+                run_experiment(SimConfig(scenario, n_runs, 1000, seed=9), scenario.target_fidelity)
+                exact_exceedance(scenario, n_runs, scenario.target_fidelity)
+            else:
+                lln_sweep(scenario, [n_runs], 1000, seed=9)
+            assert len(windows) == len(set(windows)) == distinct
 
     def test_no_scenario_is_held(self, cold_products):
         scenario = custom_scenario(ensembles.trine(), 0.865)
@@ -1627,7 +1667,7 @@ class TestPassCountLaw:
         a = scenario.ensemble.size
         q = pass_probabilities(scenario.ensemble, scenario.povm)
         for n_runs in (a, 7 * a, 600 // a * a, 4400 // a * a):
-            lo, pmf = simulator._pass_count_law([(n_runs // a, qi) for qi in q.tolist()])
+            lo, pmf = simulator._pass_count_law(simulator._placed([(n_runs // a, qi) for qi in q.tolist()]))
             dist = pass_count_distribution(scenario, n_runs)
             assert 0 <= lo and lo + pmf.size <= n_runs + 1
             assert np.all(np.abs(pmf - dist[lo : lo + pmf.size]) <= 1e-14)
