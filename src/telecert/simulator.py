@@ -25,13 +25,14 @@ one costs about as much as a narrow ``lln`` point's draw.  The exact
 oracle convolves the same laws, unplaced.
 ``_draw_laws`` also checks the run count, at most ``_MAX_RUNS``, and the
 schedule, so every consumer of the laws refuses the same configurations.
-Law tables, exact laws, ``lln`` laws and each ``lln`` law's per-bin
-deviations depend on no seed, threshold or trial count; they are built
-once per process and the last ``_KEPT_PRODUCTS`` used are kept
-(``_kept``), each at most about 35 KiB, a sampling product keyed by its
-placed laws (``_kept_placed``).  A table or ``lln`` law wider than
-``_KEPT_WINDOW`` entries, and its deviations, are built each time instead;
-a wide ``lln`` law is convolved from kept tables when theirs are narrow.
+Law tables, exact laws, ``lln`` laws, each ``lln`` law's per-bin
+deviations and each law's FFT spectrum (``_spectrum``) depend on no seed,
+threshold or trial count; they are built once per process and the last
+``_KEPT_PRODUCTS`` used are kept (``_kept``), each at most about 35 KiB,
+a sampling product keyed by its placed laws (``_kept_placed``).  A table
+or ``lln`` law wider than ``_KEPT_WINDOW`` entries, and its deviations,
+are built each time instead; a wide ``lln`` law is convolved from kept
+tables and their kept spectra when theirs are narrow.
 The README's account of the samplers and its Notes on numerics give the
 joint law, the guide table, the window, the costs and the error contracts.
 """
@@ -90,7 +91,10 @@ _MAX_TABLE_ENTRIES = 1 << 20
 #: entries each and a guide of at most 4 * 512 = 2048 intp entries,
 #: 4 + 4 + 16 = 24 KiB; a kept ``lln`` law has at most 512 float64 and 512
 #: intp entries, 8 KiB, and its per-bin deviations three arrays of at most
-#: 512 float64 entries, 12 KiB.  So 128 kept products hold at most
+#: 512 float64 entries, 12 KiB.  A kept table's spectrum at an FFT of n
+#: points has n // 2 + 1 complex entries, as many bytes as n + 2 float64,
+#: so it is kept only while those fit in an exact law's 4472: n <= 4096, at
+#: most 2049 complex entries, 32 KiB.  So 128 kept products hold at most
 #: 128 * 34.9 KiB, about 4.4 MiB; a wider table or law is built, used and
 #: not kept, since the benchmark's peak memory grows with its op rate and a
 #: wider cap waits for a fixed-size latency reservoir.
@@ -109,15 +113,20 @@ def _kept(build, *args):
     return build(*args)
 
 
-def _kept_placed(build, laws: tuple, *args):
-    """``build(laws, *args)``, kept by ``_kept`` unless its placed ``laws`` are too wide.
+def _narrow(laws: tuple) -> bool:
+    """Whether a product of placed ``laws`` spans at most ``_KEPT_WINDOW`` entries.
 
-    A product's last index less its first is the sum of its laws' hi - lo,
-    so a kept one, keyed by its laws, spans at most ``_KEPT_WINDOW``
-    entries; a wider one is built, used and not kept.
+    A product's last index less its first is the sum of its laws' hi - lo.
     """
-    width = sum(hi - lo for _, _, lo, hi in laws)
-    return build(laws, *args) if width >= _KEPT_WINDOW else _kept(build, laws, *args)
+    return sum(hi - lo for _, _, lo, hi in laws) < _KEPT_WINDOW
+
+
+def _kept_placed(build, laws: tuple, *args):
+    """``build(laws, *args)``, kept by ``_kept``, keyed by its laws, while they are ``_narrow``.
+
+    A wider product is built, used and not kept.
+    """
+    return _kept(build, laws, *args) if _narrow(laws) else build(laws, *args)
 
 
 def _draw_laws(scenario: Scenario, n_runs: int, multinomial: bool) -> tuple:
@@ -409,20 +418,36 @@ def _invert(rng, table, size: int) -> np.ndarray:
     return lo + idx
 
 
+def _spectrum(laws: tuple, n_fft: int) -> np.ndarray:
+    """``np.fft.rfft`` at length ``n_fft`` of ``laws``' one placed law's pmf, frozen."""
+    (law,) = laws
+    return frozen(np.fft.rfft(_law_table(law)[1], n_fft))
+
+
 def _pass_count_law(laws: tuple) -> tuple[int, np.ndarray]:
     """Window start and pmf of the sum of independent draws from ``laws``.
 
     ``laws`` lists placed Binomial laws (m, p, lo, hi), as ``_placed``
-    does.  Every entry lies within 1e-14 of the exact law; the README's
-    Notes on numerics give the FFT convolution, its memory and its error.
+    does.  Their spectra are multiplied in draw order.  A law whose table
+    is kept has its ``_spectrum`` kept too while the FFT is at most 4096
+    long; any other law's is transformed once per run of equal laws, and
+    only one such factor is alive at a time.  Every entry lies within 1e-14
+    of the exact law; the README's Notes on numerics give the FFT
+    convolution, its memory and its error.
     """
     # window starts and pmfs only: an unkept table's cdf and guide are freed here
     tables = {law: _law_table(law)[:2] for law in dict.fromkeys(laws)}
     size = sum(tables[law][1].size for law in laws) - len(laws) + 1
     n_fft = 1 << (size - 1).bit_length()
+    # a spectrum takes as much room as n_fft + 2 float64, kept while no more
+    # than an exact law's (the bound of _KEPT_PRODUCTS): n_fft <= 4096
+    keep = n_fft + 2 <= _EXACT_MAX_RUNS + 1
     spectrum = np.ones(n_fft // 2 + 1, dtype=complex)
     for law, run in itertools.groupby(laws):
-        factor = np.fft.rfft(tables[law][1], n_fft)
+        if keep and _narrow((law,)):
+            factor = _kept(_spectrum, (law,), n_fft)
+        else:
+            factor = np.fft.rfft(tables[law][1], n_fft)
         for _ in run:
             spectrum *= factor
         del factor  # released before the next one or the inverse FFT is allocated
@@ -660,7 +685,8 @@ def lln_sweep(
     seed or trial count, and beside it the per-bin fidelities and their
     absolute and squared deviations from F (``_deviations``), keyed by the
     same placed laws, so a kept point costs one draw and three dot
-    products; a wider law and its deviations are built at each point.  The
+    products; a wider law and its deviations are built at each point, from
+    kept tables and their kept FFT spectra where those are narrow.  The
     RMS column shrinks like 1/sqrt(N), which a log-log fit over a geometric
     ladder exposes as a slope near -1/2.  ``workers`` must be at least 1 and
     changes nothing: sampling runs on one thread.

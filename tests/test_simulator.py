@@ -1149,8 +1149,8 @@ class TestKeptProducts:
         pass_count_distribution(scenario, 600)
         lln_sweep(scenario, [60], 100, seed=1)
         # tables of (20, q_i) for the two distinct q_i and of (60, F), one exact law,
-        # one lln law and its per-bin deviations
-        assert cold_products.cache_info().currsize == 3 + 1 + 2
+        # one lln law, its per-bin deviations and the spectra of its two distinct laws
+        assert cold_products.cache_info().currsize == 3 + 1 + 2 + 2
         built = cold_products.cache_info().misses
         tables = [simulator._law_table(law) for multinomial in (False, True)
                   for law in simulator._placed(simulator._draw_laws(scenario, 60, multinomial))]
@@ -1159,11 +1159,13 @@ class TestKeptProducts:
         laws = SimConfig(scenario, 60, 1, 0).laws
         arrays.extend(simulator._kept(simulator._sorted_pass_count_law, laws)[1:])
         arrays.extend(simulator._kept(simulator._deviations, laws, scenario.classical_fidelity))
+        arrays.extend(simulator._kept(simulator._spectrum, (law,), 64) for law in dict.fromkeys(laws))
         assert cold_products.cache_info().misses == built  # every product was kept
         # pmf, cdf and guide of each table, the exact law, the lln law's order
-        # and pmf, and its bins' fidelities, absolute and squared deviations
+        # and pmf, its bins' fidelities, absolute and squared deviations, and
+        # the two spectra
         arrays = list({id(array): array for array in arrays}.values())
-        assert len(arrays) == 3 * 3 + 1 + 2 + 3
+        assert len(arrays) == 3 * 3 + 1 + 2 + 3 + 2
         for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -1233,14 +1235,14 @@ class TestKeptProducts:
 
     def test_an_lln_law_past_the_window_cap_is_used_not_kept(self, cold_products):
         # trine's multinomial laws (2922, F) and (2940, F) have 512 and 513 entries;
-        # the narrow one keeps its table and its lln law, the wide one neither
+        # the narrow one keeps its table, its spectrum and its lln law, the wide one none
         scenario = builtin_scenarios()["trine"]
-        for n_runs, entries, kept in ((2922, 512, 2), (2940, 513, 2), (2940, 513, 2), (2922, 512, 2)):
+        for n_runs, entries, kept in ((2922, 512, 3), (2940, 513, 3), (2940, 513, 3), (2922, 512, 3)):
             cfg = SimConfig(scenario, n_runs, 10, seed=1, multinomial_preparation=True)
             _, counts = simulator._total_histogram(cfg)
             assert counts.size == entries
             assert cold_products.cache_info().currsize == kept
-        assert cold_products.cache_info().misses == 2
+        assert cold_products.cache_info().misses == 3
 
     def test_kept_products_fit_in_about_4_5_mib(self, cold_products):
         # the largest exact law is that of the largest N the oracle enumerates
@@ -1253,14 +1255,22 @@ class TestKeptProducts:
         simulator._total_histogram(cfg)
         # and the widest kept per-bin deviations, those of that law
         deviations = simulator._kept_placed(simulator._deviations, cfg.laws, 0.75)
-        # the exact law, both tables, the lln law and its deviations
-        assert cold_products.cache_info().currsize == 5
+        # the exact law, both tables, the lln law, its spectrum and its deviations
+        assert cold_products.cache_info().currsize == 6
         _, order, pmf = simulator._kept(simulator._sorted_pass_count_law, cfg.laws)
         assert pmf.size == simulator._KEPT_WINDOW
         assert sum(array.nbytes for array in deviations) == 3 * 8 * simulator._KEPT_WINDOW == 12 * 1024
+        # the widest kept spectrum: qutrit-mubs' laws (1000, q_i) at N = 12000 have
+        # kept tables of 299 entries, and their 12 laws an FFT of 4096
+        mubs = SimConfig(builtin_scenarios()["qutrit-mubs"], 12000, 1, seed=0)
+        simulator._total_histogram(mubs)
+        built = cold_products.cache_info().misses
+        spectrum = simulator._kept(simulator._spectrum, mubs.laws[:1], 4096)
+        assert cold_products.cache_info().misses == built
+        assert spectrum.nbytes == 16 * (4096 // 2 + 1) == 32 * 1024 + 16
         largest = max(8 * (n_max + 1), law.nbytes, sum(array.nbytes for array in table),
-                      order.nbytes + pmf.nbytes, sum(array.nbytes for array in deviations))
-        assert largest <= 35 * 1024
+                      order.nbytes + pmf.nbytes, sum(array.nbytes for array in deviations), spectrum.nbytes)
+        assert largest == 8 * (n_max + 1) <= 35 * 1024  # 34.9 KiB, the exact law's
         assert simulator._KEPT_PRODUCTS * largest <= 4.5 * 2**20
 
     def test_threads_keep_the_cache_whole(self, cold_products):
@@ -1270,6 +1280,8 @@ class TestKeptProducts:
             try:
                 for m in range(20 + offset, 600, 3):
                     simulator._law_table(placed(m, 0.3))
+                    # a spectrum's build reads its table through the same cache
+                    simulator._kept(simulator._spectrum, (placed(m, 0.3),), 512)
             except BaseException as exc:
                 errors.append(exc)
 
@@ -1303,15 +1315,18 @@ class TestKeptProducts:
             lln_sweep(scenario, [n_runs], 1000, seed=1)
             kept.append(cold_products.cache_info().currsize)
         # every point keeps the tables of its two distinct laws (N/3, q_i), of
-        # 21 to 423 entries; the lln laws of 61, 127, 208 and 352 entries are
-        # kept with their deviations, those of 592, 865 and 1267 entries are
-        # not, nor are their deviations
-        assert kept == [4, 8, 12, 16, 18, 20, 22]
-        assert cold_products.cache_info().misses == 22
+        # 21 to 423 entries, and their spectra; the lln laws of 61, 127, 208
+        # and 352 entries are kept with their deviations, those of 592, 865
+        # and 1267 entries are not, nor are their deviations
+        assert kept == [6, 12, 18, 24, 28, 32, 36]
+        assert cold_products.cache_info().misses == 36
+        # building each spectrum reads its table, and the third law reads the first's spectrum
+        assert cold_products.cache_info().hits == 7 * 3
         lln_sweep(scenario, ladder, 1000, seed=2)
-        # a narrow point reads its law and deviations, a wide one its two tables
+        # a narrow point reads its law and deviations, a wide one its two
+        # tables and a spectrum per law
         info = cold_products.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (22, 22, 4 * 2 + 3 * 2)
+        assert (info.currsize, info.misses, info.hits) == (36, 36, 7 * 3 + 4 * 2 + 3 * (2 + 3))
 
     def test_kept_deviations_are_the_per_call_arrays(self, cold_products):
         # each point's row as lln_sweep reduced it before the deviations were kept
@@ -1326,8 +1341,9 @@ class TestKeptProducts:
                                    float(np.sqrt(weights @ (dev * dev))))
             for _ in ("cold", "warm"):
                 assert lln_sweep(scenario, [n_runs], 1000, seed=4) == [row]
-        # every N keeps its two tables; 60 and 600 also their laws and deviations
-        assert cold_products.cache_info().currsize == 3 * 2 + 2 * 2
+        # every N keeps its two tables and their spectra; 60 and 600 also their
+        # laws and deviations
+        assert cold_products.cache_info().currsize == 3 * 2 + 3 * 2 + 2 * 2
 
     def test_wide_points_read_kept_tables(self, cold_products, monkeypatch):
         # the lln laws of these points have 592 to 1267 entries, too wide to keep;
@@ -1347,6 +1363,66 @@ class TestKeptProducts:
         built.clear()
         lln_sweep(scenario, ladder, 1000, seed=2)
         assert built == []
+
+    @pytest.fixture
+    def transforms(self, monkeypatch):
+        """The length of every ``np.fft.rfft`` call, in call order."""
+        calls = []
+        rfft = np.fft.rfft
+
+        def counted(a, n=None, *args, **kwargs):
+            calls.append(n)
+            return rfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(simulator.np.fft, "rfft", counted)
+        return calls
+
+    def test_warm_wide_points_transform_nothing(self, cold_products, transforms):
+        # the points' laws are too wide to keep, but their tables (198 to 423
+        # entries) and FFTs (1024, 1024 and 2048) are narrow enough to keep spectra
+        scenario = builtin_scenarios()["trine"]
+        ladder = [1293, 2787, 6000]
+        lln_sweep(scenario, ladder, 1000, seed=1)
+        assert transforms == [1024] * 4 + [2048] * 2
+        transforms.clear()
+        lln_sweep(scenario, ladder, 1000, seed=2)
+        assert transforms == []
+
+    @pytest.mark.parametrize(
+        "name, n_runs, n_fft, kept",
+        [
+            ("trine", 60, 64, True),
+            ("trine", 6000, 2048, True),
+            ("qutrit-mubs", 12000, 4096, True),
+            ("trine", 9000, 2048, False),  # tables (3000, q_i) of 517 entries, past the window cap
+            ("qutrit-mubs", 34800, 8192, False),  # tables of 509 entries, but an FFT past 4096
+        ],
+    )
+    def test_a_spectrum_is_kept_with_its_table_up_to_an_fft_of_4096(
+        self, cold_products, transforms, monkeypatch, name, n_runs, n_fft, kept
+    ):
+        # a kept spectrum is transformed once per distinct law (trine's
+        # (N/3, 0.75) comes again after (N/3, 0.7499999999999999)); an unkept
+        # one once per run of equal laws, at every point
+        built = []
+        spectrum = simulator._spectrum
+
+        def counted(laws, n):
+            built.append((laws, n))
+            return spectrum(laws, n)
+
+        monkeypatch.setattr(simulator, "_spectrum", counted)
+        scenario = builtin_scenarios()[name]
+        laws = SimConfig(scenario, n_runs, 1, seed=0).laws
+        distinct, runs = len(set(laws)), len(list(itertools.groupby(laws)))
+        counts = []
+        for seed in (1, 2):
+            transforms.clear()
+            lln_sweep(scenario, [n_runs], 1000, seed=seed)
+            assert set(transforms) <= {n_fft}
+            counts.append(len(transforms))
+        assert counts == ([distinct, 0] if kept else [runs, runs])
+        assert built == ([((law,), n_fft) for law in dict.fromkeys(laws)] if kept else [])
 
     def test_both_samplers_share_one_table_per_law(self, cold_products, monkeypatch):
         scenario = builtin_scenarios()["trine"]
