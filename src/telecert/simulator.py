@@ -28,11 +28,12 @@ schedule, so every consumer of the laws refuses the same configurations.
 Law tables, exact laws, ``lln`` laws, each ``lln`` law's per-bin
 deviations and each law's FFT spectrum (``_spectrum``) depend on no seed,
 threshold or trial count; they are built once per process and the last
-``_KEPT_PRODUCTS`` used are kept (``_kept``), each at most about 35 KiB,
-a sampling product keyed by its placed laws (``_kept_placed``).  A table
-or ``lln`` law wider than ``_KEPT_WINDOW`` entries, and its deviations,
-are built each time instead; a wide ``lln`` law is convolved from kept
-tables and their kept spectra when theirs are narrow.
+``_KEPT_PRODUCTS`` used are kept and frozen (``_kept``), each at most
+about 35 KiB, a sampling product keyed by its placed laws
+(``_kept_placed``).  A table or ``lln`` law wider than ``_KEPT_WINDOW``
+entries, and its deviations, are built each time instead and used once,
+with no copy; a wide ``lln`` law is convolved from its laws' kept spectra
+when their tables are narrow, its window read off the placed laws.
 The README's account of the samplers and its Notes on numerics give the
 joint law, the guide table, the window, the costs and the error contracts.
 """
@@ -95,9 +96,9 @@ _MAX_TABLE_ENTRIES = 1 << 20
 #: points has n // 2 + 1 complex entries, as many bytes as n + 2 float64,
 #: so it is kept only while those fit in an exact law's 4472: n <= 4096, at
 #: most 2049 complex entries, 32 KiB.  So 128 kept products hold at most
-#: 128 * 34.9 KiB, about 4.4 MiB; a wider table or law is built, used and
-#: not kept, since the benchmark's peak memory grows with its op rate and a
-#: wider cap waits for a fixed-size latency reservoir.
+#: 128 * 34.9 KiB, about 4.4 MiB; a wider table or law is built, used once
+#: and neither kept nor copied, since the benchmark's peak memory grows with
+#: its op rate and a wider cap waits for a fixed-size latency reservoir.
 _KEPT_PRODUCTS = 128
 _KEPT_WINDOW = 512
 
@@ -107,10 +108,15 @@ def _kept(build, *args):
     """``build(*args)``, kept while among the last ``_KEPT_PRODUCTS`` built or used.
 
     Keys are the builder and its arguments (numbers and tuples of numbers),
-    never a scenario; a build that raises keeps nothing.  Builders return
-    frozen arrays, so no caller can change a kept product.
+    never a scenario; a build that raises keeps nothing.  ``_kept`` freezes
+    what it keeps, the array or each array of a tuple, so no caller can
+    change a kept product; a builder returns plain arrays, and a product
+    built and not kept is used once with no copy.
     """
-    return build(*args)
+    product = build(*args)
+    if isinstance(product, np.ndarray):
+        return frozen(product)
+    return tuple(frozen(part) if isinstance(part, np.ndarray) else part for part in product)
 
 
 def _narrow(laws: tuple) -> bool:
@@ -357,7 +363,7 @@ def _window(m: int, p: float) -> tuple[int, int]:
 
 
 def _binomial_table(laws: tuple):
-    """Window start, pmf, cdf and guide of ``laws``' one placed law, built afresh and frozen.
+    """Window start, pmf, cdf and guide of ``laws``' one placed law, built afresh.
 
     On the window [lo, hi] the pmf is the weights (peak 1) over their sum,
     the cdf their cumulative sum over its last entry.  The guide has the
@@ -367,9 +373,9 @@ def _binomial_table(laws: tuple):
     """
     ((m, p, lo, hi),) = laws
     if lo == hi:
-        return lo, frozen(np.ones(1)), None, None
-    # built in place, each array frozen once final, so a wide table peaks near
-    # four arrays' worth (2.3 MiB an array at N = 3e9 on trine)
+        return lo, np.ones(1), None, None
+    # built in place, so a wide table peaks near four arrays' worth (2.3 MiB
+    # an array at N = 3e9 on trine)
     k = np.arange(lo + 1, hi + 1)
     weights = np.zeros(k.size + 1)  # the log pmf, then the weights
     np.cumsum(np.log((m - k + 1) / k) + (math.log(p) - math.log1p(-p)), out=weights[1:])
@@ -378,11 +384,10 @@ def _binomial_table(laws: tuple):
     np.exp(weights, out=weights)
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
-    cdf = frozen(cdf)
     g = 1 << (max(64, 4 * min(cdf.size, _MAX_BLOCK_TRIALS)) - 1).bit_length()
-    guide = frozen(np.searchsorted(cdf, np.arange(g) / g, side="right"))
+    guide = np.searchsorted(cdf, np.arange(g) / g, side="right")
     weights /= weights.sum()
-    return lo, frozen(weights), cdf, guide
+    return lo, weights, cdf, guide
 
 
 def _law_table(law: tuple):
@@ -419,25 +424,24 @@ def _invert(rng, table, size: int) -> np.ndarray:
 
 
 def _spectrum(laws: tuple, n_fft: int) -> np.ndarray:
-    """``np.fft.rfft`` at length ``n_fft`` of ``laws``' one placed law's pmf, frozen."""
+    """``np.fft.rfft`` at length ``n_fft`` of ``laws``' one placed law's pmf."""
     (law,) = laws
-    return frozen(np.fft.rfft(_law_table(law)[1], n_fft))
+    return np.fft.rfft(_law_table(law)[1], n_fft)
 
 
 def _pass_count_law(laws: tuple) -> tuple[int, np.ndarray]:
     """Window start and pmf of the sum of independent draws from ``laws``.
 
     ``laws`` lists placed Binomial laws (m, p, lo, hi), as ``_placed``
-    does.  Their spectra are multiplied in draw order.  A law whose table
-    is kept has its ``_spectrum`` kept too while the FFT is at most 4096
-    long; any other law's is transformed once per run of equal laws, and
-    only one such factor is alive at a time.  Every entry lies within 1e-14
-    of the exact law; the README's Notes on numerics give the FFT
-    convolution, its memory and its error.
+    does, and their windows give the law's start and width.  Their spectra
+    are multiplied in draw order.  A law whose table is kept has its
+    ``_spectrum`` kept too while the FFT is at most 4096 long; any other
+    law's table is read and transformed once per run of equal laws, and
+    only one such table and factor are alive at a time.  Every entry lies
+    within 1e-14 of the exact law; the README's Notes on numerics give the
+    FFT convolution, its memory and its error.
     """
-    # window starts and pmfs only: an unkept table's cdf and guide are freed here
-    tables = {law: _law_table(law)[:2] for law in dict.fromkeys(laws)}
-    size = sum(tables[law][1].size for law in laws) - len(laws) + 1
+    size = sum(hi - lo for *_, lo, hi in laws) + 1
     n_fft = 1 << (size - 1).bit_length()
     # a spectrum takes as much room as n_fft + 2 float64, kept while no more
     # than an exact law's (the bound of _KEPT_PRODUCTS): n_fft <= 4096
@@ -447,19 +451,19 @@ def _pass_count_law(laws: tuple) -> tuple[int, np.ndarray]:
         if keep and _narrow((law,)):
             factor = _kept(_spectrum, (law,), n_fft)
         else:
-            factor = np.fft.rfft(tables[law][1], n_fft)
+            factor = np.fft.rfft(_law_table(law)[1], n_fft)
         for _ in run:
             spectrum *= factor
         del factor  # released before the next one or the inverse FFT is allocated
     pmf = np.clip(np.fft.irfft(spectrum, n_fft)[:size], 0.0, None)
-    return sum(tables[law][0] for law in laws), pmf / pmf.sum()
+    return sum(lo for *_, lo, _ in laws), pmf / pmf.sum()
 
 
 def _sorted_pass_count_law(laws: tuple):
-    """Window start, stable ascending order and ordered pmf of ``_pass_count_law``, frozen."""
+    """Window start, stable ascending order and ordered pmf of ``_pass_count_law``."""
     lo, pmf = _pass_count_law(laws)
     order = np.argsort(pmf, kind="stable")
-    return lo, frozen(order), frozen(pmf[order])
+    return lo, order, pmf[order]
 
 
 def _total_histogram(cfg: SimConfig) -> tuple[int, np.ndarray]:
@@ -545,13 +549,13 @@ def _fidelities(lo: int, size: int, n_runs: int) -> np.ndarray:
 def _deviations(laws: tuple, f: float):
     """``_fidelities`` of placed ``laws``' window and their absolute and squared deviations from ``f``.
 
-    The arrays are frozen and depend on no seed or trial count;
-    ``lln_sweep`` keeps them beside the point's law, keyed by the same laws.
+    The arrays depend on no seed or trial count; ``lln_sweep`` keeps them
+    beside the point's law, keyed by the same laws.
     """
     lo, hi = sum(law[2] for law in laws), sum(law[3] for law in laws)
     fidelities = _fidelities(lo, hi - lo + 1, sum(law[0] for law in laws))
     dev = fidelities - f
-    return frozen(fidelities), frozen(np.abs(dev)), frozen(dev * dev)
+    return fidelities, np.abs(dev), dev * dev
 
 
 def min_passes(threshold: float, n_runs: int) -> int:
@@ -643,7 +647,7 @@ def pass_count_distribution(scenario: Scenario, n_runs: int) -> np.ndarray:
 
 
 def _convolution_power(laws: tuple) -> np.ndarray:
-    """Pmf of the sum of draws from ``laws``, Binomial laws of one m, frozen."""
+    """Pmf of the sum of draws from ``laws``, Binomial laws of one m."""
     power = functools.reduce(np.convolve, ([1.0 - p, p] for _, p in laws))
     rounds = laws[0][0]
     dist = np.ones(1)
@@ -652,7 +656,7 @@ def _convolution_power(laws: tuple) -> np.ndarray:
             dist = np.convolve(dist, power)
         rounds >>= 1
         if not rounds:
-            return frozen(dist)
+            return dist
         power = np.convolve(power, power)
 
 
@@ -686,7 +690,7 @@ def lln_sweep(
     absolute and squared deviations from F (``_deviations``), keyed by the
     same placed laws, so a kept point costs one draw and three dot
     products; a wider law and its deviations are built at each point, from
-    kept tables and their kept FFT spectra where those are narrow.  The
+    its laws' kept FFT spectra where their tables are narrow.  The
     RMS column shrinks like 1/sqrt(N), which a log-log fit over a geometric
     ladder exposes as a slope near -1/2.  ``workers`` must be at least 1 and
     changes nothing: sampling runs on one thread.

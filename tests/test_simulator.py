@@ -436,9 +436,11 @@ class TestBinomialKernel:
         _, _, lo, hi = placed(10**16, 1.0)
         assert lo == hi == 10**16
 
-    def test_memory_stays_bounded_at_huge_n(self):
-        # the cdf table spans O(sqrt(N / a)) entries, about 3e5 here
-        scenario = builtin_scenarios()["trine"]
+    @pytest.mark.parametrize("name, mib", [("trine", 64), ("qutrit-mubs", 80)])
+    def test_memory_stays_bounded_at_huge_n(self, cold_products, name, mib):
+        # each cdf table spans O(sqrt(N / a)) entries, about 3e5 on trine and
+        # 1.5e5 for each of qutrit-mubs' 12 laws; the lln law spans their sum
+        scenario = builtin_scenarios()[name]
         n_runs, n_trials = 3_000_000_000, 2000
         tracemalloc.start()
         try:
@@ -446,9 +448,11 @@ class TestBinomialKernel:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
-        se = math.sqrt(0.75 * 0.25 / n_runs / n_trials)
-        assert abs(row.mean_fidelity - 0.75) < 5 * se
+        assert peak < mib * 2**20
+        # a sum of Binomials has at most the variance of one Binomial(N, F)
+        f = scenario.classical_fidelity
+        se = math.sqrt(f * (1.0 - f) / n_runs / n_trials)
+        assert abs(row.mean_fidelity - f) < 5 * se
 
 
 class TestTrialTally:
@@ -1320,13 +1324,12 @@ class TestKeptProducts:
         # and 1267 entries are not, nor are their deviations
         assert kept == [6, 12, 18, 24, 28, 32, 36]
         assert cold_products.cache_info().misses == 36
-        # building each spectrum reads its table, and the third law reads the first's spectrum
-        assert cold_products.cache_info().hits == 7 * 3
+        # building each spectrum builds its table, and the third law reads the first's spectrum
+        assert cold_products.cache_info().hits == 7
         lln_sweep(scenario, ladder, 1000, seed=2)
-        # a narrow point reads its law and deviations, a wide one its two
-        # tables and a spectrum per law
+        # a narrow point reads its law and deviations, a wide one a spectrum per law
         info = cold_products.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (36, 36, 7 * 3 + 4 * 2 + 3 * (2 + 3))
+        assert (info.currsize, info.misses, info.hits) == (36, 36, 7 + 4 * 2 + 3 * 3)
 
     def test_kept_deviations_are_the_per_call_arrays(self, cold_products):
         # each point's row as lln_sweep reduced it before the deviations were kept
@@ -1363,6 +1366,48 @@ class TestKeptProducts:
         built.clear()
         lln_sweep(scenario, ladder, 1000, seed=2)
         assert built == []
+
+    def test_warm_wide_points_copy_nothing_and_read_no_table(self, cold_products, monkeypatch):
+        # a wide point's law and deviations are built, used once and dropped,
+        # and its laws' windows come from the configuration
+        scenario = builtin_scenarios()["trine"]
+        ladder = [1293, 2787, 6000]
+        lln_sweep(scenario, ladder, 1000, seed=1)
+        calls = []
+
+        def counted(name):
+            original = getattr(simulator, name)
+
+            def call(*args):
+                calls.append(name)
+                return original(*args)
+
+            return call
+
+        for name in ("frozen", "_law_table"):
+            monkeypatch.setattr(simulator, name, counted(name))
+        lln_sweep(scenario, ladder, 1000, seed=2)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "build, args",
+        [
+            (simulator._binomial_table, ((placed(200, 0.75),),)),
+            (simulator._spectrum, ((placed(200, 0.75),), 128)),
+            (simulator._sorted_pass_count_law, (SimConfig(builtin_scenarios()["trine"], 60, 1, 0).laws,)),
+            (simulator._deviations, (SimConfig(builtin_scenarios()["trine"], 60, 1, 0).laws, 0.75)),
+            (simulator._convolution_power, (((20, 0.75), (20, 0.5)),)),
+        ],
+    )
+    def test_builders_return_writable_arrays_that_kept_freezes(self, cold_products, build, args):
+        def arrays(product):
+            parts = product if isinstance(product, tuple) else (product,)
+            return [part for part in parts if isinstance(part, np.ndarray)]
+
+        built, kept = build(*args), simulator._kept(build, *args)
+        assert arrays(built) and all(array.flags.writeable for array in arrays(built))
+        assert not any(array.flags.writeable for array in arrays(kept))
+        assert all(np.array_equal(a, b) for a, b in zip(arrays(built), arrays(kept), strict=True))
 
     @pytest.fixture
     def transforms(self, monkeypatch):
