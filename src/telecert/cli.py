@@ -56,6 +56,12 @@ def _seed(args) -> int:
     return _integer(seed, SEED_ENV_VAR, 0, bits=64)
 
 
+def _note_workers(args) -> None:
+    """Note on stderr that a ``--workers`` other than 1 changes nothing; call once the request is accepted."""
+    if args.workers != 1:
+        print("note: --workers has no effect; sampling runs on one thread", file=sys.stderr)
+
+
 def _parse_n_list(raw: str) -> list[int]:
     values = []
     for item in filter(None, (chunk.strip() for chunk in raw.split(","))):
@@ -196,6 +202,7 @@ def cmd_simulate(args) -> int:
             f"rounded up to {n_runs}",
             file=sys.stderr,
         )
+    _note_workers(args)
 
     bound, bound_note = None, ""
     try:
@@ -256,6 +263,7 @@ def cmd_lln(args) -> int:
     ladder = simulator.lln_sweep(
         scenario, args.n, args.trials, seed, workers=args.workers
     )
+    _note_workers(args)
     columns = ("n_runs", "mean_fidelity", "mean_abs_deviation", "rms_deviation")
     records = [_fields(row, columns) for row in ladder]
     try:

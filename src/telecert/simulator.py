@@ -8,14 +8,18 @@ the fraction of runs that pass verification.
 Runs are never sampled one by one.  A trial's pass count is a sum of
 independent Binomial draws whose (m, p) one list gives, in draw order:
 ``_draw_laws``, (N/a, q_i) per state under the fixed schedule and (N, F)
-under multinomial preparation.  ``SimConfig`` derives them once and
-places them (``laws``): ``_placed`` gives each distinct law its window,
-once, as (m, p, lo, hi).  Each law has one table, its window start, pmf,
-cdf and guide (``_law_table``), read by both samplers: ``run_experiment`` and
-``run_trial`` invert its cdf for one column per law (``_tables``,
-``_invert``) and draw the outcome tallies, summed over trials, once per
-experiment; ``lln_sweep`` draws each point's histogram as one
-multinomial over the convolution of the laws' pmfs (``_pass_count_law``).
+under multinomial preparation.  ``SimConfig``, ``run_trial`` and each
+``lln_sweep`` point derive them once and place them: ``_placed`` gives
+each distinct law its window, once, as (m, p, lo, hi).  Each law has one
+table, its window start, pmf, cdf and guide (``_law_table``), read by
+both samplers: ``run_experiment`` and ``run_trial`` invert its cdf for
+one column per law (``_tables``, ``_invert``) and draw the outcome
+tallies, summed over trials, once per experiment; ``lln_sweep`` checks
+its trial count and seed once (``_sampling``) and draws each point's
+histogram as one multinomial over the nonzero entries of the
+convolution of the laws' pmfs (``_pass_count_law``,
+``_total_histogram``): numpy draws nothing for a zero-probability bin,
+so leaving the zero bins out changes no draw.
 Each block of trials draws from a Philox stream keyed by (seed, n_runs) at
 the block's counter offset (``stream``), so results depend only on the
 configuration.  The library draws those streams from one generator per
@@ -90,15 +94,17 @@ _MAX_TABLE_ENTRIES = 1 << 20
 #: exact law has at most ``_EXACT_MAX_RUNS`` + 1 = 4472 float64 entries,
 #: 34.9 KiB; a kept table has a pmf and a cdf of at most 512 float64
 #: entries each and a guide of at most 4 * 512 = 2048 intp entries,
-#: 4 + 4 + 16 = 24 KiB; a kept ``lln`` law has at most 512 float64 and 512
-#: intp entries, 8 KiB, and its per-bin deviations three arrays of at most
-#: 512 float64 entries, 12 KiB.  A kept table's spectrum at an FFT of n
-#: points has n // 2 + 1 complex entries, as many bytes as n + 2 float64,
-#: so it is kept only while those fit in an exact law's 4472: n <= 4096, at
-#: most 2049 complex entries, 32 KiB.  So 128 kept products hold at most
-#: 128 * 34.9 KiB, about 4.4 MiB; a wider table or law is built, used once
-#: and neither kept nor copied, since the benchmark's peak memory grows with
-#: its op rate and a wider cap waits for a fixed-size latency reservoir.
+#: 4 + 4 + 16 = 24 KiB; a kept ``lln`` law has at most 512 intp entries
+#: (its order) and 512 float64 (its nonzero probabilities, fewer where the
+#: FFT's rounding was clipped to 0), 8 KiB, and its per-bin deviations
+#: three arrays of at most 512 float64 entries, 12 KiB.  A kept table's
+#: spectrum at an FFT of n points has n // 2 + 1 complex entries, as many
+#: bytes as n + 2 float64, so it is kept only while those fit in an exact
+#: law's 4472: n <= 4096, at most 2049 complex entries, 32 KiB.  So 128
+#: kept products hold at most 128 * 34.9 KiB, about 4.4 MiB; a wider table
+#: or law is built, used once and neither kept nor copied, since the
+#: benchmark's peak memory grows with its op rate and a wider cap waits for
+#: a fixed-size latency reservoir.
 _KEPT_PRODUCTS = 128
 _KEPT_WINDOW = 512
 
@@ -111,7 +117,9 @@ def _kept(build, *args):
     never a scenario; a build that raises keeps nothing.  ``_kept`` freezes
     what it keeps, the array or each array of a tuple, so no caller can
     change a kept product; a builder returns plain arrays, and a product
-    built and not kept is used once with no copy.
+    built and not kept is used once with no copy.  A warm narrow ``lln``
+    point reads its law and its deviations here, so what it costs beyond
+    them is its multinomial draw and three dot products.
     """
     product = build(*args)
     if isinstance(product, np.ndarray):
@@ -165,9 +173,27 @@ def _draw_laws(scenario: Scenario, n_runs: int, multinomial: bool) -> tuple:
 
 
 def _placed(laws: tuple) -> tuple:
-    """``laws`` placed: (m, p, lo, hi), each law with its ``_window``, read once per distinct law."""
-    windows = {law: _window(*law) for law in dict.fromkeys(laws)}
-    return tuple(law + windows[law] for law in laws)
+    """``laws`` placed: (m, p, lo, hi), each law with its ``_window``, read once per distinct law.
+
+    Equal laws share one placed tuple.
+    """
+    placed, distinct = [], {}
+    for law in laws:
+        law_placed = distinct.get(law)
+        if law_placed is None:
+            law_placed = distinct[law] = law + _window(*law)
+        placed.append(law_placed)
+    return tuple(placed)
+
+
+def _sampling(n_trials: int, seed: int) -> tuple[int, int]:
+    """``n_trials`` and ``seed`` as ``int``, checked in that order.
+
+    The one definition of their ranges: integers (``TypeError``
+    otherwise), ``n_trials`` in [1, 2**63) and ``seed`` in [0, 2**64)
+    (``ValueError`` otherwise).
+    """
+    return _integer(n_trials, "n_trials", 1, 63), _integer(seed, "seed", 0, 64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,9 +208,9 @@ class SimConfig:
     or sampling tables spanning more than ``_MAX_TABLE_ENTRIES`` entries,
     raise ``PreconditionError`` here, before anything is allocated.  ``n_runs``,
     ``n_trials`` and ``seed`` are integers (``TypeError`` otherwise) and
-    are stored as ``int``; ``n_runs < 1``, ``n_trials`` outside
-    [1, 2**63) and ``seed`` outside [0, 2**64) raise ``ValueError``, and
-    a non-bool ``multinomial_preparation`` ``TypeError``.  ``laws``, the
+    are stored as ``int``; ``n_runs < 1``, and ``n_trials`` or ``seed``
+    outside their ``_sampling`` ranges, raise ``ValueError``, and a
+    non-bool ``multinomial_preparation`` ``TypeError``.  ``laws``, the
     ``_placed`` ``_draw_laws``, is derived with that check.
     """
 
@@ -195,8 +221,9 @@ class SimConfig:
     multinomial_preparation: bool = False
 
     def __post_init__(self):
-        for name, low, bits in (("n_runs", 1, None), ("n_trials", 1, 63), ("seed", 0, 64)):
-            object.__setattr__(self, name, _integer(getattr(self, name), name, low, bits))
+        checked = (_integer(self.n_runs, "n_runs", 1), *_sampling(self.n_trials, self.seed))
+        for name, value in zip(("n_runs", "n_trials", "seed"), checked):
+            object.__setattr__(self, name, value)
         multinomial = self.multinomial_preparation
         if not isinstance(multinomial, bool):
             raise TypeError(f"multinomial_preparation must be a bool, not {type(multinomial).__name__}")
@@ -455,31 +482,44 @@ def _pass_count_law(laws: tuple) -> tuple[int, np.ndarray]:
         for _ in run:
             spectrum *= factor
         del factor  # released before the next one or the inverse FFT is allocated
-    pmf = np.clip(np.fft.irfft(spectrum, n_fft)[:size], 0.0, None)
-    return sum(lo for *_, lo, _ in laws), pmf / pmf.sum()
+    # clipped and normalized in place, in the inverse FFT's own buffer
+    pmf = np.fft.irfft(spectrum, n_fft)[:size]
+    np.maximum(pmf, 0.0, out=pmf)
+    pmf /= pmf.sum()
+    return sum(lo for *_, lo, _ in laws), pmf
 
 
 def _sorted_pass_count_law(laws: tuple):
-    """Window start, stable ascending order and ordered pmf of ``_pass_count_law``."""
+    """Window start, stable ascending order and ordered nonzero pmf of ``_pass_count_law``.
+
+    ``order`` is the stable ascending argsort of the law's whole window;
+    ``pmf`` holds the probabilities of its last ``pmf.size`` bins, those
+    after the exactly-zero prefix that clipping the FFT's rounding leaves.
+    """
     lo, pmf = _pass_count_law(laws)
     order = np.argsort(pmf, kind="stable")
-    return lo, order, pmf[order]
+    return lo, order, pmf[order[pmf.size - np.count_nonzero(pmf) :]]
 
 
-def _total_histogram(cfg: SimConfig) -> tuple[int, np.ndarray]:
-    """Window start and pass-count histogram of ``cfg.n_trials`` trials.
+def _total_histogram(laws: tuple, n_trials: int, seed: int) -> tuple[int, np.ndarray]:
+    """Window start and pass-count histogram of ``n_trials`` trials of placed ``laws``.
 
-    The histogram is one multinomial over ``_pass_count_law`` of the
-    configuration's laws, its entries in stable ascending order, drawn from
-    the (seed, n_runs) stream; the README's Notes on numerics say why it
-    replaces the trials' draws.  A law of at most ``_KEPT_WINDOW`` entries
-    is kept by ``_kept``, keyed by the placed laws, and a wider one is
-    built each time.  The law depends on no seed or trial count, so a kept
-    one changes no draw.
+    ``laws`` is a placed ``_draw_laws`` list, laws of one m, so a trial's
+    run count is m times their number.  The histogram is one multinomial
+    over the nonzero entries of ``_pass_count_law``, in stable ascending
+    order (``_sorted_pass_count_law``), drawn from the (seed, n_runs)
+    stream; the README's Notes on numerics say why it replaces the trials'
+    draws.  numpy draws no random number for a zero-probability category
+    and leaves the mass still to split unchanged, so leaving the zero bins
+    out changes no draw; the counts are int64 over the law's whole window.
+    A law of at most ``_KEPT_WINDOW`` entries is kept by ``_kept``, keyed
+    by the placed laws, and a wider one is built each time; the law
+    depends on no seed or trial count, so a kept one changes no draw.
     """
-    lo, order, pmf = _kept_placed(_sorted_pass_count_law, cfg.laws)
-    counts = np.empty(pmf.size, dtype=np.int64)
-    counts[order] = _thread_stream(cfg.seed, subkey=cfg.n_runs).multinomial(cfg.n_trials, pmf)
+    lo, order, pmf = _kept_placed(_sorted_pass_count_law, laws)
+    counts = np.zeros(order.size, dtype=np.int64)
+    draws = _thread_stream(seed, subkey=laws[0][0] * len(laws)).multinomial(n_trials, pmf)
+    counts[order[order.size - pmf.size :]] = draws
     return lo, counts
 
 
@@ -543,7 +583,7 @@ def run_trial(
 
 def _fidelities(lo: int, size: int, n_runs: int) -> np.ndarray:
     """Fidelity of each of the ``size`` bins of a pass-count histogram from ``lo``."""
-    return (lo + np.arange(size)) / n_runs
+    return np.arange(lo, lo + size) / n_runs
 
 
 def _deviations(laws: tuple, f: float):
@@ -679,36 +719,40 @@ def lln_sweep(
 ) -> list[LlnRow]:
     """Deviation of the trial fidelity from its infinite-N value per N.
 
-    Every N in ``n_values`` must be a multiple of the ensemble size and
-    small enough to sample; the whole ladder is validated before any point
-    is sampled.  Each point draws the histogram of its trials' pass counts
-    as one multinomial over the fixed-schedule law (``_total_histogram``)
-    and reduces it, so its cost and memory grow like sqrt(N), whatever
+    ``workers`` (at least 1; it changes nothing, sampling runs on one
+    thread), then ``n_trials`` and ``seed`` (``_sampling``), are checked
+    once per call, even for an empty ladder; then every N in ``n_values``
+    must be a multiple of the ensemble size and small enough to sample,
+    and the whole ladder is checked and placed before any point is
+    sampled.  Each point draws the histogram of its trials' pass counts as
+    one multinomial over the fixed-schedule law (``_total_histogram``) and
+    reduces it, so its cost and memory grow like sqrt(N), whatever
     ``n_trials`` is.  A law of at most ``_KEPT_WINDOW`` entries (N up to
     600 on trine) is kept for later points of equal laws, whatever their
     seed or trial count, and beside it the per-bin fidelities and their
     absolute and squared deviations from F (``_deviations``), keyed by the
     same placed laws, so a kept point costs one draw and three dot
     products; a wider law and its deviations are built at each point, from
-    its laws' kept FFT spectra where their tables are narrow.  The
-    RMS column shrinks like 1/sqrt(N), which a log-log fit over a geometric
-    ladder exposes as a slope near -1/2.  ``workers`` must be at least 1 and
-    changes nothing: sampling runs on one thread.
+    its laws' kept FFT spectra where their tables are narrow, the law
+    dropped before its deviations are built.  The RMS column shrinks like
+    1/sqrt(N), which a log-log fit over a geometric ladder exposes as a
+    slope near -1/2.
     """
     _integer(workers, "workers", 1)
-    configs = [SimConfig(scenario, n_runs, n_trials, seed) for n_runs in n_values]
+    n_trials, seed = _sampling(n_trials, seed)
+    ladder = [(_placed(_draw_laws(scenario, n_runs, False)), operator.index(n_runs)) for n_runs in n_values]
     f_th = scenario.classical_fidelity
     rows = []
-    for cfg in configs:
-        _, counts = _total_histogram(cfg)
-        fidelities, abs_dev, sq_dev = _kept_placed(_deviations, cfg.laws, f_th)
-        weights = counts / cfg.n_trials
+    for laws, n_runs in ladder:
+        _, counts = _total_histogram(laws, n_trials, seed)
+        fidelities, abs_dev, sq_dev = _kept_placed(_deviations, laws, f_th)
+        weights = counts / n_trials
         rows.append(
             LlnRow(
-                n_runs=cfg.n_runs,
-                mean_fidelity=float(weights @ fidelities),
-                mean_abs_deviation=float(weights @ abs_dev),
-                rms_deviation=float(np.sqrt(weights @ sq_dev)),
+                n_runs=n_runs,
+                mean_fidelity=float(weights.dot(fidelities)),
+                mean_abs_deviation=float(weights.dot(abs_dev)),
+                rms_deviation=math.sqrt(weights.dot(sq_dev)),
             )
         )
     return rows

@@ -201,10 +201,13 @@ def test_criterion_9_determinism(tmp_path, capsys):
             "records",
         ]
         paths = [tmp_path / name for name in ("a.json", "b.json", "c.json")]
-        assert cli.main(argv + ["--out", str(paths[0])]) == 0
-        assert cli.main(argv + ["--out", str(paths[1])]) == 0
-        assert cli.main(argv + ["--workers", "6", "--out", str(paths[2])]) == 0
-        capsys.readouterr()
+        streams = []
+        for extra, path in zip(([], [], ["--workers", "6"]), paths):
+            assert cli.main(argv + extra + ["--out", str(path)]) == 0
+            streams.append(capsys.readouterr())
+        # --workers changes neither stdout nor the document, and says so once on stderr
+        assert streams[0] == streams[1] == (streams[2].out, "")
+        assert streams[2].err == "note: --workers has no effect; sampling runs on one thread\n"
         stripped = []
         for path in paths:
             doc = json.loads(path.read_text())

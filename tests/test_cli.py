@@ -416,6 +416,15 @@ BOUNDS = ["bounds", "--scenario", "trine", "--n", "12"]
 HYPOTHESIS = ["hypothesis", "--f-qm", "0.9", "--f-cla", "0.7", "--f-crit", "0.8"]
 
 
+@pytest.mark.parametrize("argv", [SIMULATE, LLN + ["--n", "12,24"]], ids=["simulate", "lln"])
+def test_workers_other_than_one_is_noted_once_on_stderr(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, argv + ["--workers", "1"]) == (0, out, "")
+    note = "note: --workers has no effect; sampling runs on one thread\n"
+    assert run_cli(capsys, argv + ["--workers", "3"]) == (0, out, note)
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "argv,code",
@@ -442,13 +451,15 @@ class TestExitCodes:
             (["simulate", "--scenario", "trine", "--n", "100", "--trials", "0"], 2),
             (["simulate", "--scenario", "trine", "--n", "100", "--threshold", "nan"], 2),
             (["simulate", "--scenario", "trine", "--n", "100", "--workers", "0"], 2),
+            (["simulate", "--scenario", "trine", "--n", "100", "--workers", "4", "--trials", "0"], 2),
+            (LLN + ["--workers", "4", "--n", "100"], 3),
         ],
     )
     def test_rejected_before_any_output(self, capsys, argv, code):
         got, out, err = run_cli(capsys, argv)
         assert got == code
         assert out == ""
-        assert "rounded up" not in err
+        assert "rounded up" not in err and "note:" not in err
 
     @pytest.mark.parametrize(
         "argv", [SIMULATE[:3], LLN[:3], BOUNDS[:3], HYPOTHESIS + ["--sigma", "0.3"]],

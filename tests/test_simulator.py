@@ -332,6 +332,11 @@ def placed(m, p):
     return law
 
 
+def histogram(cfg):
+    """``simulator._total_histogram`` of a configuration's placed laws, trial count and seed."""
+    return simulator._total_histogram(cfg.laws, cfg.n_trials, cfg.seed)
+
+
 def searchsorted_reference(m, p, u):
     """Binomial(m, p) draws for the uniforms ``u`` by the plain search of a fresh table's cdf."""
     lo, _, cdf, _ = simulator._binomial_table((placed(m, p),))
@@ -1243,7 +1248,7 @@ class TestKeptProducts:
         scenario = builtin_scenarios()["trine"]
         for n_runs, entries, kept in ((2922, 512, 3), (2940, 513, 3), (2940, 513, 3), (2922, 512, 3)):
             cfg = SimConfig(scenario, n_runs, 10, seed=1, multinomial_preparation=True)
-            _, counts = simulator._total_histogram(cfg)
+            _, counts = histogram(cfg)
             assert counts.size == entries
             assert cold_products.cache_info().currsize == kept
         assert cold_products.cache_info().misses == 3
@@ -1256,18 +1261,19 @@ class TestKeptProducts:
         assert sum(array.nbytes for array in table) == 8 * (simulator._KEPT_WINDOW * 2 + 2048) == 24 * 1024
         # the widest kept lln law: trine's multinomial law (2922, F) has 512 entries
         cfg = SimConfig(builtin_scenarios()["trine"], 2922, 1, seed=0, multinomial_preparation=True)
-        simulator._total_histogram(cfg)
+        histogram(cfg)
         # and the widest kept per-bin deviations, those of that law
         deviations = simulator._kept_placed(simulator._deviations, cfg.laws, 0.75)
         # the exact law, both tables, the lln law, its spectrum and its deviations
         assert cold_products.cache_info().currsize == 6
+        # the order of its 512 entries and the nonzero ones, at most all 512
         _, order, pmf = simulator._kept(simulator._sorted_pass_count_law, cfg.laws)
-        assert pmf.size == simulator._KEPT_WINDOW
+        assert 0 < pmf.size <= order.size == simulator._KEPT_WINDOW
         assert sum(array.nbytes for array in deviations) == 3 * 8 * simulator._KEPT_WINDOW == 12 * 1024
         # the widest kept spectrum: qutrit-mubs' laws (1000, q_i) at N = 12000 have
         # kept tables of 299 entries, and their 12 laws an FFT of 4096
         mubs = SimConfig(builtin_scenarios()["qutrit-mubs"], 12000, 1, seed=0)
-        simulator._total_histogram(mubs)
+        histogram(mubs)
         built = cold_products.cache_info().misses
         spectrum = simulator._kept(simulator._spectrum, mubs.laws[:1], 4096)
         assert cold_products.cache_info().misses == built
@@ -1336,7 +1342,7 @@ class TestKeptProducts:
         scenario = builtin_scenarios()["trine"]
         f = scenario.classical_fidelity
         for n_runs in (60, 600, 6000):  # the law at 6000 has 1267 entries, too wide to keep
-            lo, counts = simulator._total_histogram(SimConfig(scenario, n_runs, 1000, seed=4))
+            lo, counts = histogram(SimConfig(scenario, n_runs, 1000, seed=4))
             fidelities = (lo + np.arange(counts.size)) / n_runs
             weights = counts / counts.sum()
             dev = fidelities - f
@@ -1507,7 +1513,7 @@ class TestKeptProducts:
             cfg = SimConfig(scenario, n_runs, 1000, seed=2)
             # the configuration places each distinct law once, with its window
             assert windows == [law[:2] for law in dict.fromkeys(cfg.laws)]
-            lo, counts = simulator._total_histogram(cfg)
+            lo, counts = histogram(cfg)
             # neither a kept law nor a wide one, convolved from its tables, reads a window again
             assert len(windows) == 2
             assert (lo, lo + counts.size - 1) == tuple(sum(law[i] for law in cfg.laws) for i in (2, 3))
@@ -1752,13 +1758,56 @@ class TestLlnSweep:
             lln_sweep(scenario, [30, 100], n_trials=500, seed=6)
 
     def test_whole_ladder_checked_before_sampling(self, monkeypatch):
-        def refuse(cfg):
-            raise AssertionError(f"sampled N={cfg.n_runs} before the ladder was checked")
+        def refuse(laws, n_trials, seed):
+            raise AssertionError(f"sampled N={laws[0][0] * len(laws)} before the ladder was checked")
 
         monkeypatch.setattr(simulator, "_total_histogram", refuse)
         scenario = builtin_scenarios()["trine"]
         with pytest.raises(PreconditionError, match="6001"):
             lln_sweep(scenario, [6000, 6001], n_trials=300_000, seed=6)
+
+    #: Each singly-invalid argument of ``lln_sweep``, its class and its whole message.
+    REFUSALS = [
+        ("workers", 0, ValueError, "workers must be positive, got 0"),
+        ("workers", -3, ValueError, "workers must be positive, got -3"),
+        ("workers", 1.5, TypeError, "'float' object cannot be interpreted as an integer"),
+        ("workers", True, TypeError, "workers must be an integer, not a bool"),
+        ("workers", "2", TypeError, "'str' object cannot be interpreted as an integer"),
+        ("n_trials", 0, ValueError, "n_trials must lie in [1, 2**63), got 0"),
+        ("n_trials", -1, ValueError, "n_trials must lie in [1, 2**63), got -1"),
+        ("n_trials", 2**63, ValueError, f"n_trials must lie in [1, 2**63), got {2**63}"),
+        ("n_trials", 1000.0, TypeError, "'float' object cannot be interpreted as an integer"),
+        ("n_trials", True, TypeError, "n_trials must be an integer, not a bool"),
+        ("n_trials", "9", TypeError, "'str' object cannot be interpreted as an integer"),
+        ("seed", -1, ValueError, "seed must lie in [0, 2**64), got -1"),
+        ("seed", 2**64, ValueError, f"seed must lie in [0, 2**64), got {2**64}"),
+        ("seed", 1.5, TypeError, "'float' object cannot be interpreted as an integer"),
+        ("seed", False, TypeError, "seed must be an integer, not a bool"),
+        ("seed", None, TypeError, "'NoneType' object cannot be interpreted as an integer"),
+        ("n_runs", 0, ValueError, "n_runs must be positive, got 0"),
+        ("n_runs", -3, ValueError, "n_runs must be positive, got -3"),
+        ("n_runs", 60.9, TypeError, "'float' object cannot be interpreted as an integer"),
+        ("n_runs", True, TypeError, "n_runs must be an integer, not a bool"),
+        ("n_runs", 100, PreconditionError, "n_runs must be a positive multiple of the ensemble size 3, got 100"),
+        ("n_runs", 2**63, PreconditionError, f"the limit is {RUN_LIMIT} runs; n_runs is too large to simulate"),
+        ("n_runs", 3 * 10**11, PreconditionError,
+         "sampling Binomial(100000000000, 0.75) needs a table of 2978639 entries, more than 1048576; "
+         "n_runs is too large to simulate"),
+    ]
+
+    @pytest.mark.parametrize("name, value, error, message", REFUSALS,
+                             ids=[f"{name}={value!r}" for name, value, *_ in REFUSALS])
+    def test_each_bad_argument_is_refused_before_any_draw(self, name, value, error, message, monkeypatch):
+        # the bad N is the ladder's last point, after one that could be drawn;
+        # a bad workers, trial count or seed is refused for an empty ladder too
+        refuse_streams(monkeypatch)
+        scenario = builtin_scenarios()["trine"]
+        for ladder in [[60, value]] if name == "n_runs" else [[60, 600], []]:
+            arguments = {"n_values": ladder, "n_trials": 1000, "seed": 1, "workers": 1}
+            if name != "n_runs":
+                arguments[name] = value
+            with pytest.raises(error, match="^" + re.escape(message) + "$"):
+                lln_sweep(scenario, **arguments)
 
     def test_certain_passes_have_no_spread(self):
         scenario = orthonormal_scenario()
@@ -1804,7 +1853,7 @@ class TestPassCountLaw:
         n_trials, chi2, dof = 100_000, 0.0, 0
         for seed in range(20):
             cfg = SimConfig(scenario=scenario, n_runs=n_runs, n_trials=n_trials, seed=seed)
-            lo, counts = simulator._total_histogram(cfg)
+            lo, counts = histogram(cfg)
             hist = np.zeros(n_runs + 1)
             hist[lo : lo + counts.size] = counts
             expected = n_trials * dist
@@ -1822,11 +1871,33 @@ class TestPassCountLaw:
         a = scenario.ensemble.size
         for n_runs in (a, 60 // a * a, 6000):
             cfg = SimConfig(scenario=scenario, n_runs=n_runs, n_trials=n_trials, seed=5)
-            lo, counts = simulator._total_histogram(cfg)
+            lo, counts = histogram(cfg)
             assert counts.dtype == np.int64
             assert np.all(counts >= 0)
             assert int(counts.sum()) == n_trials
             assert 0 <= lo and lo + counts.size <= n_runs + 1
+            # over the law's whole window, nothing in a bin of probability 0
+            _, pmf = simulator._pass_count_law(cfg.laws)
+            assert (lo, lo + counts.size - 1) == tuple(sum(law[i] for law in cfg.laws) for i in (2, 3))
+            assert not counts[pmf == 0.0].any()
+
+    @pytest.mark.parametrize("name", list(builtin_scenarios()))
+    def test_sorted_law_drops_only_the_zero_prefix_of_the_stable_order(self, name, cold_products):
+        scenario = builtin_scenarios()[name]
+        a = scenario.ensemble.size
+        dropped = 0
+        for n_runs in (a, 60 // a * a, 600 // a * a, 6000 // a * a):
+            laws = SimConfig(scenario, n_runs, 1, seed=0).laws
+            lo, pmf = simulator._pass_count_law(laws)
+            build = simulator._sorted_pass_count_law
+            for start, order, nonzero in (build(laws), simulator._kept_placed(build, laws)):
+                assert start == lo
+                assert np.array_equal(order, np.argsort(pmf, kind="stable"))
+                assert np.all(nonzero > 0.0)
+                zeros = order.size - nonzero.size
+                assert np.array_equal(nonzero, pmf[order[zeros:]]) and not pmf[order[:zeros]].any()
+            dropped += zeros
+        assert dropped > 0  # the FFT's rounding, clipped, leaves some bins at exactly 0
 
 
 class TestStreams:
