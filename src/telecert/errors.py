@@ -53,8 +53,8 @@ def _integer(value, name: str, low: int, bits: int | None = None) -> int:
     return value
 
 
-def _shown(value: int) -> str:
-    """``value`` in decimal, or its size in bits where ``str`` refuses it.
+def _shown(value) -> str:
+    """``str(value)``, or an integer's size in bits where ``str`` refuses it.
 
     Python refuses to convert an integer of more digits than
     ``sys.get_int_max_str_digits()`` (4300 by default) to a string.
@@ -67,7 +67,10 @@ def _shown(value: int) -> str:
 
 
 def _finite(value: float, name: str) -> float:
-    """``value`` unchanged, or ``ValueError`` when it is nan or infinite."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
+    """``value`` as a float64, or ``ValueError`` when it is nan, infinite or overflows one."""
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ValueError(f"{name} must be finite, got {_shown(value)}")

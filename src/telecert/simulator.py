@@ -33,11 +33,12 @@ Law tables, exact laws, ``lln`` laws, each ``lln`` law's per-bin
 deviations and each law's FFT spectrum (``_spectrum``) depend on no seed,
 threshold or trial count; they are built once per process and the last
 ``_KEPT_PRODUCTS`` used are kept and frozen (``_kept``), each at most
-about 35 KiB, a sampling product keyed by its placed laws
-(``_kept_placed``).  A table or ``lln`` law wider than ``_KEPT_WINDOW``
-entries, and its deviations, are built each time instead and used once,
-with no copy; a wide ``lln`` law is convolved from its laws' kept spectra
-when their tables are narrow, its window read off the placed laws.
+about 35 KiB.  One rule, ``_kept_placed``, keeps every sampling product,
+keyed by its placed laws, while they span at most ``_KEPT_WINDOW``
+entries; ``_pass_count_law`` asks it for a spectrum only while the FFT
+has at most 4096 points.  Any other product is built each time and used
+once, with no copy; a wide ``lln`` law is convolved from its laws' kept
+spectra when their tables are narrow, its window read off the placed laws.
 The README's account of the samplers and its Notes on numerics give the
 joint law, the guide table, the window, the costs and the error contracts.
 """
@@ -97,14 +98,15 @@ _MAX_TABLE_ENTRIES = 1 << 20
 #: 4 + 4 + 16 = 24 KiB; a kept ``lln`` law has at most 512 intp entries
 #: (its order) and 512 float64 (its nonzero probabilities, fewer where the
 #: FFT's rounding was clipped to 0), 8 KiB, and its per-bin deviations
-#: three arrays of at most 512 float64 entries, 12 KiB.  A kept table's
-#: spectrum at an FFT of n points has n // 2 + 1 complex entries, as many
-#: bytes as n + 2 float64, so it is kept only while those fit in an exact
-#: law's 4472: n <= 4096, at most 2049 complex entries, 32 KiB.  So 128
-#: kept products hold at most 128 * 34.9 KiB, about 4.4 MiB; a wider table
-#: or law is built, used once and neither kept nor copied, since the
-#: benchmark's peak memory grows with its op rate and a wider cap waits for
-#: a fixed-size latency reservoir.
+#: three arrays of at most 512 float64 entries, 12 KiB.  ``_kept_placed``
+#: applies the window cap to each of them.  A spectrum at an FFT of n
+#: points has n // 2 + 1 complex entries, as many bytes as n + 2 float64,
+#: so ``_pass_count_law`` keeps one, beside its kept table, only while
+#: those fit in an exact law's 4472: n <= 4096, at most 2049 complex
+#: entries, 32 KiB.  So 128 kept products hold at most 128 * 34.9 KiB,
+#: about 4.4 MiB; a wider table or law is built, used once and neither kept
+#: nor copied, since the benchmark's peak memory grows with its op rate and
+#: a wider cap waits for a fixed-size latency reservoir.
 _KEPT_PRODUCTS = 128
 _KEPT_WINDOW = 512
 
@@ -127,20 +129,14 @@ def _kept(build, *args):
     return tuple(frozen(part) if isinstance(part, np.ndarray) else part for part in product)
 
 
-def _narrow(laws: tuple) -> bool:
-    """Whether a product of placed ``laws`` spans at most ``_KEPT_WINDOW`` entries.
-
-    A product's last index less its first is the sum of its laws' hi - lo.
-    """
-    return sum(hi - lo for _, _, lo, hi in laws) < _KEPT_WINDOW
-
-
 def _kept_placed(build, laws: tuple, *args):
-    """``build(laws, *args)``, kept by ``_kept``, keyed by its laws, while they are ``_narrow``.
+    """``build(laws, *args)``, kept by ``_kept`` while its placed ``laws`` span at most ``_KEPT_WINDOW`` entries.
 
-    A wider product is built, used and not kept.
+    The one keep rule of a sampling product, whose last index less its
+    first is the sum of its laws' hi - lo; a wider one is built and used.
     """
-    return _kept(build, laws, *args) if _narrow(laws) else build(laws, *args)
+    narrow = sum(hi - lo for _, _, lo, hi in laws) < _KEPT_WINDOW
+    return _kept(build, laws, *args) if narrow else build(laws, *args)
 
 
 def _draw_laws(scenario: Scenario, n_runs: int, multinomial: bool) -> tuple:
@@ -451,7 +447,7 @@ def _invert(rng, table, size: int) -> np.ndarray:
 
 
 def _spectrum(laws: tuple, n_fft: int) -> np.ndarray:
-    """``np.fft.rfft`` at length ``n_fft`` of ``laws``' one placed law's pmf."""
+    """``np.fft.rfft`` at length ``n_fft`` of ``laws``' one placed law's pmf, kept or not."""
     (law,) = laws
     return np.fft.rfft(_law_table(law)[1], n_fft)
 
@@ -461,12 +457,12 @@ def _pass_count_law(laws: tuple) -> tuple[int, np.ndarray]:
 
     ``laws`` lists placed Binomial laws (m, p, lo, hi), as ``_placed``
     does, and their windows give the law's start and width.  Their spectra
-    are multiplied in draw order.  A law whose table is kept has its
-    ``_spectrum`` kept too while the FFT is at most 4096 long; any other
-    law's table is read and transformed once per run of equal laws, and
-    only one such table and factor are alive at a time.  Every entry lies
-    within 1e-14 of the exact law; the README's Notes on numerics give the
-    FFT convolution, its memory and its error.
+    (``_spectrum``) are read once per run of equal laws, through
+    ``_kept_placed`` while the FFT is at most 4096 long and directly above
+    that, and multiplied in draw order; only one unkept table and factor
+    are alive at a time.  Every entry lies within 1e-14 of the exact law;
+    the README's Notes on numerics give the FFT convolution, its memory
+    and its error.
     """
     size = sum(hi - lo for *_, lo, hi in laws) + 1
     n_fft = 1 << (size - 1).bit_length()
@@ -475,10 +471,7 @@ def _pass_count_law(laws: tuple) -> tuple[int, np.ndarray]:
     keep = n_fft + 2 <= _EXACT_MAX_RUNS + 1
     spectrum = np.ones(n_fft // 2 + 1, dtype=complex)
     for law, run in itertools.groupby(laws):
-        if keep and _narrow((law,)):
-            factor = _kept(_spectrum, (law,), n_fft)
-        else:
-            factor = np.fft.rfft(_law_table(law)[1], n_fft)
+        factor = _kept_placed(_spectrum, (law,), n_fft) if keep else _spectrum((law,), n_fft)
         for _ in run:
             spectrum *= factor
         del factor  # released before the next one or the inverse FFT is allocated
@@ -512,8 +505,8 @@ def _total_histogram(laws: tuple, n_trials: int, seed: int) -> tuple[int, np.nda
     draws.  numpy draws no random number for a zero-probability category
     and leaves the mass still to split unchanged, so leaving the zero bins
     out changes no draw; the counts are int64 over the law's whole window.
-    A law of at most ``_KEPT_WINDOW`` entries is kept by ``_kept``, keyed
-    by the placed laws, and a wider one is built each time; the law
+    A law of at most ``_KEPT_WINDOW`` entries is kept (``_kept_placed``),
+    keyed by the placed laws, and a wider one is built each time; the law
     depends on no seed or trial count, so a kept one changes no draw.
     """
     lo, order, pmf = _kept_placed(_sorted_pass_count_law, laws)
@@ -602,14 +595,15 @@ def min_passes(threshold: float, n_runs: int) -> int:
     """Smallest pass count s with ``s / n_runs >= threshold`` in float arithmetic.
 
     This is the one definition of a trial reaching ``threshold``, shared by
-    the Monte Carlo and the exact oracle.  Returns ``n_runs + 1`` when no
-    count reaches it; a non-finite threshold, ``n_runs < 1`` or ``n_runs``
-    above ``_MAX_RUNS`` raises ``ValueError``.
+    the Monte Carlo and the exact oracle, made in float64 whatever the
+    threshold's type.  Returns ``n_runs + 1`` when no count reaches it; a
+    non-finite threshold, ``n_runs < 1`` or ``n_runs`` above ``_MAX_RUNS``
+    raises ``ValueError``.
     """
     n_runs = _integer(n_runs, "n_runs", 1)
     if n_runs > _MAX_RUNS:
         raise ValueError(f"n_runs must be at most {_MAX_RUNS}")
-    _finite(threshold, "threshold")
+    threshold = _finite(threshold, "threshold")
     return bisect.bisect_left(range(n_runs + 1), threshold, key=lambda s: s / n_runs)
 
 

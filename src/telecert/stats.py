@@ -51,24 +51,25 @@ def mu_of(f_th_cla: float, a: int) -> float:
 
     ``a`` is an integer (``TypeError`` otherwise) of at least 2 that a
     float holds, and ``f_th_cla`` lies in [0, 1] (``ValueError`` otherwise,
-    nan included).
+    nan included), computed with as a float64.
     """
     a = _integer(a, "a", 2)
     if _overflows_float(a - 1):
         raise ValueError("a is too large: a - 1 overflows a float")
     if not -1e-9 <= f_th_cla <= 1.0 + 1e-9:
         raise ValueError(f"fidelity must lie in [0, 1], got {f_th_cla!r}")
-    return (f_th_cla - 1.0) / (a - 1)
+    return (_finite(f_th_cla, "fidelity") - 1.0) / (a - 1)
 
 
 def t_of(f_target: float, f_th_cla: float, a: int) -> float:
     """Per-variable exceedance offset needed to reach ``f_target``.
 
     ``a`` and ``f_th_cla`` are checked as in ``mu_of``; a non-finite
-    ``f_target`` raises ``ValueError``.
+    ``f_target`` raises ``ValueError``; both are computed with as float64.
     """
     mu_of(f_th_cla, a)
-    if _finite(f_target, "target fidelity") <= f_th_cla:
+    f_target, f_th_cla = _finite(f_target, "target fidelity"), float(f_th_cla)
+    if f_target <= f_th_cla:
         raise PreconditionError(
             f"target fidelity {f_target!r} does not exceed the classical "
             f"fidelity {f_th_cla!r}; the exceedance probability is trivially 1"
@@ -118,16 +119,16 @@ def hoeffding_generic(mu_prime: float, t_prime: float, m: int) -> float:
     normalized offset with ``0 < t_prime < 1 - mu_prime``; ``m`` is the
     number of independent variables, a nonnegative integer that a float
     holds (``TypeError`` or ``ValueError`` otherwise); a non-finite
-    ``mu_prime`` or ``t_prime`` raises ``ValueError``.  The tail is
-    evaluated in the complement rates ``1 - mu_prime - t_prime`` and
-    ``1 - mu_prime``, so a mean too small for ``1 - mu_prime`` to fall
-    below 1 is refused.
+    ``mu_prime`` or ``t_prime`` raises ``ValueError``, and both are
+    computed with as float64.  The tail is evaluated in the complement
+    rates ``1 - mu_prime - t_prime`` and ``1 - mu_prime``, so a mean too
+    small for ``1 - mu_prime`` to fall below 1 is refused.
     """
     m = _integer(m, "m", 0)
     if _overflows_float(m):
         raise ValueError("m is too large: it overflows a float")
     e0 = 1.0 - _finite(mu_prime, "mu'")
-    _finite(t_prime, "t'")
+    t_prime = _finite(t_prime, "t'")
     if not 0.0 < e0 < 1.0:
         raise PreconditionError(
             f"normalized mean {mu_prime!r} must lie in (0, 1) and leave "
@@ -180,7 +181,7 @@ def bound_report(
         )
     log10_bound = _log10_tail(-(mu + t), -mu, (a - 1) * n_runs)
     return BoundReport(
-        f_th_cla=f_th_cla,
+        f_th_cla=float(f_th_cla),
         mu=mu,
         t=t,
         a=a,
@@ -214,8 +215,9 @@ class HypothesisConfig:
     secondary (classical) hypotheses, ``f_crit`` the decision threshold
     between them, ``sigma`` the per-run standard deviation, and ``n_runs``
     the number of repetitions, an integer (``TypeError`` otherwise).
-    The three means lie in [0, 1] (``ValueError`` otherwise).  Typical use
-    keeps ``f_cla < f_crit < f_qm`` strictly; the boundary equalities are
+    The three means lie in [0, 1] (``ValueError`` otherwise); they and
+    ``sigma`` are stored as float64.  Typical use keeps
+    ``f_cla < f_crit < f_qm`` strictly; the boundary equalities are
     admitted for degenerate checks.  ``sigma`` must be supplied by the
     caller; 1/2 is the largest per-run standard deviation a pass/fail
     outcome can have.  The normal-model rates are approximations, which
@@ -235,8 +237,10 @@ class HypothesisConfig:
             value = _finite(getattr(self, name), name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
+            object.__setattr__(self, name, value)
+        if not 0.0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
+        object.__setattr__(self, "sigma", _finite(self.sigma, "sigma"))
         object.__setattr__(self, "n_runs", _integer(self.n_runs, "n_runs", 1))
         if _overflows_float(self.n_runs):
             raise ValueError("n_runs is too large: it overflows a float")

@@ -197,6 +197,21 @@ class TestConfigValidation:
             exact_exceedance(builtin_scenarios()["trine"], n_runs, threshold)
         assert cold_products.cache_info().currsize == 0
 
+    def test_a_float32_threshold_is_cut_in_float64(self):
+        # np.float32(0.8) is 0.800000011920929 as SimReport.threshold records
+        # it; 24/30 lies below that, though float32 arithmetic rounds it to 0.8
+        threshold = np.float32(0.8)
+        assert min_passes(threshold, 30) == min_passes(float(threshold), 30) == 25
+        scenario = builtin_scenarios()["trine"]
+        cfg = SimConfig(scenario, 30, 20000, seed=1)
+        report, wide = run_experiment(cfg, threshold), run_experiment(cfg, float(threshold))
+        assert report.exceedance_count == wide.exceedance_count == 4033
+        assert exact_exceedance(scenario, 30, threshold) == exact_exceedance(scenario, 30, float(threshold))
+
+    def test_a_threshold_that_overflows_a_float_is_a_value_error(self):
+        with pytest.raises(ValueError, match=r"^threshold must be finite, got 1(0){400}$"):
+            min_passes(10**400, 30)
+
     @pytest.mark.parametrize(
         "n_runs, error, message",
         [
@@ -1396,24 +1411,41 @@ class TestKeptProducts:
         assert calls == []
 
     @pytest.mark.parametrize(
-        "build, args",
+        "name, args",
         [
-            (simulator._binomial_table, ((placed(200, 0.75),),)),
-            (simulator._spectrum, ((placed(200, 0.75),), 128)),
-            (simulator._sorted_pass_count_law, (SimConfig(builtin_scenarios()["trine"], 60, 1, 0).laws,)),
-            (simulator._deviations, (SimConfig(builtin_scenarios()["trine"], 60, 1, 0).laws, 0.75)),
-            (simulator._convolution_power, (((20, 0.75), (20, 0.5)),)),
+            ("_binomial_table", ((placed(200, 0.75),),)),
+            ("_spectrum", ((placed(200, 0.75),), 128)),
+            ("_sorted_pass_count_law", (SimConfig(builtin_scenarios()["trine"], 60, 1, 0).laws,)),
+            ("_deviations", (SimConfig(builtin_scenarios()["trine"], 60, 1, 0).laws, 0.75)),
+            ("_convolution_power", (((20, 0.75), (20, 0.5)),)),
         ],
     )
-    def test_builders_return_writable_arrays_that_kept_freezes(self, cold_products, build, args):
+    def test_builders_return_writable_arrays_that_kept_freezes(self, cold_products, name, args):
         def arrays(product):
             parts = product if isinstance(product, tuple) else (product,)
             return [part for part in parts if isinstance(part, np.ndarray)]
 
+        # looked up here, so a builder that is gone fails its own case only
+        build = getattr(simulator, name)
         built, kept = build(*args), simulator._kept(build, *args)
         assert arrays(built) and all(array.flags.writeable for array in arrays(built))
         assert not any(array.flags.writeable for array in arrays(kept))
         assert all(np.array_equal(a, b) for a, b in zip(arrays(built), arrays(kept), strict=True))
+
+    @pytest.mark.parametrize("name", list(builtin_scenarios()))
+    def test_a_kept_sorted_law_drops_only_the_zero_prefix_of_the_stable_order(self, name, cold_products):
+        # the builder's contract (TestPassCountLaw), for the product a narrow point keeps
+        scenario = builtin_scenarios()[name]
+        a = scenario.ensemble.size
+        for n_runs in (a, 60 // a * a, 600 // a * a, 6000 // a * a):
+            laws = SimConfig(scenario, n_runs, 1, seed=0).laws
+            lo, pmf = simulator._pass_count_law(laws)
+            start, order, nonzero = simulator._kept_placed(simulator._sorted_pass_count_law, laws)
+            assert start == lo
+            assert np.array_equal(order, np.argsort(pmf, kind="stable"))
+            assert np.all(nonzero > 0.0)
+            zeros = order.size - nonzero.size
+            assert np.array_equal(nonzero, pmf[order[zeros:]]) and not pmf[order[:zeros]].any()
 
     @pytest.fixture
     def transforms(self, monkeypatch):
@@ -1450,19 +1482,11 @@ class TestKeptProducts:
         ],
     )
     def test_a_spectrum_is_kept_with_its_table_up_to_an_fft_of_4096(
-        self, cold_products, transforms, monkeypatch, name, n_runs, n_fft, kept
+        self, cold_products, transforms, name, n_runs, n_fft, kept
     ):
         # a kept spectrum is transformed once per distinct law (trine's
         # (N/3, 0.75) comes again after (N/3, 0.7499999999999999)); an unkept
         # one once per run of equal laws, at every point
-        built = []
-        spectrum = simulator._spectrum
-
-        def counted(laws, n):
-            built.append((laws, n))
-            return spectrum(laws, n)
-
-        monkeypatch.setattr(simulator, "_spectrum", counted)
         scenario = builtin_scenarios()[name]
         laws = SimConfig(scenario, n_runs, 1, seed=0).laws
         distinct, runs = len(set(laws)), len(list(itertools.groupby(laws)))
@@ -1473,7 +1497,12 @@ class TestKeptProducts:
             assert set(transforms) <= {n_fft}
             counts.append(len(transforms))
         assert counts == ([distinct, 0] if kept else [runs, runs])
-        assert built == ([((law,), n_fft) for law in dict.fromkeys(laws)] if kept else [])
+        # the points kept each law's spectrum at this FFT length, or none:
+        # looking each up after them finds it, or builds it now
+        misses = cold_products.cache_info().misses
+        for law in dict.fromkeys(laws):
+            simulator._kept(simulator._spectrum, (law,), n_fft)
+        assert cold_products.cache_info().misses - misses == (0 if kept else distinct)
 
     def test_both_samplers_share_one_table_per_law(self, cold_products, monkeypatch):
         scenario = builtin_scenarios()["trine"]
@@ -1882,20 +1911,19 @@ class TestPassCountLaw:
             assert not counts[pmf == 0.0].any()
 
     @pytest.mark.parametrize("name", list(builtin_scenarios()))
-    def test_sorted_law_drops_only_the_zero_prefix_of_the_stable_order(self, name, cold_products):
+    def test_sorted_law_drops_only_the_zero_prefix_of_the_stable_order(self, name):
         scenario = builtin_scenarios()[name]
         a = scenario.ensemble.size
         dropped = 0
         for n_runs in (a, 60 // a * a, 600 // a * a, 6000 // a * a):
             laws = SimConfig(scenario, n_runs, 1, seed=0).laws
             lo, pmf = simulator._pass_count_law(laws)
-            build = simulator._sorted_pass_count_law
-            for start, order, nonzero in (build(laws), simulator._kept_placed(build, laws)):
-                assert start == lo
-                assert np.array_equal(order, np.argsort(pmf, kind="stable"))
-                assert np.all(nonzero > 0.0)
-                zeros = order.size - nonzero.size
-                assert np.array_equal(nonzero, pmf[order[zeros:]]) and not pmf[order[:zeros]].any()
+            start, order, nonzero = simulator._sorted_pass_count_law(laws)
+            assert start == lo
+            assert np.array_equal(order, np.argsort(pmf, kind="stable"))
+            assert np.all(nonzero > 0.0)
+            zeros = order.size - nonzero.size
+            assert np.array_equal(nonzero, pmf[order[zeros:]]) and not pmf[order[:zeros]].any()
             dropped += zeros
         assert dropped > 0  # the FFT's rounding, clipped, leaves some bins at exactly 0
 

@@ -508,3 +508,47 @@ class TestHypothesisErrors:
     def test_non_integral_run_count_is_refused(self, n_runs):
         with pytest.raises(TypeError, match="integer"):
             HypothesisConfig(f_qm=0.9, f_cla=0.7, f_crit=0.8, sigma=0.5, n_runs=n_runs)
+
+
+class TestCheckedNumbersAreFloat64:
+    """A checked number is computed with as the float64 it converts to, whatever its type."""
+
+    def test_a_float32_bound_row_is_the_row_of_its_float64_values(self):
+        f, target = np.float32(0.75), np.float32(0.9)
+        report = bound_report(f, target, 3, 30)
+        assert report == bound_report(float(f), float(target), 3, 30)
+        for name in ("f_th_cla", "mu", "t", "log10_bound", "bound"):
+            assert type(getattr(report, name)) is float, name
+        assert type(mu_of(f, 3)) is type(t_of(target, f, 3)) is float
+
+    def test_a_float32_offset_is_evaluated_in_float64(self):
+        t_prime = np.float32(0.1)
+        log10_bound = hoeffding_generic(0.25, t_prime, 30)
+        assert type(log10_bound) is float
+        assert log10_bound == hoeffding_generic(0.25, float(t_prime), 30)
+
+    def test_a_float32_hypothesis_is_the_hypothesis_of_its_float64_values(self):
+        values = [np.float32(x) for x in (0.865, 0.75, 0.8075, 0.3)]
+        cfg = HypothesisConfig(*values, n_runs=30)
+        wide = HypothesisConfig(*(float(x) for x in values), n_runs=30)
+        assert all(type(getattr(cfg, name)) is float for name in ("f_qm", "f_cla", "f_crit", "sigma"))
+        assert type_one_error(cfg) == type_one_error(wide)
+        assert type_two_error(cfg) == type_two_error(wide)
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda huge: t_of(huge, 0.75, 3), "target fidelity"),
+            (lambda huge: hoeffding_generic(huge, 0.1, 3), "mu'"),
+            (lambda huge: hoeffding_generic(0.5, huge, 3), "t'"),
+            (lambda huge: HypothesisConfig(huge, 0.7, 0.8, 0.4, 3), "f_qm"),
+            (lambda huge: HypothesisConfig(0.9, 0.7, 0.8, huge, 3), "sigma"),
+        ],
+        ids=["target", "mu-prime", "t-prime", "f-qm", "sigma"],
+    )
+    def test_a_number_that_overflows_a_float_is_a_value_error(self, call, name):
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be finite, got 1(0){{400}}$"):
+            call(10**400)
+        # past the digits str() takes, the message gives the integer's size
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be finite, got <16610-bit integer>$"):
+            call(10**5000)
